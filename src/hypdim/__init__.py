@@ -33,6 +33,7 @@ from .symbolic import (
 from .pressure import (
     BowenBallSpec,
     PressureEstimate,
+    ProductCloud,
     VolumeCurve,
     bowen_ball_contains,
     default_epsilon,

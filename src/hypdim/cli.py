@@ -12,6 +12,8 @@ exceeded, 4 inconclusive classification when a verdict was demanded.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import os
@@ -32,7 +34,7 @@ from .dimension import (
     invariant_set_sample,
     measure_box_dimension,
 )
-from .errors import CapExceededError, HypdimError
+from .errors import CapExceededError, GridTooCoarseError, HypdimError
 from .models import (
     ModelSystem,
     Potential,
@@ -44,15 +46,16 @@ from .models import (
     potential,
 )
 from .pressure import (
+    cover_rects,
     default_epsilon,
+    factored_axes,
     pressure_from_partition_sums,
     pressure_from_volume_growth,
     sample_local_stable_set,
     spectral_estimate,
-    stable_product_axis,
     volume_curve,
 )
-from .symbolic import WORD_CAP
+from .symbolic import WORD_CAP, cylinders
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -116,7 +119,7 @@ def emit_document(args, config: ExperimentConfig, result: dict) -> None:
         },
         "result": result,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2, default=_json_default) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n"
     if getattr(args, "out", None):
         atomic_write(args.out, text)
     else:
@@ -124,10 +127,11 @@ def emit_document(args, config: ExperimentConfig, result: dict) -> None:
 
 
 def write_csv(path: str, header, rows) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_csv_cell(v) for v in row))
-    atomic_write(path, "\n".join(lines) + "\n")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_csv_cell(v) for v in row] for row in rows)
+    atomic_write(path, buffer.getvalue())
 
 
 def _csv_cell(value) -> str:
@@ -246,6 +250,9 @@ def cmd_pressure(args) -> int:
         kmax = args.kmax or 10
         curve = volume_curve(model, eps, kmax, args.grid or 4096, threads=args.threads)
         estimate = pressure_from_volume_growth(curve, parse_window(args.window) or (1, kmax))
+        if estimate.value == -math.inf:
+            msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {kmax} steps"
+            raise GridTooCoarseError(msg + "; raise --grid")
     else:
         raise ValueError(f"unknown method {method!r}")
     result = {"pressure": estimate.to_json_dict()}
@@ -277,7 +284,8 @@ def _stable_resolution(model: ModelSystem, depth: int, grid: int | None, eps: fl
     # resolve structure down to the depth of the tracking constraint
     if grid:
         return grid
-    if model.n > 1 and stable_product_axis(model, eps) is None:
+    varying, factors = factored_axes(model, cover_rects(model, eps)[1])
+    if model.n > 1 and not (factors and len(varying) == 1):
         return 1 << 11  # full n-dimensional grid; keep it affordable
     need = 4.0 * float(np.max(model.lambda_u)) ** depth
     res = 1 << 11
@@ -292,17 +300,10 @@ def _default_depth(model: ModelSystem, scales) -> int:
     return max(4, min(14, int(math.ceil(math.log(1.0 / finest) / rate)) + 1))
 
 
-def _fills_space(model: ModelSystem) -> bool:
-    # cylinders that never shrink mean the invariant set is everything
-    from .symbolic import cylinders
-
-    _, rects = cylinders(model, 2)
-    return bool(((rects[:, 1, :] - rects[:, 0, :]).max(axis=0) > 1 - 1e-9).all())
-
-
 def sample_for_set(model: ModelSystem, set_name: str, args):
     if set_name in ("invariant", "repeller"):
-        if _fills_space(model):
+        # cylinders that never shrink mean the invariant set is everything
+        if len(factored_axes(model, cylinders(model, 2)[1])[0]) == 0:
             # grid sample of the full space; scales must stay above the
             # grid yet span the two decades the dimension fit requires
             res = args.grid or 1024
@@ -438,7 +439,7 @@ def cmd_report(args) -> int:
 def _add_common(parser):
     parser.add_argument("--model", help="built-in model, e.g. horseshoe:3,0.25")
     parser.add_argument("--model-file", help="JSON model file")
-    parser.add_argument("--seed", type=int, default=0, help="seed echoed for provenance")
+    parser.add_argument("--seed", type=int, default=0, help="seed of the stable-set sampler")
     parser.add_argument("--threads", type=int, default=1, help="grid worker threads")
     parser.add_argument("--out", help="write the JSON document here instead of stdout")
     parser.add_argument("--csv", help="write the raw curve as CSV here")

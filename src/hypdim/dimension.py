@@ -23,7 +23,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
-from .pressure import PressureEstimate, _grid_axis, spectral_estimate
+from .pressure import PressureEstimate, ProductCloud, _grid_axis, factored_axes, spectral_estimate
 from .symbolic import (
     WORD_CAP,
     _successor_table,
@@ -107,19 +107,26 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
 # -- box counting -------------------------------------------------------------
 
 
-def box_count(points: np.ndarray, scale: float) -> int:
-    """Number of grid cells of edge `scale` (anchored at 0) meeting the points."""
+def box_count(points, scale: float) -> int:
+    """Number of grid cells of edge `scale` (anchored at 0) meeting the points.
+
+    A `ProductCloud` is counted factor by factor: the cells meeting a
+    product are exactly the products of the cells meeting its factors.
+    """
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must lie in (0, 1]")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
-        return 0
-    cells = np.floor(pts / scale).astype(np.int64)
     extent = int(math.ceil(1.0 / scale)) + 2
-    key = cells[:, 0].copy()
-    for ax in range(1, cells.shape[1]):
-        key = key * extent + cells[:, ax]
-    return int(np.unique(key).size)
+    count = 1
+    for factor in points.factors if isinstance(points, ProductCloud) else (points,):
+        pts = np.atleast_2d(np.asarray(factor, dtype=float))
+        if pts.size == 0:
+            return 0
+        cells = np.floor(pts / scale).astype(np.int64)
+        key = cells[:, 0].copy()
+        for ax in range(1, cells.shape[1]):
+            key = key * extent + cells[:, ax]
+        count *= int(np.unique(key).size)
+    return count
 
 
 @dataclass(frozen=True)
@@ -393,48 +400,36 @@ def horseshoe_for_target_dimension(target: float, lambda_s: float = 0.25) -> Mod
 # -- invariant-set samples ----------------------------------------------------
 
 
-def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256) -> np.ndarray:
+def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256):
     """Point sample of the invariant set at a given symbolic depth.
 
     Expanding models: centers of the depth-k cylinders (the repeller).
-    Diffeomorphisms with decoupled diagonal branches: the product of the
-    expanding-axis cylinder centers with the centers of the depth-k
-    images along the contracting axes.  Models whose cylinders do not
-    shrink (the invariant set fills the space) fall back to a regular
-    grid at `resolution`.
+    Diffeomorphisms that factor (see `factored_axes`): a `ProductCloud`
+    of the cylinder centers on the varying axes with the centers of the
+    depth-k word images of the unit cube on the whole axes.  Any other
+    model (the invariant set fills the space, or its branches couple
+    the two groups) falls back to a regular grid at `resolution`.
     """
     words, rects = cylinders(model, depth)
     if model.kind == "expanding":
         return 0.5 * (rects[:, 0, :] + rects[:, 1, :])
-    extents = (rects[:, 1, :] - rects[:, 0, :]).max(axis=0)
-    varying = np.flatnonzero(extents < 1.0 - 1e-9)
-    diagonal = all(
-        np.array_equal(b.linear, np.diag(np.diag(b.linear))) for b in model.branches
-    )
-    if varying.size == 0 or not diagonal:
+    varying, factors = factored_axes(model, rects)
+    if not factors:
         axis = _grid_axis(resolution)
         mesh = np.meshgrid(*([axis] * model.n), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1)
-    # forward cylinders pin the expanding axes; word images pin the rest
-    centers_var = 0.5 * (rects[:, 0, :][:, varying] + rects[:, 1, :][:, varying])
-    stable_axes = [ax for ax in range(model.n) if ax not in varying]
-    stable_centers = np.empty((len(words), len(stable_axes)))
-    for wi, word in enumerate(words):
-        lo = np.zeros(len(stable_axes))
-        hi = np.ones(len(stable_axes))
-        for s in word:
-            b = model.branches[int(s)]
-            scale = np.array([b.linear[ax, ax] for ax in stable_axes])
-            off = np.array([b.offset[ax] for ax in stable_axes])
-            lo, hi = np.minimum(scale * lo, scale * hi) + off, np.maximum(scale * lo, scale * hi) + off
-        stable_centers[wi] = 0.5 * (lo + hi)
-    # cross the two families: every forward cylinder with every image slab
-    reps = len(words)
-    out = np.empty((reps * reps, model.n))
-    var_rep = np.repeat(centers_var, reps, axis=0)
-    stab_rep = np.tile(stable_centers, (reps, 1))
-    for i, ax in enumerate(varying):
-        out[:, ax] = var_rep[:, i]
-    for i, ax in enumerate(stable_axes):
-        out[:, ax] = stab_rep[:, i]
-    return out
+    # forward cylinders pin the varying axes; word images pin the whole ones
+    whole = np.setdiff1d(np.arange(model.n), varying)
+    linears = np.stack([b.linear[np.ix_(whole, whole)] for b in model.branches])
+    offsets = np.stack([b.offset[whole] for b in model.branches])
+    lo = np.zeros((len(words), whole.size))
+    hi = np.ones((len(words), whole.size))
+    for symbols in words.T:
+        a, off = linears[symbols], offsets[symbols]
+        lo3, hi3 = lo[:, None, :], hi[:, None, :]
+        lo, hi = (
+            np.where(a > 0, a * lo3, a * hi3).sum(axis=2) + off,
+            np.where(a > 0, a * hi3, a * lo3).sum(axis=2) + off,
+        )
+    centers = (0.5 * (rects[:, 0, varying] + rects[:, 1, varying]), 0.5 * (lo + hi))
+    return ProductCloud(centers, (tuple(varying.tolist()), tuple(whole.tolist())))

@@ -72,6 +72,57 @@ def bowen_ball_contains(model: ModelSystem, spec: BowenBallSpec, y) -> bool:
 # -- cylinder covers and distances ------------------------------------------
 
 
+@dataclass(frozen=True, eq=False)
+class ProductCloud:
+    """Point cloud kept as the Cartesian product of per-axis-group factors.
+
+    `factors[i]` is an (N_i, d_i) array of coordinates on the axes
+    `axes[i]`; the cloud holds every combination of one row per factor,
+    N_0 * N_1 * ... points, of which only the factors are stored.
+    `np.asarray(cloud)` materializes the points, the first factor
+    varying slowest.
+    """
+
+    factors: tuple
+    axes: tuple
+
+    def __len__(self) -> int:
+        return math.prod(len(f) for f in self.factors)
+
+    def __array__(self, dtype=None, copy=None):
+        rows = np.meshgrid(*(np.arange(len(f)) for f in self.factors), indexing="ij")
+        out = np.empty((len(self), sum(len(a) for a in self.axes)))
+        for factor, axes, idx in zip(self.factors, self.axes, rows):
+            out[:, list(axes)] = factor[idx.ravel()]
+        return out
+
+
+def factored_axes(model: ModelSystem, rects: np.ndarray):
+    """Split the axes into those a cover varies along and those it leaves whole.
+
+    Returns (varying, factors): the axes along which some rectangle of
+    `rects` falls short of the unit interval, and whether the whole axes
+    split off as an exact product factor.  They do when there is an axis
+    of each kind, every branch domain spans the whole axes, every linear
+    part is block-diagonal between the two groups, and on the cube every
+    branch maps the whole axes into the unit interval; tracking, stable
+    sets and invariant sets then depend on the varying coordinates alone.
+    """
+    whole = (rects[:, 0, :] <= _FULL_TOL).all(axis=0) & (rects[:, 1, :] >= 1 - _FULL_TOL).all(axis=0)
+    varying = np.flatnonzero(~whole)
+    if varying.size in (0, model.n):
+        return varying, False
+    for b in model.branches:
+        block = b.linear[np.ix_(whole, whole)]
+        image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + b.offset[whole]
+        spans = np.all(b.lo[whole] <= _FULL_TOL) and np.all(b.hi[whole] >= 1 - _FULL_TOL)
+        coupled = np.any(b.linear[np.ix_(whole, ~whole)]) or np.any(b.linear[np.ix_(~whole, whole)])
+        inside = model.space.is_torus or (image.min() >= -_FULL_TOL and image.max() <= 1 + _FULL_TOL)
+        if not spans or coupled or not inside:
+            return varying, False
+    return varying, True
+
+
 class _CoverDistance:
     """Sup-norm distance to a union of rectangles, with fast paths.
 
@@ -84,13 +135,7 @@ class _CoverDistance:
     def __init__(self, model: ModelSystem, rects: np.ndarray):
         self.torus = model.space.is_torus
         self.rects = rects
-        n = rects.shape[2]
-        full = [
-            bool(np.all(rects[:, 0, ax] <= _FULL_TOL) and np.all(rects[:, 1, ax] >= 1 - _FULL_TOL))
-            for ax in range(n)
-        ]
-        self.full_axes = np.array(full)
-        varying = np.flatnonzero(~self.full_axes)
+        varying, self.factors = factored_axes(model, rects)
         if len(varying) == 0:
             self.mode = "zero"
         elif len(varying) == 1:
@@ -266,7 +311,9 @@ def volume_curve(
     cylinder cover (orbit escape fails membership).  The uncertainty
     band per k is the total volume of cells sitting on the membership
     boundary; halving the cell edge changes the estimate by at most the
-    band.
+    band.  When the model factors along one varying axis (see
+    `factored_axes`), only that axis's cells are stepped; the integer
+    counts are the ones the full grid gives.
 
     Results are independent of `threads`: the grid is chunked the same
     way regardless, and only integer cell counts are aggregated.
@@ -282,16 +329,21 @@ def volume_curve(
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
     axis = _grid_axis(grid_resolution)
-    total = grid_resolution**n
-
-    if n == 1:
-        pts = axis[:, None]
+    line = dist.axis if dist.factors and dist.mode == "intervals" else None
+    if n == 1 or line is not None:
+        # deaths depend on one coordinate alone: step one row of cells and
+        # count it for each of the grid**(n-1) identical rows of the full grid
+        pts = np.full((grid_resolution, n), axis[grid_resolution // 2])
+        pts[:, line or 0] = axis
+        shape, rows = (grid_resolution,), grid_resolution ** (n - 1)
     else:
         mesh = np.meshgrid(*([axis] * n), indexing="ij")
         pts = np.stack([m.ravel() for m in mesh], axis=1)
+        shape, rows = (grid_resolution,) * n, 1
+    total = len(pts)
 
     death = np.empty(total, dtype=np.int16)
-    n_chunks = 64 if total >= 64 else 1
+    n_chunks = max(1, min(64, total // 4096))
     bounds = np.linspace(0, total, n_chunks + 1).astype(int)
 
     def work(ci):
@@ -307,29 +359,28 @@ def volume_curve(
 
     hist = np.bincount(death, minlength=k_max + 1)
     # membership at k holds iff tracking survived steps 0..k-1
-    counts = np.array([total - hist[:k].sum() for k in range(1, k_max + 1)])
+    counts = np.array([total - hist[:k].sum() for k in range(1, k_max + 1)]) * rows
     cellvol = cell**n
     volumes = counts * cellvol
 
     bands = np.zeros(k_max)
     if compute_bands:
-        shape = (grid_resolution,) * n
         for k in range(1, k_max + 1):
             mask = (death >= k).reshape(shape)
             boundary = np.zeros(shape, dtype=bool)
-            for ax in range(n):
+            for ax in range(mask.ndim):
                 if model.space.is_torus:
                     boundary |= mask != np.roll(mask, 1, axis=ax)
                     boundary |= mask != np.roll(mask, -1, axis=ax)
                 else:
-                    sl_a = [slice(None)] * n
-                    sl_b = [slice(None)] * n
+                    sl_a = [slice(None)] * mask.ndim
+                    sl_b = [slice(None)] * mask.ndim
                     sl_a[ax] = slice(1, None)
                     sl_b[ax] = slice(None, -1)
                     diff = mask[tuple(sl_a)] != mask[tuple(sl_b)]
                     boundary[tuple(sl_a)] |= diff
                     boundary[tuple(sl_b)] |= diff
-            bands[k - 1] = boundary.sum() * cellvol
+            bands[k - 1] = boundary.sum() * rows * cellvol
 
     return VolumeCurve(
         epsilon=float(epsilon),
@@ -488,56 +539,10 @@ def _alive_after_tracking(model, pts, epsilon, depth, dist):
     return death >= depth
 
 
-def _product_structure(model: ModelSystem, rects: np.ndarray):
-    """Detect one varying axis with decoupled dynamics on the full axes.
-
-    Returns the varying axis index, or None when the model does not
-    factor (then the sampler falls back to the full grid).
-    """
-    n = model.n
-    full_dom = np.array(
-        [
-            all(b.lo[ax] <= _FULL_TOL and b.hi[ax] >= 1 - _FULL_TOL for b in model.branches)
-            for ax in range(n)
-        ]
-    )
-    full_cov = np.array(
-        [
-            bool(np.all(rects[:, 0, ax] <= _FULL_TOL) and np.all(rects[:, 1, ax] >= 1 - _FULL_TOL))
-            for ax in range(n)
-        ]
-    )
-    full = full_dom & full_cov
-    varying = np.flatnonzero(~full)
-    if len(varying) != 1 or full.sum() == 0:
-        return None
-    ax = int(varying[0])
-    for b in model.branches:
-        coupled = b.linear.copy()
-        coupled[ax, ax] = 0.0
-        for f in np.flatnonzero(full):
-            coupled[f, f] = 0.0
-        if np.any(coupled[ax, :] != 0.0) or np.any(coupled[:, ax] != 0.0):
-            return None
-        for f in np.flatnonzero(full):
-            scale = b.linear[f, f]
-            img_lo = min(scale * 0.0, scale * 1.0) + b.offset[f]
-            img_hi = max(scale * 0.0, scale * 1.0) + b.offset[f]
-            if not model.space.is_torus and (img_lo < -_FULL_TOL or img_hi > 1 + _FULL_TOL):
-                return None
-    return ax
-
-
-def stable_product_axis(model: ModelSystem, epsilon: float):
-    """The single sampled axis when the stable-set geometry factors, else None."""
-    _, rects = cover_rects(model, epsilon)
-    return _product_structure(model, rects)
-
-
 def sample_local_stable_set(
     model: ModelSystem, epsilon: float, depth: int, samples: int = 2048,
     cross_resolution: int = 1024, seed: int = 0,
-) -> np.ndarray:
+) -> np.ndarray | ProductCloud:
     """Sample points whose first `depth` iterates stay epsilon-close to the cover.
 
     A superset of the true local stable set sample that shrinks as depth
@@ -545,25 +550,23 @@ def sample_local_stable_set(
     cell), so the cloud is deterministic in the seed.  When the branch
     geometry factors (full strips along the contracting axes, as in the
     horseshoe family), only the expanding axis is sampled at `samples`
-    resolution and the cloud is the product with a grid on the remaining
-    axes; otherwise the full n-dimensional grid is used.
+    resolution and the cloud is a `ProductCloud` of the kept values with
+    a grid on each remaining axis; otherwise the full n-dimensional grid
+    is used and the kept points are returned as an array.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
-    cover_depth_, rects = cover_rects(model, epsilon)
+    _, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
     axis_vals = _sample_axis(samples, seed)
-    ax = _product_structure(model, rects)
     n = model.n
-    if ax is not None:
+    if dist.factors and dist.mode == "intervals":
         pts = np.full((samples, n), 0.5)
-        pts[:, ax] = axis_vals
+        pts[:, dist.axis] = axis_vals
         alive = _alive_after_tracking(model, pts, epsilon, depth, dist)
-        kept = axis_vals[alive]
         other_axis = _sample_axis(min(samples, cross_resolution), seed + 1)
-        grids = [kept if a == ax else other_axis for a in range(n)]
-        mesh = np.meshgrid(*grids, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        grids = [axis_vals[alive] if a == dist.axis else other_axis for a in range(n)]
+        return ProductCloud(tuple(g[:, None] for g in grids), tuple((a,) for a in range(n)))
     if samples**n > (1 << 26):
         raise GridTooCoarseError("stable-set grid too large; lower the resolution")
     mesh = np.meshgrid(*([axis_vals] * n), indexing="ij")

@@ -1,11 +1,13 @@
 """Command-line behavior: exit codes, JSON shape, determinism, side files."""
 
+import argparse
+import csv
 import json
 import math
 
 import pytest
 
-from hypdim.cli import main, parse_scales
+from hypdim.cli import emit_document, main, make_config, parse_scales
 from hypdim.models import build_linear_horseshoe
 
 
@@ -150,6 +152,24 @@ class TestReportCommand:
         assert (tmp_path / "bound_vs_lambda.csv").exists()
         assert (tmp_path / "dimension_vs_lambda.csv").exists()
 
+    def test_report_csv_reads_back_as_the_json_rows(self, capsys, tmp_path):
+        # every sweep label ("horseshoe:2.5,0.25") holds a comma
+        doc = run_json(
+            capsys,
+            ["report", "--sweep", "lambda_u=2.5:3.0:0.5", "--out-dir", str(tmp_path), "--depth", "4"],
+        )
+        rows = doc["result"]["rows"]
+        with open(tmp_path / "report.csv", newline="") as handle:
+            header, *table = list(csv.reader(handle))
+        assert header == ["label", "lambda_u_max", "pressure", "s", "bound", "classification",
+                          "measured_dimension"]
+        assert len(table) == len(rows) == 2
+        for line, row in zip(table, rows):
+            assert len(line) == len(header)
+            for text, key in zip(line, header):
+                value = row[key]
+                assert text == value if isinstance(value, str) else float(text) == value
+
 
 class TestExitCodes:
     def test_unknown_model_is_config_error(self, capsys):
@@ -168,6 +188,23 @@ class TestExitCodes:
         )
         assert code == 3
         assert "cap" in err.lower()
+
+    def test_vanished_tracking_volume_is_config_error(self, capsys):
+        # the exact pressure is log(1/4); a 512 grid loses the whole neighborhood
+        code, out, err = run(
+            capsys,
+            ["pressure", "--model", "horseshoe:8,0.25", "--method", "volume",
+             "--kmax", "10", "--grid", "512"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "512" in err and "--grid" in err
+
+    def test_non_finite_numbers_never_reach_the_document(self, capsys):
+        args = argparse.Namespace(seed=0, threads=1)
+        with pytest.raises(ValueError):
+            emit_document(args, make_config(args, "pressure"), {"value": -math.inf})
+        assert capsys.readouterr().out == ""
 
     def test_bad_arguments(self, capsys):
         assert run(capsys, ["pressure", "--method", "bogus", "--model", "doubling:2"])[0] == 2

@@ -1,9 +1,13 @@
 """Expansion rates, box counting, the dimension bound and its equivalences."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from hypdim.dimension import (
     BoundReport,
@@ -36,10 +40,16 @@ from hypdim.models import (
     build_linear_horseshoe,
     potential,
 )
-from hypdim.pressure import PressureEstimate, sample_local_stable_set, spectral_estimate
-from hypdim.symbolic import power_model, pressure_spectral
+from hypdim.pressure import (
+    PressureEstimate,
+    ProductCloud,
+    sample_local_stable_set,
+    spectral_estimate,
+)
+from hypdim.symbolic import cylinders, power_model, pressure_spectral
 
 CAT_RATE = math.log((3.0 + math.sqrt(5.0)) / 2.0)
+UNIT = st.floats(0.0, 1.0, exclude_max=True)
 
 
 def ifs_centers(digits, base, depth):
@@ -173,6 +183,21 @@ class TestBoxCount:
             box_count(np.zeros((1, 1)), 0.0)
         with pytest.raises(ValueError):
             box_count(np.zeros((1, 1)), 1.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        xs=arrays(float, st.tuples(st.integers(0, 40), st.just(1)), elements=UNIT),
+        ys=arrays(float, st.tuples(st.integers(0, 40), st.integers(1, 2)), elements=UNIT),
+        swap=st.booleans(),
+        scale=st.one_of(st.integers(0, 12).map(lambda e: 2.0**-e), st.floats(1e-3, 1.0)),
+    )
+    def test_product_count_equals_materialized_count(self, xs, ys, swap, scale):
+        wide = tuple(range(1, 1 + ys.shape[1]))
+        axes = ((ys.shape[1],), tuple(range(ys.shape[1]))) if swap else ((0,), wide)
+        cloud = ProductCloud((xs, ys), axes)
+        points = np.asarray(cloud)
+        assert points.shape == (len(xs) * len(ys), 1 + ys.shape[1])
+        assert box_count(cloud, scale) == box_count(points, scale)
 
 
 class TestBoxDimension:
@@ -376,6 +401,69 @@ class TestExpandingConsistency:
             scales = [2.0**-k for k in range(2, 10)]
             est = measure_box_dimension(sample, scales)
             assert est.slope <= rep.bound + 0.05
+
+
+def swapped_horseshoe():
+    """A horseshoe that expands along y by 3 and contracts along x by 1/4."""
+    linear = [[0.25, 0.0], [0.0, 3.0]]
+    return ModelSystem.from_json_dict(
+        {
+            "space": {"dim": 2, "geometry": "cube"},
+            "kind": "diffeo",
+            "branches": [
+                {"symbol": 0, "domain": {"lo": [0.0, 0.0], "hi": [1.0, 1.0 / 3.0]},
+                 "linear": linear, "offset": [0.0, 0.0]},
+                {"symbol": 1, "domain": {"lo": [0.0, 2.0 / 3.0], "hi": [1.0, 1.0]},
+                 "linear": linear, "offset": [0.75, -2.0]},
+            ],
+            "transition": [[1, 1], [1, 1]],
+            "unstable_dim": 1,
+        }
+    )
+
+
+def word_loop_invariant_sample(model, depth):
+    """Reference: cylinder centers crossed with per-word images, point by point."""
+    words, rects = cylinders(model, depth)
+    varying = np.flatnonzero((rects[:, 1, :] - rects[:, 0, :]).max(axis=0) < 1.0 - 1e-9)
+    stable = [ax for ax in range(model.n) if ax not in varying]
+    centers = np.empty((len(words), len(stable)))
+    for wi, word in enumerate(words):
+        lo, hi = np.zeros(len(stable)), np.ones(len(stable))
+        for s in word:
+            b = model.branches[int(s)]
+            scale, off = np.diag(b.linear)[stable], b.offset[stable]
+            lo, hi = np.minimum(scale * lo, scale * hi) + off, np.maximum(scale * lo, scale * hi) + off
+        centers[wi] = 0.5 * (lo + hi)
+    out = np.empty((len(words) ** 2, model.n))
+    out[:, varying] = np.repeat(0.5 * (rects[:, 0, varying] + rects[:, 1, varying]), len(words), axis=0)
+    out[:, stable] = np.tile(centers, (len(words), 1))
+    return out
+
+
+class TestFactoredInvariantSample:
+    def test_matches_word_loop_reference(self):
+        for model in (build_linear_horseshoe(3.0, 0.25), swapped_horseshoe()):
+            cloud = invariant_set_sample(model, depth=5)
+            assert isinstance(cloud, ProductCloud)
+            assert np.array_equal(np.asarray(cloud), word_loop_invariant_sample(model, 5))
+
+    def test_slow_horseshoe_stays_factored(self):
+        # depth 12 at lambda_u = 2.1 would be a 2^24-row array if materialized
+        cloud = invariant_set_sample(build_linear_horseshoe(2.1, 0.25), depth=12)
+        assert [f.shape for f in cloud.factors] == [(2**12, 1), (2**12, 1)]
+        assert len(cloud) == 2**24
+
+    def test_coupled_and_space_filling_models_materialize(self):
+        # x' = 3x + 0.1y couples the axes, so the sample falls back to the grid
+        m = build_linear_horseshoe(3.0, 0.25)
+        shear = [[3.0, 0.1], [0.0, 0.25]]
+        sheared = dataclasses.replace(
+            m, branches=tuple(dataclasses.replace(b, linear=shear) for b in m.branches)
+        )
+        for model in (sheared, build_cat_map()):
+            sample = invariant_set_sample(model, depth=3, resolution=64)
+            assert isinstance(sample, np.ndarray) and sample.shape == (64 * 64, 2)
 
 
 def asymmetric_repeller():

@@ -17,8 +17,13 @@ from hypdim.models import (
 )
 from hypdim.pressure import (
     BowenBallSpec,
+    ProductCloud,
     VolumeCurve,
+    _CoverDistance,
+    _death_steps,
+    _sample_axis,
     bowen_ball_contains,
+    cover_rects,
     default_epsilon,
     distance_to_repeller,
     neighborhood_volume,
@@ -125,6 +130,34 @@ class TestVolumeCurves:
         curve = volume_curve(m, 0.05, 6, 2048)
         assert neighborhood_volume(m, 0.05, 6, 2048) == curve.volumes[-1]
 
+    @pytest.mark.parametrize("lambda_u", [2.5, 4.0])
+    @pytest.mark.parametrize("grid", [512, 1000])
+    def test_factored_grid_matches_full_grid(self, lambda_u, grid):
+        # reference: step every cell of the full 2-D grid, count on the 2-D mask
+        m = build_linear_horseshoe(lambda_u, 0.25)
+        eps, k_max = default_epsilon(m), 8
+        dist = _CoverDistance(m, cover_rects(m, eps)[1])
+        axis = (np.arange(grid) + 0.5) / grid
+        mesh = np.meshgrid(axis, axis, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=1)
+        death = _death_steps(m, pts, eps, k_max, dist).reshape(grid, grid)
+        counts, boundaries = [], []
+        for k in range(1, k_max + 1):
+            mask = death >= k
+            boundary = np.zeros_like(mask)
+            rows, cols = mask[1:] != mask[:-1], mask[:, 1:] != mask[:, :-1]
+            boundary[1:] |= rows
+            boundary[:-1] |= rows
+            boundary[:, 1:] |= cols
+            boundary[:, :-1] |= cols
+            counts.append(int(mask.sum()))
+            boundaries.append(int(boundary.sum()))
+        cellvol = (1.0 / grid) ** 2
+        curve = volume_curve(m, eps, k_max, grid)
+        assert curve.volumes.tolist() == [c * cellvol for c in counts]
+        assert curve.bands.tolist() == [b * cellvol for b in boundaries]
+        assert max(boundaries) > 0 and counts[-1] < counts[0]
+
 
 class TestVolumeGrowthFit:
     def test_constant_curve_gives_zero(self):
@@ -226,15 +259,15 @@ class TestStableSetSampling:
     def test_depth_nesting(self):
         m = build_linear_horseshoe(3.0, 0.25)
         eps = default_epsilon(m)
-        shallow = sample_local_stable_set(m, eps, 6, samples=4096)
-        deep = sample_local_stable_set(m, eps, 7, samples=4096)
+        shallow = np.asarray(sample_local_stable_set(m, eps, 6, samples=4096))
+        deep = np.asarray(sample_local_stable_set(m, eps, 7, samples=4096))
         xs_shallow = set(np.unique(shallow[:, 0]).tolist())
         xs_deep = set(np.unique(deep[:, 0]).tolist())
         assert xs_deep <= xs_shallow
 
     def test_cloud_is_product_with_full_vertical_fibers(self):
         m = build_linear_horseshoe(3.0, 0.25)
-        cloud = sample_local_stable_set(m, 0.05, 5, samples=2048, cross_resolution=256)
+        cloud = np.asarray(sample_local_stable_set(m, 0.05, 5, samples=2048, cross_resolution=256))
         ys = np.unique(cloud[:, 1])
         assert len(ys) == 256
         xs = np.unique(cloud[:, 0])
@@ -245,6 +278,20 @@ class TestStableSetSampling:
         a = sample_local_stable_set(m, 0.05, 6, samples=2048)
         b = sample_local_stable_set(m, 0.05, 6, samples=2048)
         assert np.array_equal(a, b)
+
+    def test_factored_cloud_is_the_tracked_grid(self):
+        # reference: track the full 2-D jittered grid, keep the survivors
+        m = build_linear_horseshoe(3.0, 0.25)
+        cloud = sample_local_stable_set(m, 0.05, 5, samples=256, cross_resolution=256, seed=3)
+        assert isinstance(cloud, ProductCloud)
+        grid = _sample_axis(256, 3)
+        mesh = np.meshgrid(grid, grid, indexing="ij")
+        pts = np.stack([g.ravel() for g in mesh], axis=1)
+        dist = _CoverDistance(m, cover_rects(m, 0.05)[1])
+        survivors = pts[_death_steps(m, pts, 0.05, 5, dist) >= 5]
+        xs = np.asarray(cloud)[:, 0]
+        assert np.array_equal(np.unique(xs), np.unique(survivors[:, 0]))
+        assert len(cloud) == len(survivors)
 
 
 def test_default_epsilon_uses_half_gap():
