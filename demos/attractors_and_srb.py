@@ -13,10 +13,10 @@ attractor side; every linear horseshoe sits strictly on the other.
 """
 
 from hypdim import (
+    bound_report,
     build_cat_map,
     build_doubling_map,
     build_linear_horseshoe,
-    srb_equivalence_report,
 )
 
 for name, model in [
@@ -24,7 +24,7 @@ for name, model in [
     ("doubling map (whole circle repeller)", build_doubling_map(2)),
     ("linear horseshoe lambda_u = 3", build_linear_horseshoe(3.0, 0.25)),
 ]:
-    rep = srb_equivalence_report(model)
+    rep = bound_report(model, check_equivalences=True)
     print(f"== {name}")
     print(f"   pressure = {rep.pressure.value:+.3e},  bound = {rep.bound:.6f} (n = {rep.n}),"
           f"  classified {rep.classification}")

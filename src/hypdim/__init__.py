@@ -37,8 +37,6 @@ from .pressure import (
     VolumeCurve,
     bowen_ball_contains,
     default_epsilon,
-    distance_to_repeller,
-    neighborhood_volume,
     pressure_from_partition_sums,
     pressure_from_volume_growth,
     sample_local_stable_set,
@@ -60,5 +58,4 @@ from .dimension import (
     invariant_set_sample,
     measure_box_dimension,
     minkowski_content_curve,
-    srb_equivalence_report,
 )

@@ -486,7 +486,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot-data", action="store_true", dest="plot_data",
                    help="emit plot-ready (x, y) CSV columns")
     p.add_argument("--out-dir", dest="out_dir", help="directory for CSV and text outputs")
-    p.add_argument("--check-srb", action="store_true", dest="check_srb")
     p.set_defaults(func=cmd_report)
     return parser
 

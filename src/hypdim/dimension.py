@@ -16,7 +16,6 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import (
-    CapExceededError,
     DegenerateScalesError,
     GridTooCoarseError,
     NonPositiveRateError,
@@ -25,9 +24,7 @@ from .errors import (
 from .models import ModelSystem, build_linear_horseshoe, potential
 from .pressure import PressureEstimate, ProductCloud, _grid_axis, factored_axes, spectral_estimate
 from .symbolic import (
-    WORD_CAP,
-    _successor_table,
-    count_admissible_words,
+    _check_cap,
     cylinders,
     equilibrium_markov_chain,
     markov_measure_stats,
@@ -83,9 +80,7 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
         return ExpansionRate(
             value=rate, per_k=np.full(k_max, rate), k_max=k_max, exact=True
         )
-    if count_admissible_words(model.transition, k_max) > WORD_CAP:
-        raise CapExceededError(f"word products at k_max={k_max} exceed the cap")
-    table, counts = _successor_table(np.asarray(model.transition))
+    _check_cap(model, k_max)
     linears = np.stack([b.linear for b in model.branches])
     prods = linears.copy()
     last = np.arange(model.nsym, dtype=np.int64)
@@ -95,11 +90,8 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
         per_k.append(float(np.log(norms.max())) / k)
         if k == k_max:
             break
-        nxt = table[last]
-        keep = nxt >= 0
-        prods = np.repeat(prods, counts[last], axis=0)
-        last = nxt[keep]
-        prods = linears[last] @ prods
+        rows, last = np.nonzero(model.transition[last])
+        prods = linears[last] @ prods[rows]
     per_k = np.array(per_k)
     return ExpansionRate(value=float(per_k.min()), per_k=per_k, k_max=k_max, exact=False)
 
@@ -312,7 +304,12 @@ def bound_report(
     """Compute P, s, the bound n + P/s and the attractor classification.
 
     With `check_equivalences` the report also verifies the equivalence
-    chain numerically (see `srb_equivalence_report`).
+    chain numerically.  For diffeomorphisms: bound = n, P(phi_u) = 0 and
+    the attractor classification must all agree, and when they hold the
+    equilibrium measure of phi_u satisfies the entropy formula h = sum of
+    positive exponents (the SRB signature).  For expanding maps the same
+    chain runs with phi = -log|det Df| and the repeller reading.  When
+    P < 0 the report carries the strict entropy inequality instead.
     """
     pot = potential(model, "phi_u" if model.kind == "diffeo" else "phi")
     pest = spectral_estimate(model, pot)
@@ -370,19 +367,6 @@ def _equivalence_checks(model, pot, pest, bound, cls, tolerance):
             )
         )
     return tuple(checks)
-
-
-def srb_equivalence_report(model: ModelSystem, k_max: int = 8) -> BoundReport:
-    """Numerical check of the pressure / dimension / attractor equivalences.
-
-    For diffeomorphisms: bound = n, P(phi_u) = 0 and the attractor
-    classification must all agree, and when they hold the equilibrium
-    measure of phi_u satisfies the entropy formula h = sum of positive
-    exponents (the SRB signature).  For expanding maps the same chain
-    runs with phi = -log|det Df| and the repeller reading.  When P < 0
-    the report carries the strict entropy inequality instead.
-    """
-    return bound_report(model, k_max=k_max, check_equivalences=True)
 
 
 def horseshoe_for_target_dimension(target: float, lambda_s: float = 0.25) -> ModelSystem:

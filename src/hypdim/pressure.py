@@ -216,17 +216,6 @@ def cover_rects(model: ModelSystem, epsilon: float):
         _, rects = cylinders(model, depth)  # cap error propagates
 
 
-def distance_to_repeller(model: ModelSystem, y, depth: int) -> float:
-    """Sup-norm distance from y to the depth-m cylinder cover.
-
-    Overestimates the distance to the invariant set by at most the
-    depth-m cylinder diameter.
-    """
-    _, rects = cylinders(model, depth)
-    pts = model.wrap(np.atleast_2d(np.asarray(y, dtype=float)))
-    return float(_CoverDistance(model, rects)(pts)[0])
-
-
 # -- tracking-neighborhood volumes -------------------------------------------
 
 
@@ -302,7 +291,6 @@ def volume_curve(
     k_max: int,
     grid_resolution: int,
     threads: int = 1,
-    compute_bands: bool = True,
 ) -> VolumeCurve:
     """Volumes of B(invariant set, epsilon, k) for k = 1..k_max.
 
@@ -313,7 +301,8 @@ def volume_curve(
     boundary; halving the cell edge changes the estimate by at most the
     band.  When the model factors along one varying axis (see
     `factored_axes`), only that axis's cells are stepped; the integer
-    counts are the ones the full grid gives.
+    counts are the ones the full grid gives.  More than 2^26 stepped
+    cells are refused before the grid is built.
 
     Results are independent of `threads`: the grid is chunked the same
     way regardless, and only integer cell counts are aggregated.
@@ -324,13 +313,15 @@ def volume_curve(
         raise GridTooCoarseError(
             f"grid cell {cell} exceeds epsilon/4 = {0.25 * epsilon}"
         )
-    if grid_resolution**n > (1 << 26):
-        raise GridTooCoarseError("grid too large for the ambient dimension")
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
-    axis = _grid_axis(grid_resolution)
     line = dist.axis if dist.factors and dist.mode == "intervals" else None
-    if n == 1 or line is not None:
+    one_row = n == 1 or line is not None
+    stepped = grid_resolution if one_row else grid_resolution**n
+    if stepped > (1 << 26):
+        raise GridTooCoarseError(f"grid too large: {stepped} cells to step exceed {1 << 26}")
+    axis = _grid_axis(grid_resolution)
+    if one_row:
         # deaths depend on one coordinate alone: step one row of cells and
         # count it for each of the grid**(n-1) identical rows of the full grid
         pts = np.full((grid_resolution, n), axis[grid_resolution // 2])
@@ -364,23 +355,22 @@ def volume_curve(
     volumes = counts * cellvol
 
     bands = np.zeros(k_max)
-    if compute_bands:
-        for k in range(1, k_max + 1):
-            mask = (death >= k).reshape(shape)
-            boundary = np.zeros(shape, dtype=bool)
-            for ax in range(mask.ndim):
-                if model.space.is_torus:
-                    boundary |= mask != np.roll(mask, 1, axis=ax)
-                    boundary |= mask != np.roll(mask, -1, axis=ax)
-                else:
-                    sl_a = [slice(None)] * mask.ndim
-                    sl_b = [slice(None)] * mask.ndim
-                    sl_a[ax] = slice(1, None)
-                    sl_b[ax] = slice(None, -1)
-                    diff = mask[tuple(sl_a)] != mask[tuple(sl_b)]
-                    boundary[tuple(sl_a)] |= diff
-                    boundary[tuple(sl_b)] |= diff
-            bands[k - 1] = boundary.sum() * rows * cellvol
+    for k in range(1, k_max + 1):
+        mask = (death >= k).reshape(shape)
+        boundary = np.zeros(shape, dtype=bool)
+        for ax in range(mask.ndim):
+            if model.space.is_torus:
+                boundary |= mask != np.roll(mask, 1, axis=ax)
+                boundary |= mask != np.roll(mask, -1, axis=ax)
+            else:
+                sl_a = [slice(None)] * mask.ndim
+                sl_b = [slice(None)] * mask.ndim
+                sl_a[ax] = slice(1, None)
+                sl_b[ax] = slice(None, -1)
+                diff = mask[tuple(sl_a)] != mask[tuple(sl_b)]
+                boundary[tuple(sl_a)] |= diff
+                boundary[tuple(sl_b)] |= diff
+        bands[k - 1] = boundary.sum() * rows * cellvol
 
     return VolumeCurve(
         epsilon=float(epsilon),
@@ -390,14 +380,6 @@ def volume_curve(
         grid_resolution=grid_resolution,
         cover_depth=depth,
     )
-
-
-def neighborhood_volume(
-    model: ModelSystem, epsilon: float, k: int, grid_resolution: int, threads: int = 1
-) -> float:
-    """Lebesgue-volume estimate of the k-step tracking neighborhood."""
-    curve = volume_curve(model, epsilon, k, grid_resolution, threads, compute_bands=False)
-    return float(curve.volumes[-1])
 
 
 # -- pressure estimates -------------------------------------------------------

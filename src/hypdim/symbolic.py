@@ -52,15 +52,37 @@ def is_primitive(transition) -> bool:
     return bool(power.all())
 
 
+def _transfer_sums(weights: np.ndarray, matrix: np.ndarray, k: int, limit: float = math.inf):
+    """Z_1..Z_k by the row-vector recursion u_1 = weights, u_{j+1} = u_j M.
+
+    Z_j is the sum of u_j.  With weights e^phi and M = A diag(e^phi) it
+    is the partition sum of phi over admissible j-words; with phi = 0 it
+    counts them.  Entries from the first one above `limit` on are inf.
+    """
+    out = np.full(k, math.inf)
+    u = weights
+    for j in range(k):
+        z = u.sum()
+        if z > limit:
+            break
+        out[j] = z
+        u = u @ matrix
+    return out
+
+
+def _weighted(model: ModelSystem, pot: Potential):
+    """(e^phi, A diag(e^phi)): the transfer data of a locally constant phi."""
+    phi = np.asarray(pot.values, dtype=float)
+    if phi.shape != (model.nsym,):
+        raise ValueError("potential length must equal symbol count")
+    weights = np.exp(phi)
+    return weights, _as_transition(model) * weights[None, :]
+
+
 def count_admissible_words(transition, k: int) -> float:
     """Number of admissible length-k words (float; saturates, never raises)."""
     a = _as_transition(transition).astype(float)
-    vec = np.ones(a.shape[0])
-    for _ in range(k - 1):
-        vec = a.T @ vec
-        if vec.sum() > 1e18:
-            return math.inf
-    return float(vec.sum())
+    return float(_transfer_sums(np.ones(a.shape[0]), a, max(k, 1), limit=1e18)[-1])
 
 
 def _check_cap(transition, k: int) -> None:
@@ -73,31 +95,15 @@ def _check_cap(transition, k: int) -> None:
         )
 
 
-def _successor_table(a: np.ndarray):
-    """Padded successor lists: (table, counts) with -1 padding at row ends."""
-    m = a.shape[0]
-    succ = [np.flatnonzero(a[s]).astype(np.int64) for s in range(m)]
-    counts = np.array([len(s) for s in succ], dtype=np.int64)
-    width = int(counts.max())
-    table = np.full((m, width), -1, dtype=np.int64)
-    for s in range(m):
-        table[s, : counts[s]] = succ[s]
-    return table, counts
-
-
 def admissible_words(transition, k: int) -> np.ndarray:
     """All admissible length-k words, one per row, lexicographic order."""
     a = _as_transition(transition)
     _check_cap(a, k)
-    m = a.shape[0]
-    words = np.arange(m, dtype=np.int64)[:, None]
-    table, counts = _successor_table(a)
+    words = np.arange(a.shape[0], dtype=np.int64)[:, None]
     for _ in range(k - 1):
-        last = words[:, -1]
-        nxt = table[last]
-        keep = nxt >= 0
-        repeated = np.repeat(words, counts[last], axis=0)
-        words = np.concatenate([repeated, nxt[keep][:, None]], axis=1)
+        # row-major order of the nonzeros keeps the words lexicographic
+        rows, nxt = np.nonzero(a[words[:, -1]])
+        words = np.concatenate([words[rows], nxt[:, None]], axis=1)
     return words
 
 
@@ -109,56 +115,41 @@ def birkhoff_sum(pot: Potential, word) -> float:
 # -- geometric cylinders ---------------------------------------------------
 
 
-def _pullback_rect(branch: AffineBranch, lo: np.ndarray, hi: np.ndarray):
-    """Bounding box of the branch preimage of [lo, hi], cut to the domain.
-
-    Exact when the linear part is diagonal; otherwise an interval
-    arithmetic overestimate, which keeps cylinder covers supersets of
-    the invariant set.
-    """
-    inv = np.linalg.inv(branch.linear)
-    shifted_lo = lo - branch.offset
-    shifted_hi = hi - branch.offset
-    low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=1)
-    high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=1)
-    return np.maximum(low, branch.lo), np.minimum(high, branch.hi)
-
-
 def cylinders(model: ModelSystem, k: int):
     """Depth-k cylinder rectangles.
 
     Returns (words, rects): words is (N, k) in lexicographic order and
     rects is (N, 2, n) holding [lo, hi] per cylinder.  A cylinder is the
-    set of points whose first k symbols equal the word; for diagonal
-    branch matrices the rectangles are exact.
+    set of points whose first k symbols equal the word.  Starting from
+    the domain of each word's last symbol, every earlier symbol pulls the
+    rectangle back through its branch inverse and cuts it to the branch
+    domain.  The pullback is the bounding box of the preimage: exact for
+    diagonal linear parts, otherwise an interval-arithmetic overestimate
+    that keeps cylinder covers supersets of the invariant set.  Words
+    whose rectangle empties on the way have no geometric mass and are
+    dropped.
     """
-    _check_cap(model, k)
-    n = model.n
-
-    def level(depth):
-        if depth == 1:
-            return (
-                [(b.symbol,) for b in model.branches],
-                [(b.lo.copy(), b.hi.copy()) for b in model.branches],
-            )
-        sub_words, sub_rects = level(depth - 1)
-        words, rects = [], []
-        for b in model.branches:
-            allowed = model.transition[b.symbol]
-            for w, (lo, hi) in zip(sub_words, sub_rects):
-                if not allowed[w[0]]:
-                    continue
-                plo, phi = _pullback_rect(b, lo, hi)
-                if np.any(plo > phi + 1e-15):
-                    continue  # admissible word without geometric mass
-                words.append((b.symbol,) + w)
-                rects.append((plo, np.maximum(phi, plo)))
-        return words, rects
-
-    words, rects = level(k)
-    word_arr = np.asarray(words, dtype=np.int64)
-    rect_arr = np.stack([np.stack(r) for r in rects])
-    return word_arr, rect_arr
+    words = admissible_words(model, k)
+    branches = model.branches
+    inverses = np.linalg.inv(np.stack([b.linear for b in branches]))
+    offsets = np.stack([b.offset for b in branches])
+    dom_lo = np.stack([b.lo for b in branches])
+    dom_hi = np.stack([b.hi for b in branches])
+    lo, hi = dom_lo[words[:, -1]], dom_hi[words[:, -1]]
+    keep = np.ones(len(words), dtype=bool)
+    for symbols in words[:, -2::-1].T:
+        inv = inverses[symbols]
+        shifted_lo = (lo - offsets[symbols])[:, None, :]
+        shifted_hi = (hi - offsets[symbols])[:, None, :]
+        low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=2)
+        high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=2)
+        lo = np.maximum(low, dom_lo[symbols])
+        hi = np.minimum(high, dom_hi[symbols])
+        keep &= ~np.any(lo > hi + 1e-15, axis=1)
+        hi = np.maximum(hi, lo)
+    if not keep.any():
+        raise ValueError(f"no admissible depth-{k} word has geometric mass")
+    return words[keep], np.stack([lo[keep], hi[keep]], axis=1)
 
 
 @dataclass(frozen=True)
@@ -213,29 +204,12 @@ def partition_sums_through(
 
     Z_k sums exp(S_k phi) over one representative per admissible word;
     for locally constant potentials the value does not depend on the
-    representatives, so the sweep works on (last symbol, running sum)
-    pairs in fixed lexicographic order -- deterministic regardless of
-    chunking.
+    representatives, so Z_k = e^phi (A diag e^phi)^(k-1) 1 exactly.  The
+    word cap still bounds k_max, which keeps every Z_k finite.
     """
     _check_delta(model, delta)
     _check_cap(model, k_max)
-    a = _as_transition(model)
-    phi = np.asarray(pot.values, dtype=float)
-    if phi.shape != (model.nsym,):
-        raise ValueError("potential length must equal symbol count")
-    table, counts = _successor_table(a)
-    last = np.arange(model.nsym, dtype=np.int64)
-    sums = phi.copy()
-    out = np.empty(k_max)
-    out[0] = np.exp(sums).sum()
-    for k in range(1, k_max):
-        nxt = table[last]
-        keep = nxt >= 0
-        repeated = np.repeat(sums, counts[last])
-        last = nxt[keep]
-        sums = repeated + phi[last]
-        out[k] = np.exp(sums).sum()
-    return out
+    return _transfer_sums(*_weighted(model, pot), k_max)
 
 
 def partition_sum(model: ModelSystem, pot: Potential, k: int, delta: float | None = None) -> float:
@@ -271,6 +245,15 @@ def perron_root(matrix, tol: float = SPECTRAL_TOL, max_iter: int = SPECTRAL_MAX_
     raise NotMixingError(f"power iteration did not converge within {max_iter} steps")
 
 
+def _perron_data(model: ModelSystem, pot: Potential):
+    """(M, rho, v): M = A diag(e^phi) and its Perron root and vector."""
+    if not is_primitive(model):
+        raise NotMixingError("transition matrix is not primitive")
+    _, weighted = _weighted(model, pot)
+    rho, v = perron_root(weighted)
+    return weighted, rho, v
+
+
 def pressure_spectral(model: ModelSystem, pot: Potential) -> float:
     """Exact pressure of a locally constant potential.
 
@@ -278,12 +261,7 @@ def pressure_spectral(model: ModelSystem, pot: Potential) -> float:
     standard transfer-operator value, valid because the coding is a
     primitive subshift of finite type.
     """
-    a = _as_transition(model)
-    if not is_primitive(a):
-        raise NotMixingError("transition matrix is not primitive")
-    phi = np.asarray(pot.values, dtype=float)
-    weighted = a * np.exp(phi)[None, :]
-    root, _ = perron_root(weighted)
+    _, root, _ = _perron_data(model, pot)
     return float(np.log(root))
 
 
@@ -318,11 +296,7 @@ def equilibrium_markov_chain(model: ModelSystem, pot: Potential):
     equals the pressure.  For constant potentials this is the
     maximal-entropy (Parry) chain.  Returns (Q, pi).
     """
-    a = _as_transition(model)
-    if not is_primitive(a):
-        raise NotMixingError("transition matrix is not primitive")
-    weighted = a * np.exp(np.asarray(pot.values))[None, :]
-    rho, v = perron_root(weighted)
+    weighted, rho, v = _perron_data(model, pot)
     v = np.abs(v)
     q = weighted * v[None, :] / (rho * v[:, None])
     q = q / q.sum(axis=1, keepdims=True)  # scrub rounding
@@ -402,36 +376,25 @@ def power_model(model: ModelSystem, m: int) -> ModelSystem:
     if m == 1:
         return model
     words, rects = cylinders(model, m)
-    branches = []
-    lam_u = []
-    lam_s = []
-    for new_sym, (word, rect) in enumerate(zip(words, rects)):
-        linear = np.eye(model.n)
-        offset = np.zeros(model.n)
-        for s in word:
-            b = model.branches[int(s)]
-            linear = b.linear @ linear
-            offset = b.linear @ offset + b.offset
-        branches.append(
-            AffineBranch(new_sym, lo=rect[0], hi=rect[1], linear=linear, offset=offset)
-        )
-        lam_u.append(float(np.prod(model.lambda_u[word])))
-        if model.lambda_s is not None:
-            lam_s.append(float(np.prod(model.lambda_s[word])))
-    count = len(words)
-    transition = np.zeros((count, count), dtype=np.int8)
-    heads = words[:, -1]
-    tails = words[:, 0]
-    for i in range(count):
-        transition[i] = model.transition[heads[i]][tails]
+    linears = np.stack([b.linear for b in model.branches])
+    offsets = np.stack([b.offset for b in model.branches])
+    linear = np.broadcast_to(np.eye(model.n), (len(words), model.n, model.n))
+    offset = np.zeros((len(words), model.n))
+    for symbols in words.T:
+        offset = (linears[symbols] @ offset[:, :, None])[:, :, 0] + offsets[symbols]
+        linear = linears[symbols] @ linear
+    branches = tuple(
+        AffineBranch(sym, lo=rect[0], hi=rect[1], linear=lin, offset=off)
+        for sym, (rect, lin, off) in enumerate(zip(rects, linear, offset))
+    )
     return ModelSystem(
         space=model.space,
-        branches=tuple(branches),
+        branches=branches,
         kind=model.kind,
         unstable_dim=model.unstable_dim,
         stable_dim=model.stable_dim,
-        transition=transition,
-        lambda_u=np.asarray(lam_u),
-        lambda_s=np.asarray(lam_s) if lam_s else None,
+        transition=model.transition[np.ix_(words[:, -1], words[:, 0])],
+        lambda_u=np.prod(model.lambda_u[words], axis=1),
+        lambda_s=None if model.lambda_s is None else np.prod(model.lambda_s[words], axis=1),
         strict=False,
     )

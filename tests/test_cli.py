@@ -170,6 +170,10 @@ class TestReportCommand:
                 value = row[key]
                 assert text == value if isinstance(value, str) else float(text) == value
 
+    def test_report_has_no_check_srb_flag(self, capsys):
+        # report always runs the equivalence checks; only bound takes the flag
+        assert run(capsys, ["report", "--model", "doubling:2", "--check-srb"])[0] == 2
+
 
 class TestExitCodes:
     def test_unknown_model_is_config_error(self, capsys):
@@ -199,6 +203,24 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "512" in err and "--grid" in err
+
+    def test_factored_volume_grid_is_capped_by_the_cells_it_steps(self, capsys):
+        # the horseshoe factors, so a 16384 grid steps 16384 cells, not 16384^2
+        doc = run_json(
+            capsys,
+            ["pressure", "--model", "horseshoe:3,0.25", "--method", "volume",
+             "--kmax", "8", "--grid", "16384"],
+        )
+        assert doc["result"]["pressure"]["value"] == pytest.approx(math.log(2 / 3), abs=0.1)
+
+    @pytest.mark.parametrize("model,grid", [("catmap", 1 << 14), ("cantor:3,02", 1 << 27)])
+    def test_volume_grid_cap(self, capsys, model, grid):
+        code, out, err = run(
+            capsys, ["pressure", "--model", model, "--method", "volume", "--grid", str(grid)]
+        )
+        assert code == 2
+        assert out == ""
+        assert "grid too large" in err
 
     def test_non_finite_numbers_never_reach_the_document(self, capsys):
         args = argparse.Namespace(seed=0, threads=1)
@@ -249,6 +271,31 @@ class TestModelFiles:
             ["pressure", "--model-file", str(path), "--method", "partition", "--kmax", "12"],
         )
         assert out["result"]["pressure"]["value"] == pytest.approx(math.log(0.75), abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dimension", "--set", "repeller", "--depth", "3"], ["pressure", "--method", "volume"]],
+    )
+    def test_massless_cylinders_are_named(self, capsys, tmp_path, argv):
+        # both branches map onto [0.4, 0.6], which meets neither domain
+        doc = {
+            "space": {"dim": 1, "geometry": "cube"},
+            "kind": "expanding",
+            "branches": [
+                {"symbol": 0, "domain": {"lo": [0.0], "hi": [0.1]},
+                 "linear": [[2.0]], "offset": [0.4]},
+                {"symbol": 1, "domain": {"lo": [0.9], "hi": [1.0]},
+                 "linear": [[2.0]], "offset": [-1.4]},
+            ],
+            "transition": [[1, 1], [1, 1]],
+            "unstable_dim": 1,
+        }
+        path = tmp_path / "massless.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        assert code == 2
+        assert out == ""
+        assert "depth-2" in err and "geometric mass" in err
 
     def test_stable_set_rejected_for_expanding_models(self, capsys):
         code, _, err = run(capsys, ["dimension", "--model", "doubling:2", "--set", "stable"])

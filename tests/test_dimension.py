@@ -22,7 +22,6 @@ from hypdim.dimension import (
     invariant_set_sample,
     measure_box_dimension,
     minkowski_content_curve,
-    srb_equivalence_report,
 )
 from hypdim.errors import (
     DegenerateScalesError,
@@ -327,7 +326,7 @@ class TestBoundReports:
             assert (abs(rep.bound - rep.n) <= 1e-9) == (rep.classification == "attractor")
 
     def test_cat_map_equivalences_pass(self):
-        rep = srb_equivalence_report(build_cat_map())
+        rep = bound_report(build_cat_map(), check_equivalences=True)
         checks = {c[0]: c[1] for c in rep.equivalence_checks}
         assert checks["pressure_zero"] and checks["classified_attractor"]
         assert checks["equivalences_consistent"] and checks["pesin_entropy_formula"]
@@ -336,7 +335,7 @@ class TestBoundReports:
         assert pesin[2]["positive_exponent_sum"] == pytest.approx(CAT_RATE, abs=1e-12)
 
     def test_horseshoe_equivalences_negative_but_consistent(self):
-        rep = srb_equivalence_report(build_linear_horseshoe(3.0, 0.25))
+        rep = bound_report(build_linear_horseshoe(3.0, 0.25), check_equivalences=True)
         checks = {c[0]: c[1] for c in rep.equivalence_checks}
         assert not checks["pressure_zero"]
         assert not checks["classified_attractor"]
@@ -348,7 +347,7 @@ class TestBoundReports:
         assert rep.bound == pytest.approx(1.6309297535714573, abs=1e-9)
 
     def test_doubling_repeller_direction(self):
-        rep = srb_equivalence_report(build_doubling_map(2))
+        rep = bound_report(build_doubling_map(2), check_equivalences=True)
         assert rep.bound == pytest.approx(1.0, abs=1e-12)
         checks = {c[0]: c[1] for c in rep.equivalence_checks}
         assert checks["pesin_entropy_formula"]

@@ -25,14 +25,12 @@ from hypdim.pressure import (
     bowen_ball_contains,
     cover_rects,
     default_epsilon,
-    distance_to_repeller,
-    neighborhood_volume,
     pressure_from_partition_sums,
     pressure_from_volume_growth,
     sample_local_stable_set,
     volume_curve,
 )
-from hypdim.symbolic import pressure_spectral
+from hypdim.symbolic import cylinders, pressure_spectral
 
 
 class TestBowenBalls:
@@ -72,22 +70,24 @@ class TestDistanceToRepeller:
     def test_fixed_point_at_zero_distance(self):
         m = build_cantor_repeller(3, (0, 2))
         for depth in (2, 5, 9):
-            assert distance_to_repeller(m, [0.0], depth) == pytest.approx(0.0, abs=1e-12)
+            dist = _CoverDistance(m, cylinders(m, depth)[1])
+            assert dist(np.array([[0.0]]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_middle_point_one_sixth(self):
         m = build_cantor_repeller(3, (0, 2))
         depth = 8
-        d = distance_to_repeller(m, [0.5], depth)
+        d = _CoverDistance(m, cylinders(m, depth)[1])(np.array([[0.5]]))[0]
         assert 1.0 / 6.0 - 3.0**-depth <= d <= 1.0 / 6.0 + 1e-12
 
     def test_doubling_repeller_is_everything(self):
         m = build_doubling_map(2)
+        dist = _CoverDistance(m, cylinders(m, 6)[1])
         for y in (0.0, 0.31, 0.77):
-            assert distance_to_repeller(m, [y], 6) == pytest.approx(0.0, abs=1e-12)
+            assert dist(np.array([[y]]))[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_cat_map_invariant_set_fills_torus(self):
         m = build_cat_map()
-        assert distance_to_repeller(m, [0.3, 0.9], 3) == 0.0
+        assert _CoverDistance(m, cylinders(m, 3)[1])(np.array([[0.3, 0.9]]))[0] == 0.0
 
 
 class TestVolumeCurves:
@@ -124,11 +124,6 @@ class TestVolumeCurves:
         four = volume_curve(m, 0.05, 8, 2048, threads=4)
         assert np.array_equal(one.volumes, four.volumes)
         assert np.array_equal(one.bands, four.bands)
-
-    def test_neighborhood_volume_matches_curve(self):
-        m = build_cantor_repeller(3, (0, 2))
-        curve = volume_curve(m, 0.05, 6, 2048)
-        assert neighborhood_volume(m, 0.05, 6, 2048) == curve.volumes[-1]
 
     @pytest.mark.parametrize("lambda_u", [2.5, 4.0])
     @pytest.mark.parametrize("grid", [512, 1000])
