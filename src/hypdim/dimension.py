@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (
     DegenerateScalesError,
@@ -207,6 +206,8 @@ def minkowski_content_curve(
     axis = _grid_axis(grid_resolution)
     mesh = np.meshgrid(*([axis] * n), indexing="ij")
     centers = np.stack([m.ravel() for m in mesh], axis=1)
+    from scipy.spatial import cKDTree  # deferred: the import costs more than most commands
+
     tree = cKDTree(pts)
     dist, _ = tree.query(centers)
     cellvol = cell**n

@@ -107,6 +107,9 @@ def factored_axes(model: ModelSystem, rects: np.ndarray):
     part is block-diagonal between the two groups, and on the cube every
     branch maps the whole axes into the unit interval; tracking, stable
     sets and invariant sets then depend on the varying coordinates alone.
+    The cover gets rounding slack; the branch checks get none, so a
+    whole coordinate that starts in the unit cube stays inside every
+    branch domain for good and never decides a branch.
     """
     whole = (rects[:, 0, :] <= _FULL_TOL).all(axis=0) & (rects[:, 1, :] >= 1 - _FULL_TOL).all(axis=0)
     varying = np.flatnonzero(~whole)
@@ -115,9 +118,9 @@ def factored_axes(model: ModelSystem, rects: np.ndarray):
     for b in model.branches:
         block = b.linear[np.ix_(whole, whole)]
         image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + b.offset[whole]
-        spans = np.all(b.lo[whole] <= _FULL_TOL) and np.all(b.hi[whole] >= 1 - _FULL_TOL)
+        spans = np.all(b.lo[whole] <= 0.0) and np.all(b.hi[whole] >= 1.0)
         coupled = np.any(b.linear[np.ix_(whole, ~whole)]) or np.any(b.linear[np.ix_(~whole, whole)])
-        inside = model.space.is_torus or (image.min() >= -_FULL_TOL and image.max() <= 1 + _FULL_TOL)
+        inside = model.space.is_torus or (image.min() >= 0.0 and image.max() <= 1.0)
         if not spans or coupled or not inside:
             return varying, False
     return varying, True
@@ -129,7 +132,9 @@ class _CoverDistance:
     Rectangle axes that span the whole unit interval contribute zero
     distance, so covers that vary along a single axis reduce to sorted
     interval lookups; fully degenerate covers (the whole space) reduce
-    to the constant zero.
+    to the constant zero.  `tracks_one_axis` says that tracking reads
+    the coordinate along `axis` alone: the cover varies along that axis
+    only, and the model is 1-D or factors (see `factored_axes`).
     """
 
     def __init__(self, model: ModelSystem, rects: np.ndarray):
@@ -146,6 +151,7 @@ class _CoverDistance:
             )
         else:
             self.mode = "rects"
+        self.tracks_one_axis = self.mode == "intervals" and (model.n == 1 or self.factors)
 
     def _merged_intervals(self, lo, hi):
         order = np.argsort(lo)
@@ -168,14 +174,17 @@ class _CoverDistance:
         if self.mode == "zero":
             return np.zeros(pts.shape[0])
         if self.mode == "intervals":
-            x = pts[:, self.axis]
-            j = np.searchsorted(self.lo, x)
-            dist = np.full(x.shape, np.inf)
-            for jj in (np.clip(j - 1, 0, len(self.lo) - 1), np.clip(j, 0, len(self.lo) - 1)):
-                gap = np.maximum(np.maximum(self.lo[jj] - x, x - self.hi[jj]), 0.0)
-                dist = np.minimum(dist, gap)
-            return dist
+            return self.along_axis(pts[:, self.axis])
         return self._brute(pts)
+
+    def along_axis(self, x: np.ndarray) -> np.ndarray:
+        """Distance from coordinates `x` along `axis` to the merged intervals."""
+        j = np.searchsorted(self.lo, x)
+        dist = np.full(x.shape, np.inf)
+        for jj in (np.clip(j - 1, 0, len(self.lo) - 1), np.clip(j, 0, len(self.lo) - 1)):
+            gap = np.maximum(np.maximum(self.lo[jj] - x, x - self.hi[jj]), 0.0)
+            dist = np.minimum(dist, gap)
+        return dist
 
     def _brute(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty(pts.shape[0])
@@ -262,26 +271,64 @@ def _sample_axis(resolution: int, seed: int = 0) -> np.ndarray:
     return (np.arange(resolution) + rng.random(resolution)) / resolution
 
 
+def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
+    """Refuse more than 2^26 cells to step: one row when tracking reads one axis."""
+    stepped = resolution if dist.tracks_one_axis else resolution**n
+    if stepped > (1 << 26):
+        raise GridTooCoarseError(
+            f"{what} too large at {resolution} per axis: {stepped} cells to step exceed {1 << 26}"
+        )
+
+
+def _axis_step(model: ModelSystem, axis: int):
+    """`model.step` for the coordinates along `axis` alone; branch -1 means escaped.
+
+    On a shared boundary the lowest symbol wins, as in `ModelSystem.branch_of`.
+    """
+    lo, hi, slope, offset = np.array(
+        [(b.lo[axis], b.hi[axis], b.linear[axis, axis], b.offset[axis]) for b in model.branches]
+    ).T
+
+    def step(x):
+        x = model.wrap(x)
+        branch = np.full(x.shape, -1)
+        for s in reversed(range(model.nsym)):  # lower symbols overwrite higher
+            branch[(lo[s] <= x) & (x <= hi[s])] = s
+        # escaped coordinates get the last branch's image, which the caller drops
+        return model.wrap(x * slope[branch] + offset[branch]), branch
+
+    return step
+
+
 def _death_steps(model, pts, epsilon, k_max, dist):
-    """First step index at which tracking fails, k_max if it never does."""
-    death = np.full(pts.shape[0], k_max, dtype=np.int16)
-    alive = np.ones(pts.shape[0], dtype=bool)
-    x = pts.copy()
-    for step in range(k_max):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
+    """First step index at which tracking fails, k_max if it never does.
+
+    `pts` is either an (N, n) array, stepped with `model.step`, or, when
+    `dist.tracks_one_axis`, the N coordinates along `dist.axis`, stepped
+    on that axis alone.  Both give the same deaths: the cover distance
+    reads that coordinate only, block-diagonal linear parts keep its
+    image free of the others, and `factored_axes` admits a model only
+    when every branch domain spans the whole axes and every branch maps
+    them into the unit interval, so the unstepped coordinates would
+    never fail a branch check.  Only the points still alive are
+    carried, as coordinates with their indices into `pts`.
+    """
+    if pts.ndim == 1:
+        measure, step = dist.along_axis, _axis_step(model, dist.axis)
+    else:
+        measure, step = dist, model.step
+    death = np.full(len(pts), k_max, dtype=np.int16)
+    x, idx = pts, np.arange(len(pts))
+    for k in range(k_max):
+        far = measure(x) >= epsilon
+        death[idx[far]] = k
+        x, idx = x[~far], idx[~far]
+        if k == k_max - 1 or idx.size == 0:
             break
-        far = dist(x[idx]) >= epsilon
-        death[idx[far]] = step
-        alive[idx[far]] = False
-        if step == k_max - 1:
-            break
-        idx = np.flatnonzero(alive)
-        images, branch = model.step(x[idx])
-        escaped = branch < 0
-        death[idx[escaped]] = step + 1
-        alive[idx[escaped]] = False
-        x[idx[~escaped]] = images[~escaped]
+        x, branch = step(x)
+        kept = branch >= 0
+        death[idx[~kept]] = k + 1
+        x, idx = x[kept], idx[kept]
     return death
 
 
@@ -299,9 +346,10 @@ def volume_curve(
     cylinder cover (orbit escape fails membership).  The uncertainty
     band per k is the total volume of cells sitting on the membership
     boundary; halving the cell edge changes the estimate by at most the
-    band.  When the model factors along one varying axis (see
-    `factored_axes`), only that axis's cells are stepped; the integer
-    counts are the ones the full grid gives.  More than 2^26 stepped
+    band.  When tracking reads one axis alone (`n == 1`, or the model
+    factors along one varying axis; see `factored_axes`), only one row
+    of cells is stepped, along that axis; the integer counts are the
+    ones the full grid gives.  More than 2^26 stepped
     cells are refused before the grid is built.
 
     Results are independent of `threads`: the grid is chunked the same
@@ -315,17 +363,13 @@ def volume_curve(
         )
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
-    line = dist.axis if dist.factors and dist.mode == "intervals" else None
-    one_row = n == 1 or line is not None
-    stepped = grid_resolution if one_row else grid_resolution**n
-    if stepped > (1 << 26):
-        raise GridTooCoarseError(f"grid too large: {stepped} cells to step exceed {1 << 26}")
+    _refuse_large_grid(dist, n, grid_resolution, "grid")
+    one_row = n == 1 or dist.tracks_one_axis
     axis = _grid_axis(grid_resolution)
     if one_row:
         # deaths depend on one coordinate alone: step one row of cells and
         # count it for each of the grid**(n-1) identical rows of the full grid
-        pts = np.full((grid_resolution, n), axis[grid_resolution // 2])
-        pts[:, line or 0] = axis
+        pts = axis if dist.tracks_one_axis else axis[:, None]
         shape, rows = (grid_resolution,), grid_resolution ** (n - 1)
     else:
         mesh = np.meshgrid(*([axis] * n), indexing="ij")
@@ -516,11 +560,6 @@ def pressure_from_partition_sums(
 # -- local stable sets --------------------------------------------------------
 
 
-def _alive_after_tracking(model, pts, epsilon, depth, dist):
-    death = _death_steps(model, pts, epsilon, depth, dist)
-    return death >= depth
-
-
 def sample_local_stable_set(
     model: ModelSystem, epsilon: float, depth: int, samples: int = 2048,
     cross_resolution: int = 1024, seed: int = 0,
@@ -529,29 +568,27 @@ def sample_local_stable_set(
 
     A superset of the true local stable set sample that shrinks as depth
     grows.  Points come from a stratified grid (one seeded draw per
-    cell), so the cloud is deterministic in the seed.  When the branch
-    geometry factors (full strips along the contracting axes, as in the
-    horseshoe family), only the expanding axis is sampled at `samples`
-    resolution and the cloud is a `ProductCloud` of the kept values with
-    a grid on each remaining axis; otherwise the full n-dimensional grid
-    is used and the kept points are returned as an array.
+    cell), so the cloud is deterministic in the seed.  When tracking
+    reads one axis alone (full strips along the contracting axes, as in
+    the horseshoe family), only that axis is sampled and stepped, at
+    `samples` resolution, and the cloud is a `ProductCloud` of the kept
+    values with a grid on each remaining axis; otherwise the full
+    n-dimensional grid is stepped and the kept points are returned as an
+    array.  More than 2^26 stepped cells are refused before any sample
+    is drawn.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
     _, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
-    axis_vals = _sample_axis(samples, seed)
     n = model.n
-    if dist.factors and dist.mode == "intervals":
-        pts = np.full((samples, n), 0.5)
-        pts[:, dist.axis] = axis_vals
-        alive = _alive_after_tracking(model, pts, epsilon, depth, dist)
+    _refuse_large_grid(dist, n, samples, "stable-set grid")
+    axis_vals = _sample_axis(samples, seed)
+    if dist.tracks_one_axis:
+        alive = _death_steps(model, axis_vals, epsilon, depth, dist) >= depth
         other_axis = _sample_axis(min(samples, cross_resolution), seed + 1)
         grids = [axis_vals[alive] if a == dist.axis else other_axis for a in range(n)]
         return ProductCloud(tuple(g[:, None] for g in grids), tuple((a,) for a in range(n)))
-    if samples**n > (1 << 26):
-        raise GridTooCoarseError("stable-set grid too large; lower the resolution")
     mesh = np.meshgrid(*([axis_vals] * n), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    alive = _alive_after_tracking(model, pts, epsilon, depth, dist)
-    return pts[alive]
+    return pts[_death_steps(model, pts, epsilon, depth, dist) >= depth]

@@ -4,6 +4,7 @@ import argparse
 import csv
 import json
 import math
+import time
 
 import pytest
 
@@ -221,6 +222,18 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert "grid too large" in err
+
+    def test_stable_grid_is_capped_before_sampling(self, capsys):
+        # 2^27 cells on the expanding axis alone: refused before any array is drawn
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--grid", "134217728"],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "134217728" in err and "too large" in err
 
     def test_non_finite_numbers_never_reach_the_document(self, capsys):
         args = argparse.Namespace(seed=0, threads=1)

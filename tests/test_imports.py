@@ -1,0 +1,27 @@
+"""Start-up cost: importing the package and its CLI loads no scipy module."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+PROBE = """
+import sys
+import hypdim, hypdim.cli
+print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
+import numpy as np
+from hypdim.dimension import minkowski_content_curve
+minkowski_content_curve(np.array([[0.5, 0.5]]), 1.0, [0.1, 0.05], grid_resolution=128)
+print("scipy.spatial" in sys.modules)
+"""
+
+
+def test_scipy_loads_only_for_the_minkowski_curve():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split("\n")[:2] == ["[]", "True"]

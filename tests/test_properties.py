@@ -1,9 +1,10 @@
-"""Property tests of the symbolic layer on random diagonal affine models.
+"""Property tests of the symbolic layer and of tracking on random diagonal affine models.
 
 Models are drawn as JSON documents and loaded through
 `ModelSystem.from_json_dict`, so every check also runs on the schema a
 user writes.  The word-by-word cylinder recursion below is kept as the
-oracle for the level-wise `cylinders`.
+oracle for the level-wise `cylinders`, and stepping whole points with
+`ModelSystem.step` as the oracle for the one-axis tracking kernel.
 """
 
 import numpy as np
@@ -11,7 +12,15 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hypdim.models import ModelSystem, Potential
+from hypdim.models import ModelSystem, Potential, build_linear_horseshoe
+from hypdim.pressure import (
+    _CoverDistance,
+    _death_steps,
+    _sample_axis,
+    cover_rects,
+    default_epsilon,
+    volume_curve,
+)
 from hypdim.symbolic import (
     admissible_words,
     count_admissible_words,
@@ -228,3 +237,118 @@ def test_json_round_trip_is_exact(model):
     for b, c in zip(model.branches, again.branches):
         for field in ("lo", "hi", "linear", "offset"):
             assert np.array_equal(getattr(b, field), getattr(c, field))
+
+
+# -- one-axis tracking kernel ---------------------------------------------------
+
+
+@st.composite
+def factored_models(draw):
+    """2-D diagonal models whose contracting axis splits off as a product factor.
+
+    The expanding axis (either one) is cut into adjacent branch domains,
+    so neighbouring branches share a boundary; images along it may miss
+    every domain.  Along the contracting axis every domain is [0, 1] and
+    every branch maps [0, 1] into itself.
+    """
+    axis = draw(st.integers(0, 1))
+    m = draw(st.integers(2, 3))
+    cuts = sorted(draw(st.lists(
+        st.sampled_from([i / 8 for i in range(9)]), min_size=m + 1, max_size=m + 1, unique=True
+    )))
+    branches = []
+    for sym in range(m):
+        a, b = cuts[sym], cuts[sym + 1]
+        slope = draw(_floats(2.0, 4.0)) * draw(st.sampled_from([1.0, -1.0]))
+        contraction = draw(_floats(0.1, 0.7)) * draw(st.sampled_from([1.0, -1.0]))
+        slopes = [slope, contraction]
+        offsets = [
+            draw(_floats(-0.1, 1.1)) - slope * 0.5 * (a + b),
+            draw(_floats(0.0, 1.0)) * (1.0 - abs(contraction)) + max(-contraction, 0.0),
+        ]
+        lo, hi = [a, 0.0], [b, 1.0]
+        if axis == 1:
+            slopes, offsets, lo, hi = slopes[::-1], offsets[::-1], lo[::-1], hi[::-1]
+        branches.append({
+            "symbol": sym,
+            "domain": {"lo": lo, "hi": hi},
+            "linear": np.diag(slopes).tolist(),
+            "offset": offsets,
+        })
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 2, "geometry": draw(st.sampled_from(["cube", "torus"]))},
+        "kind": "diffeo",
+        "branches": branches,
+        "transition": draw(transitions(m)),
+        "unstable_dim": 1,
+    })
+
+
+def _assert_kernel_matches_stepping(model, dist, epsilon, k_max, seed):
+    """The one-axis kernel's deaths equal those of stepping whole points."""
+    ends = [v for b in model.branches for v in (b.lo[dist.axis], b.hi[dist.axis])]
+    along = np.concatenate([_sample_axis(512, seed), ends])
+    rng = np.random.default_rng(seed)
+    pts = np.empty((len(along), model.n))
+    pts[:] = rng.choice([0.0, 1.0, rng.random()], size=pts.shape)  # whole coordinates
+    pts[:, dist.axis] = along
+    oracle = _death_steps(model, pts, epsilon, k_max, dist)
+    kernel = _death_steps(model, along, epsilon, k_max, dist)
+    assert kernel.dtype == oracle.dtype
+    assert np.array_equal(kernel, oracle)
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=st.one_of(diagonal_models().filter(lambda m: m.n == 1), factored_models()),
+    depth=st.integers(1, 4),
+    epsilon=_floats(0.02, 0.5),
+    k_max=st.integers(1, 10),
+    seed=st.integers(0, 1000),
+)
+def test_one_axis_kernel_equals_stepping_points(model, depth, epsilon, k_max, seed):
+    try:
+        dist = _CoverDistance(model, cylinders(model, depth)[1])
+    except ValueError:
+        assume(False)
+    assume(dist.tracks_one_axis)
+    _assert_kernel_matches_stepping(model, dist, epsilon, k_max, seed)
+
+
+@pytest.mark.parametrize("lambda_u", [2.5, 4.0])
+def test_one_axis_kernel_equals_stepping_points_on_the_horseshoe(lambda_u):
+    model = build_linear_horseshoe(lambda_u, 0.25)
+    epsilon = default_epsilon(model)
+    dist = _CoverDistance(model, cover_rects(model, epsilon)[1])
+    assert dist.tracks_one_axis
+    _assert_kernel_matches_stepping(model, dist, epsilon, 12, 5)
+
+
+@pytest.mark.parametrize("field,index,change", [("offset", None, 1e-12), ("domain", "hi", -1e-12)])
+def test_whole_axes_factor_only_when_they_stay_inside_every_domain(field, index, change):
+    # a 1e-12 miss of the unit interval is inside the cover's rounding
+    # slack, yet y = 1 then leaves a domain of branch 1
+    doc = build_linear_horseshoe(3.0, 0.25).to_json_dict()
+    target = doc["branches"][1][field]
+    (target[index] if index else target)[1] += change
+    model = ModelSystem.from_json_dict(doc)
+    epsilon = default_epsilon(model)
+    dist = _CoverDistance(model, cover_rects(model, epsilon)[1])
+    assert dist.mode == "intervals" and not dist.factors and not dist.tracks_one_axis
+    along = _sample_axis(4096, 1)
+    pts = np.column_stack([along, np.ones_like(along)])
+    assert not np.array_equal(
+        _death_steps(model, along, epsilon, 6, dist), _death_steps(model, pts, epsilon, 6, dist)
+    )
+
+
+@settings(max_examples=20, deadline=None)
+@given(model=factored_models(), epsilon=_floats(0.05, 0.5), k_max=st.integers(4, 8))
+def test_volume_curve_does_not_depend_on_threads(model, epsilon, k_max):
+    try:
+        one = volume_curve(model, epsilon, k_max, 1 << 14, threads=1)
+    except ValueError:
+        assume(False)
+    two = volume_curve(model, epsilon, k_max, 1 << 14, threads=2)
+    assert np.array_equal(one.volumes, two.volumes)
+    assert np.array_equal(one.bands, two.bands)
