@@ -46,13 +46,14 @@ from .models import (
     potential,
 )
 from .pressure import (
-    cover_rects,
+    cover_distance,
     default_epsilon,
     factored_axes,
     pressure_from_partition_sums,
     pressure_from_volume_growth,
     sample_local_stable_set,
     spectral_estimate,
+    stable_resolution,
     volume_curve,
 )
 from .symbolic import WORD_CAP, cylinders
@@ -280,18 +281,11 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _stable_resolution(model: ModelSystem, depth: int, grid: int | None, eps: float) -> int:
-    # resolve structure down to the depth of the tracking constraint
-    if grid:
-        return grid
-    varying, factors = factored_axes(model, cover_rects(model, eps)[1])
-    if model.n > 1 and not (factors and len(varying) == 1):
-        return 1 << 11  # full n-dimensional grid; keep it affordable
-    need = 4.0 * float(np.max(model.lambda_u)) ** depth
-    res = 1 << 11
-    while res < need and res < (1 << 16):
-        res <<= 1
-    return res
+def _stable_sample(model: ModelSystem, eps: float, depth: int, args):
+    """The stable-set cloud and its resolution per axis, both read off one cover."""
+    cover = cover_distance(model, eps)
+    res = args.grid or stable_resolution(model, depth, cover)
+    return sample_local_stable_set(model, eps, depth, samples=res, seed=args.seed, cover=cover), res
 
 
 def _default_depth(model: ModelSystem, scales) -> int:
@@ -326,8 +320,7 @@ def sample_for_set(model: ModelSystem, set_name: str, args):
         scales = parse_scales(args.scales, finest=9)
         eps = args.eps if args.eps is not None else default_epsilon(model)
         depth = args.depth or 10
-        res = _stable_resolution(model, depth, args.grid, eps)
-        points = sample_local_stable_set(model, eps, depth, samples=res, seed=args.seed)
+        points, res = _stable_sample(model, eps, depth, args)
         meta = {"set": set_name, "depth": depth, "eps": eps, "resolution": res}
     else:
         raise ValueError(f"unknown point set {set_name!r}")
@@ -369,8 +362,7 @@ def _report_row(model: ModelSystem, args, label: str) -> dict:
         scales = parse_scales(args.scales, finest=9)
         eps = args.eps if args.eps is not None else default_epsilon(model)
         depth = args.depth or 8
-        res = _stable_resolution(model, depth, args.grid, eps)
-        points = sample_local_stable_set(model, eps, depth, samples=res, seed=args.seed)
+        points, _ = _stable_sample(model, eps, depth, args)
         set_name = "stable"
     else:
         scales = parse_scales(args.scales, finest=13)

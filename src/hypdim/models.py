@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -204,6 +205,34 @@ class ModelSystem:
         if ok.any():
             out[ok] = self.apply_branches(pts[ok], idx[ok])
         return out, idx
+
+    def leaves_whole(self, whole: np.ndarray) -> bool:
+        """True iff the axes in the boolean mask `whole` split off as a product factor.
+
+        They do when every branch domain spans them, every linear part is
+        block-diagonal between them and the other axes, and on the cube
+        every branch maps them into the unit interval.  The checks carry
+        no rounding slack, so a whole coordinate that starts in the unit
+        cube stays inside every branch domain for good and never decides
+        a branch.
+        """
+        if not whole.any():
+            return False
+        for b in self.branches:
+            block = b.linear[np.ix_(whole, whole)]
+            image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + b.offset[whole]
+            spans = np.all(b.lo[whole] <= 0.0) and np.all(b.hi[whole] >= 1.0)
+            coupled = np.any(b.linear[np.ix_(whole, ~whole)]) or np.any(b.linear[np.ix_(~whole, whole)])
+            inside = self.space.is_torus or (image.min() >= 0.0 and image.max() <= 1.0)
+            if not spans or coupled or not inside:
+                return False
+        return True
+
+    @cached_property
+    def whole_axes(self) -> np.ndarray:
+        """Boolean mask of the axes every branch domain spans, if they split off exactly."""
+        spans = np.all([(b.lo <= 0.0) & (b.hi >= 1.0) for b in self.branches], axis=0)
+        return _ro(spans & self.leaves_whole(spans), dtype=bool)
 
     @property
     def uniform_linear(self) -> np.ndarray | None:

@@ -102,28 +102,42 @@ def factored_axes(model: ModelSystem, rects: np.ndarray):
 
     Returns (varying, factors): the axes along which some rectangle of
     `rects` falls short of the unit interval, and whether the whole axes
-    split off as an exact product factor.  They do when there is an axis
-    of each kind, every branch domain spans the whole axes, every linear
-    part is block-diagonal between the two groups, and on the cube every
-    branch maps the whole axes into the unit interval; tracking, stable
-    sets and invariant sets then depend on the varying coordinates alone.
-    The cover gets rounding slack; the branch checks get none, so a
-    whole coordinate that starts in the unit cube stays inside every
-    branch domain for good and never decides a branch.
+    split off as an exact product factor (`ModelSystem.leaves_whole`)
+    while some axis varies; tracking, stable sets and invariant sets
+    then depend on the varying coordinates alone.  The cover gets
+    rounding slack; the branch checks get none.
     """
     whole = (rects[:, 0, :] <= _FULL_TOL).all(axis=0) & (rects[:, 1, :] >= 1 - _FULL_TOL).all(axis=0)
     varying = np.flatnonzero(~whole)
-    if varying.size in (0, model.n):
-        return varying, False
-    for b in model.branches:
-        block = b.linear[np.ix_(whole, whole)]
-        image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + b.offset[whole]
-        spans = np.all(b.lo[whole] <= 0.0) and np.all(b.hi[whole] >= 1.0)
-        coupled = np.any(b.linear[np.ix_(whole, ~whole)]) or np.any(b.linear[np.ix_(~whole, whole)])
-        inside = model.space.is_torus or (image.min() >= 0.0 and image.max() <= 1.0)
-        if not spans or coupled or not inside:
-            return varying, False
-    return varying, True
+    return varying, bool(varying.size) and model.leaves_whole(whole)
+
+
+def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The ranges first[i], ..., first[i] + count[i] - 1, concatenated."""
+    total = np.cumsum(count)
+    return np.arange(total[-1] if len(total) else 0) - np.repeat(total - count - first, count)
+
+
+def _union(lo: np.ndarray, hi: np.ndarray, gap: float = 0.0):
+    """Sorted disjoint union of the closed intervals [lo_i, hi_i], each hi_i >= lo_i.
+
+    Intervals at most `gap` apart merge, so the ones left are more than
+    `gap` apart.
+    """
+    if len(lo) == 0:
+        return lo, hi
+    order = np.argsort(lo)
+    lo, top = lo[order], np.maximum.accumulate(hi[order])
+    start = np.flatnonzero(np.concatenate([[True], lo[1:] > top[:-1] + gap]))
+    return lo[start], top[np.append(start[1:] - 1, len(lo) - 1)]
+
+
+def _intersect(a_lo, a_hi, b_lo, b_hi):
+    """Intersection of two sorted disjoint unions of closed intervals; sorted and disjoint."""
+    first = np.searchsorted(b_hi, a_lo)  # the first b that does not end before a starts
+    count = np.maximum(np.searchsorted(b_lo, a_hi, "right") - first, 0)
+    ia, ib = np.repeat(np.arange(len(a_lo)), count), _ranges(first, count)
+    return np.maximum(a_lo[ia], b_lo[ib]), np.minimum(a_hi[ia], b_hi[ib])
 
 
 class _CoverDistance:
@@ -149,21 +163,15 @@ class _CoverDistance:
             self.lo, self.hi = self._merged_intervals(
                 rects[:, 0, self.axis], rects[:, 1, self.axis]
             )
+            # lo[j] and hi[j - 1] for every j that searchsorted returns
+            self._lo_next = np.append(self.lo, np.inf)
+            self._hi_prev = np.insert(self.hi, 0, -np.inf)
         else:
             self.mode = "rects"
         self.tracks_one_axis = self.mode == "intervals" and (model.n == 1 or self.factors)
 
     def _merged_intervals(self, lo, hi):
-        order = np.argsort(lo)
-        lo, hi = lo[order], hi[order]
-        mlo, mhi = [lo[0]], [hi[0]]
-        for a, b in zip(lo[1:], hi[1:]):
-            if a <= mhi[-1] + 1e-15:
-                mhi[-1] = max(mhi[-1], b)
-            else:
-                mlo.append(a)
-                mhi.append(b)
-        mlo, mhi = np.array(mlo), np.array(mhi)
+        mlo, mhi = _union(lo, hi, 1e-15)
         if self.torus:
             mlo = np.concatenate([mlo - 1.0, mlo, mlo + 1.0])
             mhi = np.concatenate([mhi - 1.0, mhi, mhi + 1.0])
@@ -178,13 +186,14 @@ class _CoverDistance:
         return self._brute(pts)
 
     def along_axis(self, x: np.ndarray) -> np.ndarray:
-        """Distance from coordinates `x` along `axis` to the merged intervals."""
+        """Distance from coordinates `x` along `axis` to the merged intervals.
+
+        With lo[j - 1] < x <= lo[j], only the gap past the end of interval
+        j - 1 and the gap before the start of interval j can be positive,
+        and the smaller one is the distance.
+        """
         j = np.searchsorted(self.lo, x)
-        dist = np.full(x.shape, np.inf)
-        for jj in (np.clip(j - 1, 0, len(self.lo) - 1), np.clip(j, 0, len(self.lo) - 1)):
-            gap = np.maximum(np.maximum(self.lo[jj] - x, x - self.hi[jj]), 0.0)
-            dist = np.minimum(dist, gap)
-        return dist
+        return np.maximum(np.minimum(x - self._hi_prev[j], self._lo_next[j] - x), 0.0)
 
     def _brute(self, pts: np.ndarray) -> np.ndarray:
         out = np.empty(pts.shape[0])
@@ -211,14 +220,14 @@ def cover_rects(model: ModelSystem, epsilon: float):
     at all the cover is the branch domains themselves and distances to
     it are exact because the invariant set fills the space.
     """
-    _, rects = cylinders(model, 1)
+    rects = first = cylinders(model, 1)[1]
     base_ext = (rects[:, 1, :] - rects[:, 0, :]).max(axis=0)
     depth = 1
     while True:
         ext = (rects[:, 1, :] - rects[:, 0, :]).max(axis=0)
         shrinking = ext < base_ext - 1e-12
         if depth > 1 and not shrinking.any():
-            return 1, cylinders(model, 1)[1]
+            return 1, first
         if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
             return depth, rects
         depth += 1
@@ -280,14 +289,19 @@ def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
         )
 
 
+def _axis_branches(model: ModelSystem, axis: int) -> np.ndarray:
+    """Rows lo, hi, slope, offset: every branch's domain and affine part along `axis`."""
+    return np.array(
+        [(b.lo[axis], b.hi[axis], b.linear[axis, axis], b.offset[axis]) for b in model.branches]
+    ).T
+
+
 def _axis_step(model: ModelSystem, axis: int):
     """`model.step` for the coordinates along `axis` alone; branch -1 means escaped.
 
     On a shared boundary the lowest symbol wins, as in `ModelSystem.branch_of`.
     """
-    lo, hi, slope, offset = np.array(
-        [(b.lo[axis], b.hi[axis], b.linear[axis, axis], b.offset[axis]) for b in model.branches]
-    ).T
+    lo, hi, slope, offset = _axis_branches(model, axis)
 
     def step(x):
         x = model.wrap(x)
@@ -560,9 +574,90 @@ def pressure_from_partition_sums(
 # -- local stable sets --------------------------------------------------------
 
 
+def cover_distance(model: ModelSystem, epsilon: float) -> _CoverDistance:
+    """Distance to the cylinder cover that `cover_rects` picks for `epsilon`."""
+    return _CoverDistance(model, cover_rects(model, epsilon)[1])
+
+
+def stable_resolution(model: ModelSystem, depth: int, cover: _CoverDistance) -> int:
+    """Samples per axis that resolve the structure of a `depth`-step stable sample.
+
+    Tracking along one axis (or a 1-D model) takes 4 lambda_u^depth, as
+    a power of two from 2^11 to 2^16; a full n-dimensional grid stays
+    at 2^11 per axis to keep it affordable.
+    """
+    if model.n > 1 and not cover.tracks_one_axis:
+        return 1 << 11
+    need = 4.0 * float(np.max(model.lambda_u)) ** depth
+    res = 1 << 11
+    while res < need and res < (1 << 16):
+        res <<= 1
+    return res
+
+
+def _pullback_tol(model: ModelSystem, axis: int, epsilon: float) -> float:
+    """A margin above the rounding of one tracking step along `axis`.
+
+    One step rounds the product, the sum and the wrap, the distance test
+    one difference, and one level of `_tracking_superset` a few sums and
+    a quotient.  Each error is a few units in the last place of the
+    largest magnitude in play, |slope| |x| + |offset| or 1 + epsilon;
+    2^-30 times that magnitude exceeds their total about 2^20-fold.
+    """
+    lo, hi, slope, offset = _axis_branches(model, axis)
+    reach = np.abs(slope) * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))) + np.abs(offset)
+    return 2.0**-30 * max(1.0 + epsilon, float(reach.max()))
+
+
+def _tracking_superset(model, cover, epsilon, depth, tol, limit=math.inf):
+    """Sorted disjoint closed intervals holding every coordinate that tracks `depth` steps.
+
+    Needs `cover.tracks_one_axis`.  The last level is the epsilon-
+    neighbourhood of the merged cover intervals; each earlier level is
+    that neighbourhood intersected with the union of the pullbacks of
+    the next level through every branch, cut to the branch domain.
+    Every neighbourhood, domain and pulled-back target is widened by
+    `tol`, so with `tol` above the rounding of one step (see
+    `_pullback_tol`) a coordinate that the float loop of `_death_steps`
+    keeps lies inside, by induction from the last level back.  On the
+    torus the levels live on [-tol, 1 + tol] and the targets repeat at
+    every integer shift an image can reach.  The pullback stops early,
+    leaving a larger superset, once a level would cost more than
+    `limit` interval images.
+    """
+    lo, hi, slope, offset = _axis_branches(model, cover.axis)
+    near = _union(cover.lo - (epsilon + tol), cover.hi + (epsilon + tol))
+    symbol, shift = np.arange(model.nsym), np.zeros(model.nsym)
+    if cover.torus:
+        near = _intersect(*near, np.array([-tol]), np.array([1.0 + tol]))
+        ends = np.stack([slope * (lo - tol), slope * (hi + tol)]) + offset
+        first = np.floor(ends.min(axis=0)) - 1
+        count = (np.ceil(ends.max(axis=0)) + 1 - first).astype(int)
+        if count.sum() > limit:
+            return near
+        symbol, shift = np.repeat(symbol, count), _ranges(first, count)
+    # one row per branch and target shift: x * slope + offset lies in
+    # [t_lo, t_hi] + shift iff x lies between (t_lo + shift - offset) / slope
+    # and (t_hi + shift - offset) / slope
+    lo, hi = lo[symbol, None] - tol, hi[symbol, None] + tol
+    slope, base = slope[symbol, None], shift[:, None] - offset[symbol, None]
+    keep_lo, keep_hi = near
+    for _ in range(depth - 1):
+        if len(symbol) * len(keep_lo) > limit:
+            break
+        a, b = (keep_lo - tol + base) / slope, (keep_hi + tol + base) / slope
+        x_lo, x_hi = np.maximum(np.minimum(a, b), lo), np.minimum(np.maximum(a, b), hi)
+        ok = x_lo <= x_hi
+        x_lo, x_hi = x_lo[ok], x_hi[ok]
+        if cover.torus:  # a state of 1 wraps to 0 before its branch is chosen
+            x_lo, x_hi = np.append(x_lo, x_lo + 1.0), np.append(x_hi, x_hi + 1.0)
+        keep_lo, keep_hi = _intersect(*near, *_union(x_lo, x_hi))
+    return keep_lo, keep_hi
+
+
 def sample_local_stable_set(
     model: ModelSystem, epsilon: float, depth: int, samples: int = 2048,
-    cross_resolution: int = 1024, seed: int = 0,
+    cross_resolution: int = 1024, seed: int = 0, cover: _CoverDistance | None = None,
 ) -> np.ndarray | ProductCloud:
     """Sample points whose first `depth` iterates stay epsilon-close to the cover.
 
@@ -570,22 +665,29 @@ def sample_local_stable_set(
     grows.  Points come from a stratified grid (one seeded draw per
     cell), so the cloud is deterministic in the seed.  When tracking
     reads one axis alone (full strips along the contracting axes, as in
-    the horseshoe family), only that axis is sampled and stepped, at
-    `samples` resolution, and the cloud is a `ProductCloud` of the kept
-    values with a grid on each remaining axis; otherwise the full
-    n-dimensional grid is stepped and the kept points are returned as an
-    array.  More than 2^26 stepped cells are refused before any sample
-    is drawn.
+    the horseshoe family), only that axis is sampled, at `samples`
+    resolution, and the cloud is a `ProductCloud` of the kept values
+    with a grid on each remaining axis.  Only the samples inside
+    `_tracking_superset` are stepped: each step rounds by less than its
+    margin `tol`, so every sample the death loop keeps lies inside, and
+    the loop alone still decides which of them survive.  Otherwise the
+    full n-dimensional grid is stepped and the kept points are returned
+    as an array.  `cover` is `cover_distance(model, epsilon)` when the
+    caller has it already.  More than 2^26 stepped cells are refused
+    before any sample is drawn.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
-    _, rects = cover_rects(model, epsilon)
-    dist = _CoverDistance(model, rects)
+    dist = cover if cover is not None else cover_distance(model, epsilon)
     n = model.n
     _refuse_large_grid(dist, n, samples, "stable-set grid")
     axis_vals = _sample_axis(samples, seed)
     if dist.tracks_one_axis:
-        alive = _death_steps(model, axis_vals, epsilon, depth, dist) >= depth
+        tol = _pullback_tol(model, dist.axis, epsilon)
+        lo, hi = _tracking_superset(model, dist, epsilon, depth, tol, limit=samples)
+        first = np.searchsorted(axis_vals, lo)  # the samples are sorted
+        inside = _ranges(first, np.searchsorted(axis_vals, hi, "right") - first)
+        alive = inside[_death_steps(model, axis_vals[inside], epsilon, depth, dist) >= depth]
         other_axis = _sample_axis(min(samples, cross_resolution), seed + 1)
         grids = [axis_vals[alive] if a == dist.axis else other_axis for a in range(n)]
         return ProductCloud(tuple(g[:, None] for g in grids), tuple((a,) for a in range(n)))

@@ -127,7 +127,10 @@ def cylinders(model: ModelSystem, k: int):
     diagonal linear parts, otherwise an interval-arithmetic overestimate
     that keeps cylinder covers supersets of the invariant set.  Words
     whose rectangle empties on the way have no geometric mass and are
-    dropped.
+    dropped.  The axes the model leaves whole (`ModelSystem.whole_axes`)
+    keep the first symbol's domain: no step leaves them, and pulling
+    back would only compound the rounding of the offsets, by 1/lambda_s
+    per level on a contracting axis.
     """
     words = admissible_words(model, k)
     branches = model.branches
@@ -135,6 +138,7 @@ def cylinders(model: ModelSystem, k: int):
     offsets = np.stack([b.offset for b in branches])
     dom_lo = np.stack([b.lo for b in branches])
     dom_hi = np.stack([b.hi for b in branches])
+    whole = model.whole_axes
     lo, hi = dom_lo[words[:, -1]], dom_hi[words[:, -1]]
     keep = np.ones(len(words), dtype=bool)
     for symbols in words[:, -2::-1].T:
@@ -143,6 +147,7 @@ def cylinders(model: ModelSystem, k: int):
         shifted_hi = (hi - offsets[symbols])[:, None, :]
         low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=2)
         high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=2)
+        low[:, whole], high[:, whole] = -np.inf, np.inf
         lo = np.maximum(low, dom_lo[symbols])
         hi = np.minimum(high, dom_hi[symbols])
         keep &= ~np.any(lo > hi + 1e-15, axis=1)

@@ -10,6 +10,7 @@ import pytest
 
 from hypdim.cli import emit_document, main, make_config, parse_scales
 from hypdim.models import build_linear_horseshoe
+from hypdim.pressure import cover_distance
 
 
 def run(capsys, argv):
@@ -104,6 +105,16 @@ class TestDimensionCommand:
         doc = run_json(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "invariant"])
         target = math.log(2) / math.log(3) + 0.5
         assert doc["result"]["dimension"]["slope"] == pytest.approx(target, abs=0.05)
+
+    def test_stable_set_of_a_non_dyadic_contraction_tracks_one_axis(self, capsys):
+        # the cover's y extent drifted below 1 - 1e-9 from depth 9 on, so the
+        # model stopped factoring and the sampler stepped a 2048^2 grid
+        model = build_linear_horseshoe(2.5, 0.1)
+        assert cover_distance(model, 0.0005).tracks_one_axis
+        start = time.perf_counter()
+        run_json(capsys, ["dimension", "--model", "horseshoe:2.5,0.1", "--set", "stable",
+                          "--eps", "0.0005", "--depth", "6"])
+        assert time.perf_counter() - start < 10.0
 
     def test_cat_map_fills_the_torus(self, capsys):
         doc = run_json(capsys, ["dimension", "--model", "catmap", "--set", "invariant"])

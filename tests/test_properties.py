@@ -3,8 +3,11 @@
 Models are drawn as JSON documents and loaded through
 `ModelSystem.from_json_dict`, so every check also runs on the schema a
 user writes.  The word-by-word cylinder recursion below is kept as the
-oracle for the level-wise `cylinders`, and stepping whole points with
-`ModelSystem.step` as the oracle for the one-axis tracking kernel.
+oracle for the level-wise `cylinders`, stepping whole points with
+`ModelSystem.step` as the oracle for the one-axis tracking kernel, the
+loop merge and the clipped lookup as the oracles for the vectorised
+interval lookup, and stepping every sample as the oracle for the stable
+sampler's pullback prefilter.
 """
 
 import numpy as np
@@ -12,13 +15,20 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from hypdim.errors import HypdimError
 from hypdim.models import ModelSystem, Potential, build_linear_horseshoe
 from hypdim.pressure import (
+    ProductCloud,
     _CoverDistance,
     _death_steps,
+    _pullback_tol,
     _sample_axis,
+    _tracking_superset,
+    cover_distance,
     cover_rects,
     default_epsilon,
+    sample_local_stable_set,
+    stable_resolution,
     volume_curve,
 )
 from hypdim.symbolic import (
@@ -352,3 +362,150 @@ def test_volume_curve_does_not_depend_on_threads(model, epsilon, k_max):
     two = volume_curve(model, epsilon, k_max, 1 << 14, threads=2)
     assert np.array_equal(one.volumes, two.volumes)
     assert np.array_equal(one.bands, two.bands)
+
+
+# -- interval lookups and the tracking pullback ----------------------------------
+
+
+def loop_merged_intervals(lo, hi):
+    """The merge loop `_CoverDistance` used before its intervals were vectorised."""
+    order = np.argsort(lo)
+    lo, hi = lo[order], hi[order]
+    mlo, mhi = [lo[0]], [hi[0]]
+    for a, b in zip(lo[1:], hi[1:]):
+        if a <= mhi[-1] + 1e-15:
+            mhi[-1] = max(mhi[-1], b)
+        else:
+            mlo.append(a)
+            mhi.append(b)
+    return np.array(mlo), np.array(mhi)
+
+
+def clipped_along_axis(lo, hi, x):
+    """The interval lookup before padding: both neighbours, clipped at the ends."""
+    j = np.searchsorted(lo, x)
+    dist = np.full(x.shape, np.inf)
+    for jj in (np.clip(j - 1, 0, len(lo) - 1), np.clip(j, 0, len(lo) - 1)):
+        gap = np.maximum(np.maximum(lo[jj] - x, x - hi[jj]), 0.0)
+        dist = np.minimum(dist, gap)
+    return dist
+
+
+def _near(values):
+    """Each value and its two float neighbours."""
+    return np.concatenate([values, np.nextafter(values, -np.inf), np.nextafter(values, np.inf)])
+
+
+@PROPERTY_SETTINGS
+@given(
+    geometry=st.sampled_from(["cube", "torus"]),
+    ends=st.lists(
+        st.tuples(_floats(0.0, 1.0), _floats(0.0, 0.3), st.sampled_from(["free", "edge", "past"])),
+        min_size=1, max_size=12,
+    ),
+    seed=st.integers(0, 1000),
+)
+def test_interval_lookup_is_bit_identical_to_the_clipped_lookup(geometry, ends, seed):
+    # an "edge" interval starts exactly at the merge threshold of the one before, "past" one ulp beyond
+    lo, hi = [], []
+    for start, width, link in ends:
+        if lo and link != "free":
+            edge = hi[-1] + 1e-15
+            start = edge if link == "edge" else np.nextafter(edge, np.inf)
+        lo.append(start)
+        hi.append(min(start + width, 1.0))
+    lo, hi = np.array(lo), np.maximum(np.array(hi), lo)
+    model = ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": geometry},
+        "kind": "expanding",
+        "branches": [{"symbol": 0, "domain": {"lo": [0.0], "hi": [1.0]}, "linear": [[2.0]],
+                      "offset": [0.0]}],
+        "transition": [[1]],
+        "unstable_dim": 1,
+    })
+    rects = np.stack([lo, hi], axis=1)[:, :, None]
+    dist = _CoverDistance(model, rects)
+    assume(dist.mode == "intervals")
+    mlo, mhi = loop_merged_intervals(lo, hi)
+    if geometry == "torus":
+        mlo, mhi = np.concatenate([mlo - 1, mlo, mlo + 1]), np.concatenate([mhi - 1, mhi, mhi + 1])
+    assert np.array_equal(dist.lo, mlo) and np.array_equal(dist.hi, mhi)
+    ends = np.concatenate([lo, hi])
+    x = np.concatenate([
+        _near(np.concatenate([ends, ends - 1.0, ends + 1.0])),
+        np.random.default_rng(seed).uniform(-0.5, 1.5, 256),
+    ])
+    assert np.array_equal(dist.along_axis(x), clipped_along_axis(dist.lo, dist.hi, x))
+
+
+def _one_axis_cover(model, epsilon):
+    try:
+        dist = cover_distance(model, epsilon)
+    except (ValueError, HypdimError):  # no geometric mass, or too many words
+        assume(False)
+    assume(dist.tracks_one_axis)
+    return dist
+
+
+def _as_diffeo(model):
+    return ModelSystem.from_json_dict({**model.to_json_dict(), "kind": "diffeo"})
+
+
+def _assert_sampler_keeps_the_death_loop_survivors(model, dist, epsilon, depth, samples, seed):
+    cloud = sample_local_stable_set(model, epsilon, depth, samples=samples, seed=seed)
+    assert isinstance(cloud, ProductCloud)
+    x = _sample_axis(samples, seed)
+    assert np.array_equal(cloud.factors[dist.axis][:, 0], x[_death_steps(model, x, epsilon, depth, dist) >= depth])
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=st.one_of(diagonal_models().filter(lambda m: m.n == 1).map(_as_diffeo), factored_models()),
+    epsilon=_floats(0.03, 0.5),
+    depth=st.integers(1, 12),
+    seed=st.integers(0, 1000),
+)
+def test_stable_sampler_keeps_exactly_the_death_loop_survivors(model, epsilon, depth, seed):
+    dist = _one_axis_cover(model, epsilon)
+    _assert_sampler_keeps_the_death_loop_survivors(model, dist, epsilon, depth, 4096, seed)
+
+
+@pytest.mark.parametrize("lambda_u", np.round(np.arange(2.2, 4.01, 0.2), 12).tolist())
+def test_stable_sampler_keeps_exactly_the_death_loop_survivors_over_the_sweep(lambda_u):
+    model = build_linear_horseshoe(lambda_u, 0.25)
+    epsilon = default_epsilon(model)
+    dist = cover_distance(model, epsilon)
+    assert dist.tracks_one_axis
+    samples = stable_resolution(model, 8, dist)
+    _assert_sampler_keeps_the_death_loop_survivors(model, dist, epsilon, 8, samples, 7)
+
+
+def _assert_pullback_holds_the_survivors_at_its_rounding_edges(model, dist, epsilon, depth):
+    # the points where rounding decides: the unwidened pullback's ends and their neighbours
+    exact_lo, exact_hi = _tracking_superset(model, dist, epsilon, depth, 0.0)
+    x = _near(np.concatenate([exact_lo, exact_hi]))
+    x = np.sort(x[(x >= 0.0) & (x < 1.0)])
+    kept = x[_death_steps(model, x, epsilon, depth, dist) >= depth]
+    lo, hi = _tracking_superset(model, dist, epsilon, depth, _pullback_tol(model, dist.axis, epsilon))
+    j = np.searchsorted(lo, kept, "right") - 1
+    assert np.all((j >= 0) & (kept <= hi[np.maximum(j, 0)]))
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=st.one_of(diagonal_models().filter(lambda m: m.n == 1), factored_models()),
+    epsilon=_floats(0.03, 0.5),
+    depth=st.integers(1, 10),
+)
+def test_pullback_holds_every_survivor_at_its_rounding_edges(model, epsilon, depth):
+    dist = _one_axis_cover(model, epsilon)
+    _assert_pullback_holds_the_survivors_at_its_rounding_edges(model, dist, epsilon, depth)
+
+
+@pytest.mark.parametrize("depth", [8, 12])
+@pytest.mark.parametrize("lambda_u", np.round(np.arange(2.2, 4.01, 0.2), 12).tolist())
+def test_pullback_holds_every_survivor_at_its_rounding_edges_over_the_sweep(lambda_u, depth):
+    model = build_linear_horseshoe(lambda_u, 0.25)
+    epsilon = default_epsilon(model)
+    dist = cover_distance(model, epsilon)
+    _assert_pullback_holds_the_survivors_at_its_rounding_edges(model, dist, epsilon, depth)

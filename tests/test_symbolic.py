@@ -237,6 +237,14 @@ class TestCylindersAndSeparation:
         widths = rects[:, 1, 0] - rects[:, 0, 0]
         assert widths == pytest.approx(np.full(16, 3.0**-4), rel=1e-12)
 
+    def test_contracting_whole_axis_does_not_drift(self):
+        # branch 1 maps y = 1 to fl(0.1 + 0.9) = 1, yet 0.9 + 0.1 exceeds 1 by
+        # 2.8e-17 in exact arithmetic; pulling back magnified that tenfold per
+        # level, to 2.5e-6 at depth 12
+        m = build_linear_horseshoe(2.5, 0.1)
+        _, rects = cylinders(m, 12)
+        assert np.all(rects[:, 0, 1] == 0.0) and np.all(rects[:, 1, 1] == 1.0)
+
     @pytest.mark.parametrize(
         "build", [lambda: build_cantor_repeller(3, (0, 2)), build_golden_mean,
                   lambda: build_linear_horseshoe(3.0, 0.25)],
