@@ -24,6 +24,7 @@ from .models import ModelSystem, build_linear_horseshoe, potential
 from .pressure import PressureEstimate, ProductCloud, _grid_axis, factored_axes, spectral_estimate
 from .symbolic import (
     _check_cap,
+    _levels_through,
     cylinders,
     equilibrium_markov_chain,
     markov_measure_stats,
@@ -63,13 +64,45 @@ def _is_normal(matrix: np.ndarray) -> bool:
     return np.allclose(matrix @ matrix.T, matrix.T @ matrix, atol=1e-12)
 
 
+def _word_norms(model: ModelSystem, k_max: int):
+    """For k = 1..k_max, values whose largest is max ||Df^k|| over admissible k-words.
+
+    In one dimension these are best[j], the largest |product of slopes|
+    over the k-words ending in symbol j, from the max-times recursion
+    best[j] <- |slope_j| * max over i with A[i, j] of best[i].  The
+    products come out bit for bit as the enumeration's: rounding a
+    product is symmetric in sign, so |fl(a b)| = fl(|a| |b|), and
+    monotone, so the max commutes with fl(|slope_j| * .); and the
+    largest singular value of a 1x1 matrix is |x| exactly.  In more
+    dimensions the singular values of every word's product are listed.
+    """
+    linears = np.stack([b.linear for b in model.branches])
+    precedes = model.transition != 0
+    if model.n == 1:
+        slopes = best = np.abs(linears[:, 0, 0])
+        yield best
+        for _ in range(k_max - 1):
+            best = slopes * np.where(precedes, best[:, None], 0.0).max(axis=0)
+            yield best
+    else:
+        prods, last = linears, np.arange(model.nsym)
+        yield np.linalg.svd(prods, compute_uv=False)[:, 0]
+        for _ in range(k_max - 1):
+            rows, last = np.nonzero(precedes[last])
+            prods = linears[last] @ prods[rows]
+            yield np.linalg.svd(prods, compute_uv=False)[:, 0]
+
+
 def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
     """Worst-case derivative growth rate s.
 
     a_k is the log of the largest singular value over all admissible
-    k-step branch products.  When every branch shares one normal linear
-    part (all built-ins), products are powers and a_k = k * a_1 exactly,
-    so the enumeration short-circuits.
+    k-step branch products (`_word_norms`).  When every branch shares
+    one normal linear part (all built-ins), products are powers and
+    a_k = k * a_1 exactly, so no words are formed.  Otherwise the word
+    cap of k_max is checked first, so a k_max past the cap fails in any
+    dimension, although in one the max-times recursion costs only
+    k_max * nsym^2; in more dimensions every word's product is formed.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
@@ -80,18 +113,9 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
             value=rate, per_k=np.full(k_max, rate), k_max=k_max, exact=True
         )
     _check_cap(model, k_max)
-    linears = np.stack([b.linear for b in model.branches])
-    prods = linears.copy()
-    last = np.arange(model.nsym, dtype=np.int64)
-    per_k = []
-    for k in range(1, k_max + 1):
-        norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
-        per_k.append(float(np.log(norms.max())) / k)
-        if k == k_max:
-            break
-        rows, last = np.nonzero(model.transition[last])
-        prods = linears[last] @ prods[rows]
-    per_k = np.array(per_k)
+    per_k = np.array(
+        [float(np.log(norms.max())) / k for k, norms in enumerate(_word_norms(model, k_max), 1)]
+    )
     return ExpansionRate(value=float(per_k.min()), per_k=per_k, k_max=k_max, exact=False)
 
 
@@ -101,22 +125,32 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
 def box_count(points, scale: float) -> int:
     """Number of grid cells of edge `scale` (anchored at 0) meeting the points.
 
-    A `ProductCloud` is counted factor by factor: the cells meeting a
-    product are exactly the products of the cells meeting its factors.
+    `points` is (N, n), or (N,) for N points on a line.  Each point gets
+    one integer key for its cell, and the count is 1 plus the number of
+    changes between neighbouring keys in sorted order, which is the
+    number of distinct keys.  Keys come out already sorted for sorted
+    1-D values (cylinder centres, stable-sampler factors), because
+    x -> floor(x / scale) is monotone in floats, so those are counted in
+    one linear pass; other keys are sorted first.  A `ProductCloud` is
+    counted factor by factor: the cells meeting a product are exactly
+    the products of the cells meeting its factors.
     """
     if not 0.0 < scale <= 1.0:
         raise ValueError("scale must lie in (0, 1]")
     extent = int(math.ceil(1.0 / scale)) + 2
     count = 1
     for factor in points.factors if isinstance(points, ProductCloud) else (points,):
-        pts = np.atleast_2d(np.asarray(factor, dtype=float))
+        pts = np.asarray(factor, dtype=float)
+        pts = pts.reshape(-1, 1) if pts.ndim < 2 else pts
         if pts.size == 0:
             return 0
         cells = np.floor(pts / scale).astype(np.int64)
         key = cells[:, 0].copy()
         for ax in range(1, cells.shape[1]):
             key = key * extent + cells[:, ax]
-        count *= int(np.unique(key).size)
+        if np.any(key[1:] < key[:-1]):
+            key = np.sort(key)
+        count *= 1 + int(np.count_nonzero(key[1:] != key[:-1]))
     return count
 
 
@@ -395,9 +429,10 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256):
     model (the invariant set fills the space, or its branches couple
     the two groups) falls back to a regular grid at `resolution`.
     """
-    words, rects = cylinders(model, depth)
     if model.kind == "expanding":
+        rects = _levels_through(model, depth)[1]
         return 0.5 * (rects[:, 0, :] + rects[:, 1, :])
+    words, rects = cylinders(model, depth)
     varying, factors = factored_axes(model, rects)
     if not factors:
         axis = _grid_axis(resolution)

@@ -22,7 +22,7 @@ from .errors import (
     NoBranchError,
 )
 from .models import ModelSystem, Potential, point_distance
-from .symbolic import cylinders, partition_sums_through
+from .symbolic import _check_cap, cylinder_levels, partition_sums_through, pressure_spectral
 
 _FULL_TOL = 1e-9
 
@@ -215,23 +215,31 @@ class _CoverDistance:
 def cover_rects(model: ModelSystem, epsilon: float):
     """Depth-m cylinder cover with shrinking extents below epsilon/4.
 
-    Returns (depth, rects).  Axes whose cylinder extent never shrinks
+    Returns (depth, rects).  One walk of `cylinder_levels` goes down
+    until the cover is fine enough, checking each depth's word cap
+    before building it; the rectangles are those `cylinders(model, m)`
+    returns, bit for bit.  Axes whose cylinder extent never shrinks
     (e.g. coverings of the whole torus) are ignored; if no axis shrinks
     at all the cover is the branch domains themselves and distances to
     it are exact because the invariant set fills the space.
     """
-    rects = first = cylinders(model, 1)[1]
-    base_ext = (rects[:, 1, :] - rects[:, 0, :]).max(axis=0)
+    levels = cylinder_levels(model)
+    _, _, lo, hi = next(levels)
+    first = np.stack([lo, hi], axis=1)
+    base_ext = (hi - lo).max(axis=0)
     depth = 1
     while True:
-        ext = (rects[:, 1, :] - rects[:, 0, :]).max(axis=0)
+        ext = (hi - lo).max(axis=0)
         shrinking = ext < base_ext - 1e-12
         if depth > 1 and not shrinking.any():
             return 1, first
         if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
-            return depth, rects
+            return depth, np.stack([lo, hi], axis=1)
         depth += 1
-        _, rects = cylinders(model, depth)  # cap error propagates
+        _check_cap(model, depth)
+        _, _, lo, hi = next(levels)
+        if len(lo) == 0:
+            raise ValueError(f"no admissible depth-{depth} word has geometric mass")
 
 
 # -- tracking-neighborhood volumes -------------------------------------------
@@ -467,8 +475,6 @@ class PressureEstimate:
 
 def spectral_estimate(model: ModelSystem, pot: Potential) -> PressureEstimate:
     """Wrap the exact spectral pressure as an estimate with zero residual."""
-    from .symbolic import pressure_spectral
-
     return PressureEstimate(
         value=pressure_spectral(model, pot),
         method="spectral",

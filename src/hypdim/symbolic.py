@@ -115,46 +115,83 @@ def birkhoff_sum(pot: Potential, word) -> float:
 # -- geometric cylinders ---------------------------------------------------
 
 
-def cylinders(model: ModelSystem, k: int):
-    """Depth-k cylinder rectangles.
+def cylinder_levels(model: ModelSystem):
+    """Geometric cylinders of depth 1, 2, ..., one level at a time.
 
-    Returns (words, rects): words is (N, k) in lexicographic order and
-    rects is (N, 2, n) holding [lo, hi] per cylinder.  A cylinder is the
-    set of points whose first k symbols equal the word.  Starting from
-    the domain of each word's last symbol, every earlier symbol pulls the
-    rectangle back through its branch inverse and cuts it to the branch
-    domain.  The pullback is the bounding box of the preimage: exact for
+    Yields (first, parent, lo, hi) for each depth j, one row per kept
+    word in lexicographic order: the word's first symbol, the row of its
+    tail (the word without that symbol) in the depth-(j - 1) level (None
+    at depth 1), and the [lo, hi] corners of its rectangle.  A cylinder
+    is the set of points whose first j symbols equal the word.  Depth 1
+    is the branch domains.  Depth j + 1 prepends each symbol s to the
+    depth-j words whose first symbol s may precede, pulls their
+    rectangles back through s's branch inverse and cuts them to s's
+    domain, so building depth k costs about as much as its last level.
+    A word's rectangle is bit for bit the one that pulling back from
+    its last symbol's domain through each earlier symbol gives: that
+    loop's value after the tail is the tail's rectangle, and the level
+    applies the same float operations to it once more.  The pullback is the bounding box of the preimage: exact for
     diagonal linear parts, otherwise an interval-arithmetic overestimate
     that keeps cylinder covers supersets of the invariant set.  Words
-    whose rectangle empties on the way have no geometric mass and are
-    dropped.  The axes the model leaves whole (`ModelSystem.whole_axes`)
-    keep the first symbol's domain: no step leaves them, and pulling
-    back would only compound the rounding of the offsets, by 1/lambda_s
-    per level on a contracting axis.
+    whose rectangle empties have no geometric mass and are dropped, with
+    every word that extends them; a level may come out empty.  The axes
+    the model leaves whole (`ModelSystem.whole_axes`) keep the first
+    symbol's domain: no step leaves them, and pulling back would only
+    compound the rounding of the offsets, by 1/lambda_s per level on a
+    contracting axis.  The generator checks no word cap; callers check
+    the cap of a depth before they ask for it.
     """
-    words = admissible_words(model, k)
     branches = model.branches
     inverses = np.linalg.inv(np.stack([b.linear for b in branches]))
     offsets = np.stack([b.offset for b in branches])
     dom_lo = np.stack([b.lo for b in branches])
     dom_hi = np.stack([b.hi for b in branches])
     whole = model.whole_axes
-    lo, hi = dom_lo[words[:, -1]], dom_hi[words[:, -1]]
-    keep = np.ones(len(words), dtype=bool)
-    for symbols in words[:, -2::-1].T:
-        inv = inverses[symbols]
-        shifted_lo = (lo - offsets[symbols])[:, None, :]
-        shifted_hi = (hi - offsets[symbols])[:, None, :]
+    precedes = _as_transition(model)
+    first, parent, lo, hi = np.arange(model.nsym), None, dom_lo, dom_hi
+    while True:
+        yield first, parent, lo, hi
+        first, parent = np.nonzero(precedes[:, first])  # row-major: lexicographic
+        inv = inverses[first]
+        shifted_lo = (lo[parent] - offsets[first])[:, None, :]
+        shifted_hi = (hi[parent] - offsets[first])[:, None, :]
         low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=2)
         high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=2)
         low[:, whole], high[:, whole] = -np.inf, np.inf
-        lo = np.maximum(low, dom_lo[symbols])
-        hi = np.minimum(high, dom_hi[symbols])
-        keep &= ~np.any(lo > hi + 1e-15, axis=1)
-        hi = np.maximum(hi, lo)
-    if not keep.any():
+        lo = np.maximum(low, dom_lo[first])
+        hi = np.minimum(high, dom_hi[first])
+        keep = ~np.any(lo > hi + 1e-15, axis=1)
+        first, parent, lo, hi = first[keep], parent[keep], lo[keep], np.maximum(hi, lo)[keep]
+
+
+def _levels_through(model: ModelSystem, k: int):
+    """(links, rects): the (first, parent) rows of depths 1..k and the depth-k rectangles.
+
+    The word cap of depth k is checked before any level is built.
+    """
+    _check_cap(model, k)
+    links = []
+    for _, (first, parent, lo, hi) in zip(range(k), cylinder_levels(model)):
+        links.append((first, parent))
+    if len(lo) == 0:
         raise ValueError(f"no admissible depth-{k} word has geometric mass")
-    return words[keep], np.stack([lo[keep], hi[keep]], axis=1)
+    return links, np.stack([lo, hi], axis=1)
+
+
+def cylinders(model: ModelSystem, k: int):
+    """Depth-k cylinder rectangles and their words (see `cylinder_levels`).
+
+    Returns (words, rects): words is (N, k) in lexicographic order and
+    rects is (N, 2, n) holding [lo, hi] per cylinder.  The words are
+    read back from the parent rows, deepest level first; a depth-1 row
+    is its symbol.
+    """
+    links, rects = _levels_through(model, k)
+    row, columns = np.arange(len(rects)), []
+    for first, parent in reversed(links[1:]):
+        columns.append(first[row])
+        row = parent[row]
+    return np.stack(columns + [row], axis=1), rects
 
 
 @dataclass(frozen=True)

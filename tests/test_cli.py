@@ -205,6 +205,36 @@ class TestExitCodes:
         assert code == 3
         assert "cap" in err.lower()
 
+    @pytest.mark.parametrize(
+        "argv, length",
+        [
+            (["dimension", "--model", "cantor:3,02", "--set", "repeller", "--depth", "25"], 25),
+            (["bound", "--model-file", "THREE", "--kmax", "16"], 16),
+        ],
+    )
+    def test_word_cap_is_checked_before_any_level_is_built(self, capsys, tmp_path, argv, length):
+        # 2^25 cylinders and 3^16 expansion-rate words both exceed 2^24; a
+        # level-by-level check would build 2^24-word levels before failing
+        three = tmp_path / "three.json"
+        slopes, lo = [3.3, 4.0, 4.6], [0.0, 0.45, 1.0 - 1.0 / 4.6]
+        three.write_text(json.dumps({
+            "space": {"dim": 1, "geometry": "cube"},
+            "kind": "expanding",
+            "branches": [
+                {"symbol": i, "domain": {"lo": [a], "hi": [a + 1.0 / s]},
+                 "linear": [[s]], "offset": [-s * a]}
+                for i, (a, s) in enumerate(zip(lo, slopes))
+            ],
+            "transition": [[1, 1, 1]] * 3,
+            "unstable_dim": 1,
+        }))
+        start = time.perf_counter()
+        code, out, err = run(capsys, [str(three) if a == "THREE" else a for a in argv])
+        assert time.perf_counter() - start < 2.0
+        assert code == 3
+        assert out == ""
+        assert f"length {length}" in err
+
     def test_vanished_tracking_volume_is_config_error(self, capsys):
         # the exact pressure is log(1/4); a 512 grid loses the whole neighborhood
         code, out, err = run(

@@ -164,6 +164,13 @@ class TestBoxCount:
         for scale in (1.0, 0.5, 0.1, 0.003):
             assert box_count(np.array([[0.37, 0.21]]), scale) == 1
 
+    def test_flat_array_is_points_on_a_line(self):
+        # (N,) holds N points on a line, not one point in R^N
+        line = np.array([0.1, 0.5, 0.9])
+        assert box_count(line, 0.25) == 3
+        assert box_count(line[::-1], 0.25) == box_count(line[:, None], 0.25) == 3
+        assert box_count(np.array([0.1, 0.2, 0.9]), 0.25) == 2
+
     def test_dyadic_refinement_monotonicity(self):
         rng = np.random.default_rng(11)
         clouds = [

@@ -6,8 +6,11 @@ user writes.  The word-by-word cylinder recursion below is kept as the
 oracle for the level-wise `cylinders`, stepping whole points with
 `ModelSystem.step` as the oracle for the one-axis tracking kernel, the
 loop merge and the clipped lookup as the oracles for the vectorised
-interval lookup, and stepping every sample as the oracle for the stable
-sampler's pullback prefilter.
+interval lookup, stepping every sample as the oracle for the stable
+sampler's pullback prefilter, the per-word pullback loop and the
+per-depth cover search as the oracles for the cylinder levels, the
+`np.unique` count as the oracle for step-counted box counts, and the
+SVD of every word's product as the oracle for the 1-D expansion rate.
 """
 
 import numpy as np
@@ -15,8 +18,17 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from hypdim.dimension import box_count, expansion_rate
 from hypdim.errors import HypdimError
-from hypdim.models import ModelSystem, Potential, build_linear_horseshoe
+from hypdim.models import (
+    ModelSystem,
+    Potential,
+    build_cantor_repeller,
+    build_cat_map,
+    build_doubling_map,
+    build_golden_mean,
+    build_linear_horseshoe,
+)
 from hypdim.pressure import (
     ProductCloud,
     _CoverDistance,
@@ -509,3 +521,250 @@ def test_pullback_holds_every_survivor_at_its_rounding_edges_over_the_sweep(lamb
     epsilon = default_epsilon(model)
     dist = cover_distance(model, epsilon)
     _assert_pullback_holds_the_survivors_at_its_rounding_edges(model, dist, epsilon, depth)
+
+
+# -- one walk of the cylinder levels ---------------------------------------------
+
+
+def per_word_cylinders(model: ModelSystem, k: int):
+    """The per-word pullback loop: every word redoes the pullbacks of its whole tail."""
+    words = admissible_words(model, k)
+    branches = model.branches
+    inverses = np.linalg.inv(np.stack([b.linear for b in branches]))
+    offsets = np.stack([b.offset for b in branches])
+    dom_lo = np.stack([b.lo for b in branches])
+    dom_hi = np.stack([b.hi for b in branches])
+    whole = model.whole_axes
+    lo, hi = dom_lo[words[:, -1]], dom_hi[words[:, -1]]
+    keep = np.ones(len(words), dtype=bool)
+    for symbols in words[:, -2::-1].T:
+        inv = inverses[symbols]
+        shifted_lo = (lo - offsets[symbols])[:, None, :]
+        shifted_hi = (hi - offsets[symbols])[:, None, :]
+        low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=2)
+        high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=2)
+        low[:, whole], high[:, whole] = -np.inf, np.inf
+        lo = np.maximum(low, dom_lo[symbols])
+        hi = np.minimum(high, dom_hi[symbols])
+        keep &= ~np.any(lo > hi + 1e-15, axis=1)
+        hi = np.maximum(hi, lo)
+    if not keep.any():
+        raise ValueError(f"no admissible depth-{k} word has geometric mass")
+    return words[keep], np.stack([lo[keep], hi[keep]], axis=1)
+
+
+def per_depth_cover_rects(model: ModelSystem, epsilon: float, max_depth: int):
+    """The cover search that rebuilds every depth from scratch; None past `max_depth`."""
+    rects = first = per_word_cylinders(model, 1)[1]
+    base_ext = (rects[:, 1, :] - rects[:, 0, :]).max(axis=0)
+    depth = 1
+    while True:
+        ext = (rects[:, 1, :] - rects[:, 0, :]).max(axis=0)
+        shrinking = ext < base_ext - 1e-12
+        if depth > 1 and not shrinking.any():
+            return 1, first
+        if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
+            return depth, rects
+        depth += 1
+        if depth > max_depth:
+            return None
+        _, rects = per_word_cylinders(model, depth)
+
+
+BUILTINS = {
+    "horseshoe:3,0.25": build_linear_horseshoe(3.0, 0.25),
+    "horseshoe:2.5,0.1": build_linear_horseshoe(2.5, 0.1),
+    "cantor:3,02": build_cantor_repeller(3, (0, 2)),
+    "goldenmean": build_golden_mean(),
+    "doubling:2": build_doubling_map(2),
+    "catmap": build_cat_map(),
+}
+
+
+def _assert_same_arrays(got, expected):
+    for a, b in zip(got, expected):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_cylinders_equal_the_per_word_loop_on_the_builtins(name, k):
+    model = BUILTINS[name]
+    _assert_same_arrays(cylinders(model, k), per_word_cylinders(model, k))
+
+
+def _cover_equals_the_per_depth_loop(model, epsilon) -> bool:
+    """Assert the equality; False when the loop would go deeper than 8 levels."""
+    try:
+        expected = per_depth_cover_rects(model, epsilon, max_depth=8)
+    except (ValueError, HypdimError) as exc:
+        with pytest.raises(type(exc), match=str(exc)):
+            cover_rects(model, epsilon)
+        return True
+    if expected is None:
+        return False
+    depth, rects = cover_rects(model, epsilon)
+    assert depth == expected[0]
+    _assert_same_arrays([rects], [expected[1]])
+    return True
+
+
+@st.composite
+def touching_models(draw):
+    """1-D models whose branches map a domain end exactly onto a domain end.
+
+    Decimal domain ends and slopes make the pullbacks round, so some
+    cylinders shrink to a point or overshoot it by an ulp: the cases
+    that the 1e-15 emptiness margin and the clamp hi >= lo decide.
+    """
+    m = draw(st.integers(2, 3))
+    ends = sorted(draw(st.lists(
+        st.sampled_from([i / 20 for i in range(1, 20)]), min_size=2 * m - 2, max_size=2 * m - 2,
+        unique=True,
+    )))
+    ends = [0.0, *ends, 1.0]
+    domains = [(ends[2 * s], ends[2 * s + 1]) for s in range(m)]
+    branches = []
+    for sym, (a, b) in enumerate(domains):
+        slope = draw(st.sampled_from([2.5, 3.0, 3.3, 4.1, 7.0])) * draw(st.sampled_from([1.0, -1.0]))
+        start = draw(st.sampled_from(domains))[draw(st.integers(0, 1))]
+        branches.append({
+            "symbol": sym,
+            "domain": {"lo": [a], "hi": [b]},
+            "linear": [[slope]],
+            "offset": [start - slope * draw(st.sampled_from([a, b]))],
+        })
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": branches,
+        "transition": draw(transitions(m)),
+        "unstable_dim": 1,
+    })
+
+
+@PROPERTY_SETTINGS
+@given(model=touching_models(), k=st.integers(1, 6))
+def test_cylinders_equal_the_per_word_loop_where_cylinders_touch(model, k):
+    try:
+        expected = per_word_cylinders(model, k)
+    except ValueError:
+        with pytest.raises(ValueError, match=f"depth-{k} "):
+            cylinders(model, k)
+        return
+    _assert_same_arrays(cylinders(model, k), expected)
+
+
+@PROPERTY_SETTINGS
+@given(model=diagonal_models() | touching_models(), epsilon=_floats(0.1, 2.0))
+def test_cover_rects_equal_the_per_depth_loop(model, epsilon):
+    assume(_cover_equals_the_per_depth_loop(model, epsilon))
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("scale", [0.5, 1.0, 2.0])
+def test_cover_rects_equal_the_per_depth_loop_on_the_builtins(name, scale):
+    model = BUILTINS[name]
+    assert _cover_equals_the_per_depth_loop(model, scale * default_epsilon(model))
+
+
+# -- step-counted box counts ------------------------------------------------------
+
+
+def unique_box_count(points, scale):
+    """Distinct cell keys by `np.unique`, factor by factor."""
+    extent = int(np.ceil(1.0 / scale)) + 2
+    count = 1
+    for factor in points.factors if isinstance(points, ProductCloud) else (points,):
+        pts = np.asarray(factor, dtype=float)
+        if pts.size == 0:
+            return 0
+        cells = np.floor(pts / scale).astype(np.int64)
+        key = cells[:, 0].copy()
+        for ax in range(1, cells.shape[1]):
+            key = key * extent + cells[:, ax]
+        count *= int(np.unique(key).size)
+    return count
+
+
+@st.composite
+def line_values(draw):
+    """Values on [0, 1] at a box scale: cell edges, their float neighbours, duplicates."""
+    scale = draw(st.sampled_from([0.5, 0.25, 1 / 3, 2.0**-10, 3.0**-7]) | _floats(1e-4, 1.0))
+    cells = int(np.ceil(1.0 / scale))
+    edges = [i * scale for i in draw(st.lists(st.integers(0, cells), max_size=20))]
+    near = np.nextafter(edges, draw(st.sampled_from([-np.inf, np.inf]))).tolist()
+    values = edges + near + draw(st.lists(_floats(0.0, 1.0), max_size=30))
+    values += draw(st.lists(st.sampled_from(values), max_size=10)) if values else []
+    order = draw(st.sampled_from(["sorted", "descending", "shuffled"]))
+    values = np.clip(np.array(values, dtype=float), 0.0, 1.0)
+    if order == "shuffled":
+        values = np.random.default_rng(draw(st.integers(0, 1000))).permutation(values)
+    else:
+        values = np.sort(values)[:: 1 if order == "sorted" else -1]
+    return values, scale
+
+
+@PROPERTY_SETTINGS
+@given(line=line_values(), other=line_values())
+def test_step_counted_box_count_equals_the_unique_count(line, other):
+    (x, scale), (y, _) = line, other
+    expected = unique_box_count(x[:, None], scale)
+    assert box_count(x[:, None], scale) == expected
+    assert box_count(x, scale) == expected
+    cloud = ProductCloud((x[:, None], y[:, None]), ((0,), (1,)))
+    assert box_count(cloud, scale) == unique_box_count(cloud, scale)
+    if len(x) and len(y):
+        assert box_count(np.asarray(cloud), scale) == unique_box_count(np.asarray(cloud), scale)
+
+
+# -- one-dimensional expansion rate ----------------------------------------------
+
+
+def enumerated_rate(model: ModelSystem, k_max: int) -> np.ndarray:
+    """per_k from the largest singular value of every admissible word's product."""
+    linears = np.stack([b.linear for b in model.branches])
+    prods = linears.copy()
+    last = np.arange(model.nsym, dtype=np.int64)
+    per_k = []
+    for k in range(1, k_max + 1):
+        norms = np.linalg.svd(prods, compute_uv=False)[:, 0]
+        per_k.append(float(np.log(norms.max())) / k)
+        if k == k_max:
+            break
+        rows, last = np.nonzero(model.transition[last])
+        prods = linears[last] @ prods[rows]
+    return np.array(per_k)
+
+
+@st.composite
+def interval_models(draw):
+    """1-D models with signed slopes from 1.01 to 60 and pruned transitions."""
+    m = draw(st.integers(2, 4))
+    slopes = [
+        draw(_floats(1.01, 60.0)) * draw(st.sampled_from([1.0, -1.0])) for _ in range(m)
+    ]
+    width = 1.0 / m
+    branches = [
+        {"symbol": s, "domain": {"lo": [s * width], "hi": [(s + 1) * width]},
+         "linear": [[slope]], "offset": [0.5 - slope * (s + 0.5) * width]}
+        for s, slope in enumerate(slopes)
+    ]
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": branches,
+        "transition": draw(transitions(m)),
+        "unstable_dim": 1,
+    })
+
+
+@PROPERTY_SETTINGS
+@given(model=interval_models() | diagonal_models().filter(lambda m: m.n == 1), k_max=st.integers(1, 9))
+def test_one_dimensional_rate_equals_the_enumeration(model, k_max):
+    assume(model.uniform_linear is None)
+    rate = expansion_rate(model, k_max)
+    expected = enumerated_rate(model, k_max)
+    assert rate.per_k.tobytes() == expected.tobytes()
+    assert rate.value == float(expected.min()) and not rate.exact
