@@ -1,18 +1,21 @@
 """Command-line front end.
 
-Subcommands: pressure, bound, dimension, report.  One JSON document goes
-to stdout (or --out), diagnostics to stderr, CSV side files on request.
-Outputs are byte-identical for identical configuration and seed; files
-are written to a temp name and renamed, so failures leave no partials.
+Subcommands: pressure, bound, dimension, report; each offers only the
+flags it reads (`_COMMANDS`).  One JSON document goes to stdout (or
+--out), diagnostics to stderr, CSV side files on request.  Outputs are
+byte-identical for identical configuration and seed; files are written
+to a temp name and renamed, so failures leave no partials.
 
-Exit codes: 0 success, 2 invalid configuration, 3 enumeration cap
-exceeded, 4 inconclusive classification when a verdict was demanded.
+Exit codes: 0 success, 2 invalid configuration (an unoffered flag or a
+non-positive count or epsilon among them), 3 enumeration cap exceeded,
+4 inconclusive classification when a verdict was demanded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -20,7 +23,7 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -66,25 +69,25 @@ EXIT_INCONCLUSIVE = 4
 
 @dataclass
 class ExperimentConfig:
-    """Echo of everything that determined a run, embedded in each report."""
+    """Echo of everything that determined a run; flags a command lacks echo their defaults."""
 
     command: str
-    model: str | None
-    model_file: str | None
-    potential: str | None
-    method: str | None
-    eps: float | None
-    delta: float | None
-    kmax: int | None
-    grid: int | None
-    depth: int | None
-    scales: str | None
-    set_name: str | None
-    window: str | None
-    sweep: str | None
-    target_dim: float | None
-    seed: int
-    threads: int
+    model: str | None = None
+    model_file: str | None = None
+    potential: str | None = None
+    method: str | None = None
+    eps: float | None = None
+    delta: float | None = None
+    kmax: int | None = None
+    grid: int | None = None
+    depth: int | None = None
+    scales: str | None = None
+    set_name: str | None = None
+    window: str | None = None
+    sweep: str | None = None
+    target_dim: float | None = None
+    seed: int = 0
+    threads: int = 1
 
 
 def _json_default(obj):
@@ -145,10 +148,10 @@ def _csv_cell(value) -> str:
 
 
 def parse_model(args) -> ModelSystem:
-    if getattr(args, "model_file", None):
+    if args.model_file:
         with open(args.model_file) as handle:
             return ModelSystem.from_json(handle.read())
-    spec = getattr(args, "model", None)
+    spec = args.model
     if not spec:
         raise ValueError("need --model or --model-file")
     name, _, params = spec.partition(":")
@@ -159,7 +162,7 @@ def parse_model(args) -> ModelSystem:
             lam_u = parts[0]
             lam_s = parts[1] if len(parts) > 1 else 0.25
             return build_linear_horseshoe(lam_u, lam_s)
-        if getattr(args, "target_dim", None):
+        if args.target_dim:
             return horseshoe_for_target_dimension(args.target_dim)
         raise ValueError("horseshoe needs parameters, e.g. horseshoe:3,0.25, or --target-dim")
     if name == "doubling":
@@ -206,25 +209,9 @@ def parse_window(text: str | None):
 
 
 def make_config(args, command: str) -> ExperimentConfig:
-    return ExperimentConfig(
-        command=command,
-        model=getattr(args, "model", None),
-        model_file=getattr(args, "model_file", None),
-        potential=getattr(args, "potential", None),
-        method=getattr(args, "method", None),
-        eps=getattr(args, "eps", None),
-        delta=getattr(args, "delta", None),
-        kmax=getattr(args, "kmax", None),
-        grid=getattr(args, "grid", None),
-        depth=getattr(args, "depth", None),
-        scales=getattr(args, "scales", None),
-        set_name=getattr(args, "set", None),
-        window=getattr(args, "window", None),
-        sweep=getattr(args, "sweep", None),
-        target_dim=getattr(args, "target_dim", None),
-        seed=args.seed,
-        threads=args.threads,
-    )
+    given = vars(args)
+    echo = {f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
+    return ExperimentConfig(**{**echo, "command": command})
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -241,12 +228,11 @@ def _potential_for(model: ModelSystem, label: str | None) -> Potential:
 def cmd_pressure(args) -> int:
     model = parse_model(args)
     pot = _potential_for(model, args.potential)
-    method = args.method or "spectral"
-    if method == "spectral":
+    if args.method == "spectral":
         estimate = spectral_estimate(model, pot)
-    elif method == "partition":
+    elif args.method == "partition":
         estimate = pressure_from_partition_sums(model, pot, args.kmax or 12, args.delta)
-    elif method == "volume":
+    elif args.method == "volume":
         eps = args.eps if args.eps is not None else default_epsilon(model)
         kmax = args.kmax or 10
         curve = volume_curve(model, eps, kmax, args.grid or 4096, threads=args.threads)
@@ -255,7 +241,7 @@ def cmd_pressure(args) -> int:
             msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {kmax} steps"
             raise GridTooCoarseError(msg + "; raise --grid")
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown method {args.method!r}")
     result = {"pressure": estimate.to_json_dict()}
     verdict = None
     if args.classify:
@@ -329,7 +315,7 @@ def sample_for_set(model: ModelSystem, set_name: str, args):
 
 def cmd_dimension(args) -> int:
     model = parse_model(args)
-    points, scales, meta = sample_for_set(model, args.set or "invariant", args)
+    points, scales, meta = sample_for_set(model, args.set_name, args)
     estimate = measure_box_dimension(points, scales)
     result = {"dimension": estimate.to_json_dict(), "sample": meta}
     if args.csv:
@@ -428,64 +414,78 @@ def cmd_report(args) -> int:
 # -- wiring --------------------------------------------------------------------
 
 
-def _add_common(parser):
-    parser.add_argument("--model", help="built-in model, e.g. horseshoe:3,0.25")
-    parser.add_argument("--model-file", help="JSON model file")
-    parser.add_argument("--seed", type=int, default=0, help="seed of the stable-set sampler")
-    parser.add_argument("--threads", type=int, default=1, help="grid worker threads")
-    parser.add_argument("--out", help="write the JSON document here instead of stdout")
-    parser.add_argument("--csv", help="write the raw curve as CSV here")
-    parser.add_argument("--eps", type=float, help="tracking distance epsilon")
-    parser.add_argument("--kmax", type=int, help="iteration depth for growth fits")
-    parser.add_argument("--grid", type=int, help="grid resolution per axis")
-    parser.add_argument("--depth", type=int, help="symbolic depth for point samples")
-    parser.add_argument("--scales", help="box-count scales, e.g. 3^-2..3^-9")
-    parser.add_argument("--target-dim", type=float, dest="target_dim",
-                        help="synthesize a horseshoe with this stable-set dimension")
+def _positive(kind):
+    """An argparse type: a `kind` value above 0, so an int is at least 1."""
+
+    def parse(text: str):
+        try:
+            if (value := kind(text)) > 0:
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected a positive {kind.__name__}, got {text!r}")
+
+    return parse
 
 
+# every flag once, in help order; a subcommand offers the ones it reads
+_FLAGS = {
+    "--model": dict(help="built-in model, e.g. horseshoe:3,0.25"),
+    "--model-file": dict(help="JSON model file"),
+    "--seed": dict(type=int, default=ExperimentConfig.seed, help="seed of the stable-set sampler"),
+    "--threads": dict(type=_positive(int), default=ExperimentConfig.threads, help="grid worker threads"),
+    "--out": dict(help="write the JSON document here instead of stdout"),
+    "--csv": dict(help="write the raw curve as CSV here"),
+    "--eps": dict(type=_positive(float), help="tracking distance epsilon"),
+    "--kmax": dict(type=_positive(int), help="iteration depth for growth fits"),
+    "--grid": dict(type=_positive(int), help="grid resolution per axis"),
+    "--depth": dict(type=_positive(int), help="symbolic depth for point samples"),
+    "--scales": dict(help="box-count scales, e.g. 3^-2..3^-9"),
+    "--target-dim": dict(type=float, help="synthesize a horseshoe with this stable-set dimension"),
+    "--potential": dict(choices=["phi_u", "phi_s", "phi", "zero"]),
+    "--method": dict(choices=["spectral", "partition", "volume"], default="spectral"),
+    "--delta": dict(type=float, help="separation scale for partition sums"),
+    "--window": dict(help="fit window lo:hi for the volume method"),
+    "--classify": dict(action="store_true", help="demand an attractor verdict (exit 4 if inconclusive)"),
+    "--check-srb": dict(action="store_true", help="also run the equivalence chain checks"),
+    "--set": dict(choices=["invariant", "repeller", "stable"], default="invariant", dest="set_name"),
+    "--sweep": dict(help="parameter sweep, e.g. lambda_u=2.2:4.0:0.2"),
+    "--plot-data": dict(action="store_true", help="emit plot-ready (x, y) CSV columns"),
+    "--out-dir": dict(help="directory for CSV and text outputs"),
+}
+# each subcommand: handler, help, and the flags it reads besides the four all read
+_COMMANDS = {
+    "pressure": (cmd_pressure, "estimate topological pressure",
+                 "--potential --method --kmax --delta --eps --grid --threads --window --classify --csv"),
+    "bound": (cmd_bound, "dimension bound n + P/s with classification", "--kmax --check-srb"),
+    "dimension": (cmd_dimension, "box-dimension estimate of a model set",
+                  "--set --eps --grid --depth --scales --seed --csv"),
+    "report": (cmd_report, "bound + dimension + classification in one document",
+               "--sweep --kmax --eps --grid --depth --scales --seed --plot-data --out-dir"),
+}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The hypdim parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="hypdim",
         description="Pressure, expansion rates and dimension bounds for affine hyperbolic models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("pressure", help="estimate topological pressure")
-    _add_common(p)
-    p.add_argument("--potential", choices=["phi_u", "phi_s", "phi", "zero"])
-    p.add_argument("--method", choices=["spectral", "partition", "volume"], default="spectral")
-    p.add_argument("--delta", type=float, help="separation scale for partition sums")
-    p.add_argument("--window", help="fit window lo:hi for the volume method")
-    p.add_argument("--classify", action="store_true",
-                   help="demand an attractor verdict (exit 4 if inconclusive)")
-    p.set_defaults(func=cmd_pressure)
-
-    p = sub.add_parser("bound", help="dimension bound n + P/s with classification")
-    _add_common(p)
-    p.add_argument("--check-srb", action="store_true", dest="check_srb",
-                   help="also run the equivalence chain checks")
-    p.set_defaults(func=cmd_bound)
-
-    p = sub.add_parser("dimension", help="box-dimension estimate of a model set")
-    _add_common(p)
-    p.add_argument("--set", choices=["invariant", "repeller", "stable"], default="invariant")
-    p.set_defaults(func=cmd_dimension)
-
-    p = sub.add_parser("report", help="bound + dimension + classification in one document")
-    _add_common(p)
-    p.add_argument("--sweep", help="parameter sweep, e.g. lambda_u=2.2:4.0:0.2")
-    p.add_argument("--plot-data", action="store_true", dest="plot_data",
-                   help="emit plot-ready (x, y) CSV columns")
-    p.add_argument("--out-dir", dest="out_dir", help="directory for CSV and text outputs")
-    p.set_defaults(func=cmd_report)
+    for name, (func, help_text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        reads = {"--model", "--model-file", "--target-dim", "--out", *flags.split()}
+        for flag, spec in _FLAGS.items():
+            if flag in reads:
+                p.add_argument(flag, **spec)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:

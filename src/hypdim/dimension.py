@@ -427,7 +427,7 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256):
     of the cylinder centers on the varying axes with the centers of the
     depth-k word images of the unit cube on the whole axes.  Any other
     model (the invariant set fills the space, or its branches couple
-    the two groups) falls back to a regular grid at `resolution`.
+    the two groups) gets the `resolution` grid as a per-axis `ProductCloud`.
     """
     if model.kind == "expanding":
         rects = _levels_through(model, depth)[1]
@@ -435,9 +435,8 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256):
     words, rects = cylinders(model, depth)
     varying, factors = factored_axes(model, rects)
     if not factors:
-        axis = _grid_axis(resolution)
-        mesh = np.meshgrid(*([axis] * model.n), indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1)
+        axis = _grid_axis(resolution)[:, None]
+        return ProductCloud((axis,) * model.n, tuple((i,) for i in range(model.n)))
     # forward cylinders pin the varying axes; word images pin the whole ones
     whole = np.setdiff1d(np.arange(model.n), varying)
     linears = np.stack([b.linear[np.ix_(whole, whole)] for b in model.branches])

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from hypdim import cli
 from hypdim.cli import emit_document, main, make_config, parse_scales
 from hypdim.models import build_linear_horseshoe
 from hypdim.pressure import cover_distance
@@ -374,12 +375,129 @@ class TestDeterminism:
         assert one_doc["result"] == four_doc["result"]
 
     def test_provenance_fields_present(self, capsys):
-        doc = run_json(capsys, ["bound", "--model", "doubling:2", "--seed", "42"])
+        doc = run_json(capsys, ["dimension", "--model", "doubling:2", "--seed", "42"])
         assert doc["version"]
         assert doc["config"]["seed"] == 42
         assert doc["config"]["model"] == "doubling:2"
         assert doc["caps"]["word_cap"] == 1 << 24
         assert "classification_exact" in doc["tolerances"]
+
+
+SHARED = {"--model", "--model-file", "--target-dim", "--out"}
+OFFERED = {
+    "pressure": SHARED | {"--potential", "--method", "--kmax", "--delta", "--eps", "--grid",
+                          "--threads", "--window", "--classify", "--csv"},
+    "bound": SHARED | {"--kmax", "--check-srb"},
+    "dimension": SHARED | {"--set", "--eps", "--grid", "--depth", "--scales", "--seed", "--csv"},
+    "report": SHARED | {"--sweep", "--kmax", "--eps", "--grid", "--depth", "--scales", "--seed",
+                        "--plot-data", "--out-dir"},
+}
+BASE = {
+    "pressure": ["pressure", "--model", "horseshoe:3,0.25"],
+    "bound": ["bound", "--model", "horseshoe:3,0.25"],
+    "dimension": ["dimension", "--model", "cantor:3,02"],
+    "report": ["report", "--model", "horseshoe:3,0.25", "--depth", "4"],
+}
+UNSET_ECHO = dict.fromkeys(
+    ["model_file", "potential", "method", "eps", "delta", "kmax", "grid", "depth", "scales",
+     "set_name", "window", "sweep", "target_dim"]
+)
+
+
+class TestFlags:
+    def test_each_subcommand_offers_the_flags_it_reads(self):
+        subparsers = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        offered = {
+            name: {s for a in p._actions for s in a.option_strings} - {"-h", "--help"}
+            for name, p in subparsers.choices.items()
+        }
+        assert offered == OFFERED
+        assert sum(len(flags) for flags in offered.values()) == 44
+
+    @pytest.mark.parametrize(
+        "command, flag, value",
+        [
+            ("pressure", "--seed", "3"),
+            ("pressure", "--depth", "6"),
+            ("pressure", "--scales", "2^-2..2^-9"),
+            ("bound", "--seed", "3"),
+            ("bound", "--threads", "2"),
+            ("bound", "--csv", "CSV"),
+            ("bound", "--eps", "0.1"),
+            ("bound", "--grid", "7"),
+            ("bound", "--depth", "6"),
+            ("bound", "--scales", "2^-2..2^-9"),
+            ("dimension", "--threads", "2"),
+            ("dimension", "--kmax", "8"),
+            ("report", "--threads", "2"),
+            ("report", "--csv", "CSV"),
+        ],
+    )
+    def test_a_flag_the_subcommand_ignores_exits_2(self, capsys, tmp_path, command, flag, value):
+        csv_path = tmp_path / "x.csv"
+        argv = [*BASE[command], flag, str(csv_path) if value == "CSV" else value]
+        code, out, err = run(capsys, argv + (["--out-dir", str(tmp_path)] if command == "report" else []))
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments" in err and flag in err
+        assert not csv_path.exists()
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["pressure", "--model", "horseshoe:3,0.25", "--method", "volume", "--grid", "0"], "--grid"),
+            (["pressure", "--model", "horseshoe:3,0.25", "--method", "volume", "--grid", "-8"], "--grid"),
+            (["dimension", "--model", "cantor:3,02", "--grid", "2.5"], "--grid"),
+            (["pressure", "--model", "horseshoe:3,0.25", "--method", "partition", "--kmax", "0"], "--kmax"),
+            (["bound", "--model", "horseshoe:3,0.25", "--kmax", "-1"], "--kmax"),
+            (["dimension", "--model", "cantor:3,02", "--depth", "0"], "--depth"),
+            (["pressure", "--model", "cantor:3,02", "--method", "volume", "--threads", "0"], "--threads"),
+            (["pressure", "--model", "cantor:3,02", "--method", "volume", "--eps", "0"], "--eps"),
+            (["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--eps", "-0.1"], "--eps"),
+            (["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--eps", "nan"], "--eps"),
+        ],
+    )
+    def test_bad_counts_and_epsilons_exit_2(self, capsys, argv, flag):
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert flag in err
+
+    @pytest.mark.parametrize(
+        "argv, echo",
+        [
+            (["pressure", "--model", "horseshoe:3,0.25", "--method", "partition", "--kmax", "12"],
+             {"method": "partition", "kmax": 12}),
+            (["bound", "--model", "horseshoe:3,0.25", "--kmax", "6"], {"kmax": 6}),
+            (["dimension", "--model", "cantor:3,02", "--scales", "3^-2..3^-9", "--seed", "5"],
+             {"scales": "3^-2..3^-9", "seed": 5, "set_name": "invariant"}),
+            (["report", "--model", "horseshoe:3,0.25", "--depth", "4"], {"depth": 4}),
+        ],
+    )
+    def test_config_echo(self, capsys, tmp_path, argv, echo):
+        # flags a subcommand does not offer echo their defaults: seed 0, threads 1
+        extra = ["--out-dir", str(tmp_path)] if argv[0] == "report" else []
+        doc = run_json(capsys, argv + extra)
+        expected = {**UNSET_ECHO, "command": argv[0], "model": argv[2], "seed": 0, "threads": 1, **echo}
+        assert doc["config"] == expected
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        built, init = [], argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.prog)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli.build_parser.cache_clear()
+        try:
+            for _ in range(2):
+                run_json(capsys, ["bound", "--model", "horseshoe:3,0.25"])
+        finally:
+            cli.build_parser.cache_clear()
+        assert built.count("hypdim") == 1
 
 
 class TestScaleGrammar:

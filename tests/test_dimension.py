@@ -461,15 +461,19 @@ class TestFactoredInvariantSample:
         assert len(cloud) == 2**24
 
     def test_coupled_and_space_filling_models_materialize(self):
-        # x' = 3x + 0.1y couples the axes, so the sample falls back to the grid
+        # x' = 3x + 0.1y couples the axes, so the sample falls back to the grid,
+        # which is a product of one grid axis per coordinate
         m = build_linear_horseshoe(3.0, 0.25)
         shear = [[3.0, 0.1], [0.0, 0.25]]
         sheared = dataclasses.replace(
             m, branches=tuple(dataclasses.replace(b, linear=shear) for b in m.branches)
         )
+        axis = (np.arange(64) + 0.5) / 64
+        grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         for model in (sheared, build_cat_map()):
             sample = invariant_set_sample(model, depth=3, resolution=64)
-            assert isinstance(sample, np.ndarray) and sample.shape == (64 * 64, 2)
+            assert isinstance(sample, ProductCloud) and sample.axes == ((0,), (1,))
+            assert np.array_equal(np.asarray(sample), grid)
 
 
 def asymmetric_repeller():
