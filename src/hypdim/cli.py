@@ -6,9 +6,10 @@ flags it reads (`_COMMANDS`).  One JSON document goes to stdout (or
 byte-identical for identical configuration and seed; files are written
 to a temp name and renamed, so failures leave no partials.
 
-Exit codes: 0 success, 2 invalid configuration (an unoffered flag or a
-non-positive count or epsilon among them), 3 enumeration cap exceeded,
-4 inconclusive classification when a verdict was demanded.
+Exit codes: 0 success, 2 invalid configuration (an unoffered flag, a
+`pressure` flag its --method never reads, or a non-positive count,
+epsilon or delta among them), 3 enumeration cap exceeded, 4
+inconclusive classification when a verdict was demanded.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def parse_window(text: str | None):
 
 def make_config(args, command: str) -> ExperimentConfig:
     given = vars(args)
-    echo = {f.name: given[f.name] for f in fields(ExperimentConfig) if f.name in given}
+    echo = {f.name: given[f.name] for f in fields(ExperimentConfig) if given.get(f.name) is not None}
     return ExperimentConfig(**{**echo, "command": command})
 
 
@@ -225,7 +226,19 @@ def _potential_for(model: ModelSystem, label: str | None) -> Potential:
     return potential(model, label)
 
 
+# the flags of `pressure` that only some --method reads, per method
+_METHOD_FLAGS = {
+    "spectral": {"--potential"},
+    "partition": {"--potential", "--kmax", "--delta", "--csv"},
+    "volume": {"--kmax", "--eps", "--grid", "--threads", "--window", "--csv"},
+}
+
+
 def cmd_pressure(args) -> int:
+    others = set().union(*_METHOD_FLAGS.values()) - _METHOD_FLAGS[args.method]
+    unread = [f for f in _FLAGS if f in others and getattr(args, f[2:]) is not None]
+    if unread:
+        raise ValueError(f"--method {args.method} does not read {', '.join(unread)}")
     model = parse_model(args)
     pot = _potential_for(model, args.potential)
     if args.method == "spectral":
@@ -235,7 +248,7 @@ def cmd_pressure(args) -> int:
     elif args.method == "volume":
         eps = args.eps if args.eps is not None else default_epsilon(model)
         kmax = args.kmax or 10
-        curve = volume_curve(model, eps, kmax, args.grid or 4096, threads=args.threads)
+        curve = volume_curve(model, eps, kmax, args.grid or 4096, threads=args.threads or 1)
         estimate = pressure_from_volume_growth(curve, parse_window(args.window) or (1, kmax))
         if estimate.value == -math.inf:
             msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {kmax} steps"
@@ -433,7 +446,7 @@ _FLAGS = {
     "--model": dict(help="built-in model, e.g. horseshoe:3,0.25"),
     "--model-file": dict(help="JSON model file"),
     "--seed": dict(type=int, default=ExperimentConfig.seed, help="seed of the stable-set sampler"),
-    "--threads": dict(type=_positive(int), default=ExperimentConfig.threads, help="grid worker threads"),
+    "--threads": dict(type=_positive(int), help="grid worker threads"),
     "--out": dict(help="write the JSON document here instead of stdout"),
     "--csv": dict(help="write the raw curve as CSV here"),
     "--eps": dict(type=_positive(float), help="tracking distance epsilon"),
@@ -444,7 +457,7 @@ _FLAGS = {
     "--target-dim": dict(type=float, help="synthesize a horseshoe with this stable-set dimension"),
     "--potential": dict(choices=["phi_u", "phi_s", "phi", "zero"]),
     "--method": dict(choices=["spectral", "partition", "volume"], default="spectral"),
-    "--delta": dict(type=float, help="separation scale for partition sums"),
+    "--delta": dict(type=_positive(float), help="separation scale for partition sums"),
     "--window": dict(help="fit window lo:hi for the volume method"),
     "--classify": dict(action="store_true", help="demand an attractor verdict (exit 4 if inconclusive)"),
     "--check-srb": dict(action="store_true", help="also run the equivalence chain checks"),

@@ -22,13 +22,7 @@ from .errors import (
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
 from .pressure import PressureEstimate, ProductCloud, _grid_axis, factored_axes, spectral_estimate
-from .symbolic import (
-    _check_cap,
-    _levels_through,
-    cylinders,
-    equilibrium_markov_chain,
-    markov_measure_stats,
-)
+from .symbolic import _check_cap, _levels_through, cylinders, equilibrium_state
 
 CLASSIFY_TOL_EXACT = 1e-9
 CLASSIFY_TOL_ESTIMATOR = 0.02
@@ -215,7 +209,7 @@ def measure_box_dimension(points: np.ndarray, scales) -> DimensionEstimate:
 
 
 def minkowski_content_curve(
-    points: np.ndarray, t: float, rho_schedule, grid_resolution: int = 512
+    points, t: float, rho_schedule, grid_resolution: int = 512
 ) -> np.ndarray:
     """Normalized neighborhood volumes vol(A_rho) / (2 rho)^(n-t).
 
@@ -223,27 +217,46 @@ def minkowski_content_curve(
     centers within Euclidean distance rho of the cloud.  If the ratios
     tend to zero the upper Minkowski content at exponent t vanishes, so
     t bounds the upper box dimension.  Returns an array of (rho, ratio)
-    rows following the schedule.
+    rows following the schedule.  A `ProductCloud` of one-column
+    factors is never materialized: the nearest point of a product is
+    the nearest value of each factor (one `searchsorted` per axis), and
+    the squared distances add up in axis order, as the k-d tree that
+    every other cloud queries adds them (bit for bit in up to 3 axes).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.size == 0:
+    columns = isinstance(points, ProductCloud) and all(f.shape[1] == 1 for f in points.factors)
+    if columns:
+        n, empty = len(points.axes), len(points) == 0
+    else:
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        n, empty = pts.shape[1], pts.size == 0
+    if empty:
         raise ValueError("point cloud is empty")
     rhos = np.asarray(list(rho_schedule), dtype=float)
     if rhos.size == 0 or np.any(np.diff(rhos) >= 0):
         raise ValueError("rho schedule must be strictly decreasing")
-    n = pts.shape[1]
     cell = 1.0 / grid_resolution
     if cell > rhos.min() / 4.0:
         raise GridTooCoarseError("grid cell exceeds a quarter of the smallest rho")
     if grid_resolution**n > (1 << 26):
         raise GridTooCoarseError("grid too large for the ambient dimension")
     axis = _grid_axis(grid_resolution)
-    mesh = np.meshgrid(*([axis] * n), indexing="ij")
-    centers = np.stack([m.ravel() for m in mesh], axis=1)
-    from scipy.spatial import cKDTree  # deferred: the import costs more than most commands
+    if columns:
+        square = [None] * n
+        for factor, (ax,) in zip(points.factors, points.axes):
+            values = np.sort(np.asarray(factor, dtype=float)[:, 0])
+            above = np.minimum(np.searchsorted(values, axis), len(values) - 1)
+            below = np.maximum(above - 1, 0)
+            square[ax] = np.minimum(np.square(axis - values[below]), np.square(axis - values[above]))
+        total = square[0]
+        for part in square[1:]:
+            total = np.add.outer(total, part)
+        dist = np.sqrt(total)
+    else:
+        mesh = np.meshgrid(*([axis] * n), indexing="ij")
+        centers = np.stack([m.ravel() for m in mesh], axis=1)
+        from scipy.spatial import cKDTree  # deferred: the import costs more than most commands
 
-    tree = cKDTree(pts)
-    dist, _ = tree.query(centers)
+        dist, _ = cKDTree(pts).query(centers)
     cellvol = cell**n
     out = np.empty((rhos.size, 2))
     for i, rho in enumerate(rhos):
@@ -345,13 +358,20 @@ def bound_report(
     positive exponents (the SRB signature).  For expanding maps the same
     chain runs with phi = -log|det Df| and the repeller reading.  When
     P < 0 the report carries the strict entropy inequality instead.
+    The checks read the pressure off the same Perron solve as the
+    equilibrium chain (`equilibrium_state`), so each Perron problem is
+    solved once.
     """
     pot = potential(model, "phi_u" if model.kind == "diffeo" else "phi")
-    pest = spectral_estimate(model, pot)
+    if check_equivalences:
+        pressure, stats = equilibrium_state(model, pot)
+        pest = PressureEstimate(pressure, "spectral", extras={"potential": pot.label})
+    else:
+        pest = spectral_estimate(model, pot)
     rate = expansion_rate(model, k_max)
     bound = dimension_bound(model.n, pest.value, rate.value, tolerance)
     cls = classify(pest, tolerance)
-    checks = _equivalence_checks(model, pot, pest, bound, cls, tolerance) if check_equivalences else ()
+    checks = _equivalence_checks(model, stats, pest, bound, cls, tolerance) if check_equivalences else ()
     return BoundReport(
         n=model.n,
         expansion=rate,
@@ -363,9 +383,7 @@ def bound_report(
     )
 
 
-def _equivalence_checks(model, pot, pest, bound, cls, tolerance):
-    q, _ = equilibrium_markov_chain(model, pot)
-    stats = markov_measure_stats(model, pot, q)
+def _equivalence_checks(model, stats, pest, bound, cls, tolerance):
     positive = stats.positive_exponent_sum
     p_zero = abs(pest.value) <= tolerance
     bound_full = abs(bound - model.n) <= tolerance

@@ -127,12 +127,16 @@ def cylinder_levels(model: ModelSystem):
     depth-j words whose first symbol s may precede, pulls their
     rectangles back through s's branch inverse and cuts them to s's
     domain, so building depth k costs about as much as its last level.
+    The rows are gathered with `take` (symbol by symbol, each over the
+    level in order, gives the lexicographic order), and a level is
+    compacted only when some word has lost its mass.
     A word's rectangle is bit for bit the one that pulling back from
     its last symbol's domain through each earlier symbol gives: that
     loop's value after the tail is the tail's rectangle, and the level
-    applies the same float operations to it once more.  The pullback is the bounding box of the preimage: exact for
-    diagonal linear parts, otherwise an interval-arithmetic overestimate
-    that keeps cylinder covers supersets of the invariant set.  Words
+    applies the same float operations to it once more.  The pullback
+    is the bounding box of the preimage: exact for diagonal linear
+    parts, otherwise an interval-arithmetic overestimate that keeps
+    cylinder covers supersets of the invariant set.  Words
     whose rectangle empties have no geometric mass and are dropped, with
     every word that extends them; a level may come out empty.  The axes
     the model leaves whole (`ModelSystem.whole_axes`) keep the first
@@ -146,22 +150,29 @@ def cylinder_levels(model: ModelSystem):
     offsets = np.stack([b.offset for b in branches])
     dom_lo = np.stack([b.lo for b in branches])
     dom_hi = np.stack([b.hi for b in branches])
-    whole = model.whole_axes
+    whole = np.flatnonzero(model.whole_axes)
     precedes = _as_transition(model)
-    first, parent, lo, hi = np.arange(model.nsym), None, dom_lo, dom_hi
+    symbols = np.arange(model.nsym)
+    first, parent, lo, hi = symbols, None, dom_lo, dom_hi
     while True:
         yield first, parent, lo, hi
-        first, parent = np.nonzero(precedes[:, first])  # row-major: lexicographic
-        inv = inverses[first]
-        shifted_lo = (lo[parent] - offsets[first])[:, None, :]
-        shifted_hi = (hi[parent] - offsets[first])[:, None, :]
+        tails = [np.flatnonzero(row.take(first)) for row in precedes]
+        first = np.repeat(symbols, [len(t) for t in tails])
+        parent = np.concatenate(tails)
+        inv, offset = inverses.take(first, axis=0), offsets.take(first, axis=0)
+        shifted_lo = (lo.take(parent, axis=0) - offset)[:, None, :]
+        shifted_hi = (hi.take(parent, axis=0) - offset)[:, None, :]
         low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=2)
         high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=2)
         low[:, whole], high[:, whole] = -np.inf, np.inf
-        lo = np.maximum(low, dom_lo[first])
-        hi = np.minimum(high, dom_hi[first])
+        lo = np.maximum(low, dom_lo.take(first, axis=0))
+        hi = np.minimum(high, dom_hi.take(first, axis=0))
         keep = ~np.any(lo > hi + 1e-15, axis=1)
-        first, parent, lo, hi = first[keep], parent[keep], lo[keep], np.maximum(hi, lo)[keep]
+        hi = np.maximum(hi, lo)
+        if not keep.all():  # some word lost its mass
+            kept = np.flatnonzero(keep)
+            first, parent = first.take(kept), parent.take(kept)
+            lo, hi = lo.take(kept, axis=0), hi.take(kept, axis=0)
 
 
 def _levels_through(model: ModelSystem, k: int):
@@ -189,8 +200,8 @@ def cylinders(model: ModelSystem, k: int):
     links, rects = _levels_through(model, k)
     row, columns = np.arange(len(rects)), []
     for first, parent in reversed(links[1:]):
-        columns.append(first[row])
-        row = parent[row]
+        columns.append(first.take(row))
+        row = parent.take(row)
     return np.stack(columns + [row], axis=1), rects
 
 
@@ -271,19 +282,18 @@ def perron_root(matrix, tol: float = SPECTRAL_TOL, max_iter: int = SPECTRAL_MAX_
     """
     m = np.asarray(matrix, dtype=float)
     v = np.ones(m.shape[0])
-    lo, hi = 0.0, math.inf
-    for _ in range(max_iter):
-        w = m @ v
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            w = m @ v
             ratios = np.where(v > 0, w / v, math.inf)
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if math.isfinite(hi) and hi - lo <= tol * hi:
-            root = 0.5 * (lo + hi)
-            return root, w / np.linalg.norm(w)
-        peak = w.max()
-        if peak <= 0:
-            raise NotMixingError("matrix is not primitive (iteration collapsed)")
-        v = w / peak
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if math.isfinite(hi) and hi - lo <= tol * hi:
+                root = 0.5 * (lo + hi)
+                return root, w / np.linalg.norm(w)
+            peak = w.max()
+            if peak <= 0:
+                raise NotMixingError("matrix is not primitive (iteration collapsed)")
+            v = w / peak
     raise NotMixingError(f"power iteration did not converge within {max_iter} steps")
 
 
@@ -330,6 +340,14 @@ def stationary_distribution(stochastic: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
+def _gibbs_chain(model: ModelSystem, pot: Potential):
+    """(rho, Q): the Perron root of A diag(e^phi) and the Gibbs chain of its vector."""
+    weighted, rho, v = _perron_data(model, pot)
+    v = np.abs(v)
+    q = weighted * v[None, :] / (rho * v[:, None])
+    return rho, q / q.sum(axis=1, keepdims=True)  # scrub rounding
+
+
 def equilibrium_markov_chain(model: ModelSystem, pot: Potential):
     """Gibbs Markov chain of a locally constant potential.
 
@@ -338,11 +356,20 @@ def equilibrium_markov_chain(model: ModelSystem, pot: Potential):
     equals the pressure.  For constant potentials this is the
     maximal-entropy (Parry) chain.  Returns (Q, pi).
     """
-    weighted, rho, v = _perron_data(model, pot)
-    v = np.abs(v)
-    q = weighted * v[None, :] / (rho * v[:, None])
-    q = q / q.sum(axis=1, keepdims=True)  # scrub rounding
+    q = _gibbs_chain(model, pot)[1]
     return q, stationary_distribution(q)
+
+
+def equilibrium_state(model: ModelSystem, pot: Potential):
+    """(pressure, stats): `pressure_spectral` and `markov_measure_stats` of the Gibbs chain.
+
+    Solves each Perron problem once: the weighted matrix for the
+    pressure and the chain, the chain for its stationary vector.  Both
+    values are bit for bit the ones that `pressure_spectral`,
+    `equilibrium_markov_chain` and `markov_measure_stats` give.
+    """
+    rho, q = _gibbs_chain(model, pot)
+    return float(np.log(rho)), _chain_stats(model, pot, q, stationary_distribution(q))
 
 
 def _group_exponents(values: np.ndarray, tol: float = 1e-9):
@@ -353,6 +380,24 @@ def _group_exponents(values: np.ndarray, tol: float = 1e-9):
         else:
             pairs.append([lam, 1])
     return tuple((float(lam), int(mult)) for lam, mult in pairs)
+
+
+def _measure_stats(model: ModelSystem, pot: Potential, pi: np.ndarray, entropy: float):
+    log_sv = np.stack(
+        [np.log(np.linalg.svd(b.linear, compute_uv=False)) for b in model.branches]
+    )
+    exponents = _group_exponents(pi @ log_sv)
+    integral = float(pi @ np.asarray(pot.values))
+    return MarkovMeasureStats(
+        entropy=entropy, exponents=exponents, potential_integral=integral
+    )
+
+
+def _chain_stats(model: ModelSystem, pot: Potential, q: np.ndarray, pi: np.ndarray):
+    """Statistics of the stationary chain `q` with stationary vector `pi`."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(q > 0, q * np.log(np.where(q > 0, q, 1.0)), 0.0)
+    return _measure_stats(model, pot, pi, -float((pi[:, None] * terms).sum()))
 
 
 def markov_measure_stats(model: ModelSystem, pot: Potential, probabilities) -> MarkovMeasureStats:
@@ -375,31 +420,17 @@ def markov_measure_stats(model: ModelSystem, pot: Potential, probabilities) -> M
             raise IncompatibleStochasticsError(
                 "product measure support must be a full shift under the transition matrix"
             )
-        pi = p
         terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-        entropy = -float(terms.sum())
-    elif p.ndim == 2:
+        return _measure_stats(model, pot, p, -float(terms.sum()))
+    if p.ndim == 2:
         if p.shape != (model.nsym, model.nsym):
             raise IncompatibleStochasticsError("stochastic matrix shape must match symbols")
         if np.any(p < -1e-12) or np.any(np.abs(p.sum(axis=1) - 1.0) > 1e-9):
             raise IncompatibleStochasticsError("rows must be probability vectors")
         if np.any((p > 1e-15) & (a == 0)):
             raise IncompatibleStochasticsError("positive transitions must be admissible")
-        pi = stationary_distribution(p)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            terms = np.where(p > 0, p * np.log(np.where(p > 0, p, 1.0)), 0.0)
-        entropy = -float((pi[:, None] * terms).sum())
-    else:
-        raise IncompatibleStochasticsError("probabilities must be a vector or a matrix")
-
-    log_sv = np.stack(
-        [np.log(np.linalg.svd(b.linear, compute_uv=False)) for b in model.branches]
-    )
-    exponents = _group_exponents(pi @ log_sv)
-    integral = float(pi @ np.asarray(pot.values))
-    return MarkovMeasureStats(
-        entropy=entropy, exponents=exponents, potential_integral=integral
-    )
+        return _chain_stats(model, pot, p, stationary_distribution(p))
+    raise IncompatibleStochasticsError("probabilities must be a vector or a matrix")
 
 
 # -- iterated (power) models -------------------------------------------------

@@ -457,6 +457,8 @@ class TestFlags:
             (["pressure", "--model", "cantor:3,02", "--method", "volume", "--eps", "0"], "--eps"),
             (["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--eps", "-0.1"], "--eps"),
             (["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--eps", "nan"], "--eps"),
+            (["pressure", "--model", "horseshoe:3,0.25", "--method", "partition", "--delta", "0"], "--delta"),
+            (["pressure", "--model", "horseshoe:3,0.25", "--method", "partition", "--delta", "-1"], "--delta"),
         ],
     )
     def test_bad_counts_and_epsilons_exit_2(self, capsys, argv, flag):
@@ -464,6 +466,41 @@ class TestFlags:
         assert code == 2
         assert out == ""
         assert flag in err
+
+    @pytest.mark.parametrize(
+        "method, flag, value",
+        [
+            ("spectral", "--delta", "0.1"),
+            ("volume", "--delta", "0.1"),
+            *[(method, flag, value) for method in ("spectral", "partition")
+              for flag, value in [("--eps", "0.1"), ("--grid", "64"), ("--threads", "1"),
+                                  ("--window", "1:3")]],
+            ("spectral", "--kmax", "8"),
+            ("spectral", "--csv", "CSV"),
+            ("volume", "--potential", "phi_u"),
+        ],
+    )
+    def test_a_flag_the_method_never_reads_exits_2(self, capsys, tmp_path, method, flag, value):
+        csv_path = tmp_path / "x.csv"
+        argv = [*BASE["pressure"], "--method", method, flag, str(csv_path) if value == "CSV" else value]
+        code, out, err = run(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert f"--method {method} does not read {flag}" in err
+        assert not csv_path.exists()
+
+    def test_each_method_accepts_the_flags_it_reads(self, capsys, tmp_path):
+        for method, flags in cli._METHOD_FLAGS.items():
+            values = {"--potential": "phi_u", "--kmax": "6", "--delta": "0.05", "--eps": "0.1",
+                      "--grid": "64", "--threads": "2", "--window": "1:6",
+                      "--csv": str(tmp_path / f"{method}.csv")}
+            argv = [*BASE["pressure"], "--method", method]
+            for flag in sorted(flags):
+                argv += [flag, values[flag]]
+            config = run_json(capsys, argv)["config"]
+            for flag in flags - {"--csv"}:
+                assert str(config[flag[2:]]) == values[flag]
+            assert ("--csv" in flags) == (tmp_path / f"{method}.csv").exists()
 
     @pytest.mark.parametrize(
         "argv, echo",

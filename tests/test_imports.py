@@ -13,6 +13,10 @@ import hypdim, hypdim.cli
 print(sorted(k for k in sys.modules if k.split(".")[0] == "scipy"))
 import numpy as np
 from hypdim.dimension import minkowski_content_curve
+from hypdim.pressure import ProductCloud
+column = np.array([[0.5]])
+minkowski_content_curve(ProductCloud((column, column), ((0,), (1,))), 1.0, [0.1, 0.05], grid_resolution=128)
+print("scipy.spatial" in sys.modules)
 minkowski_content_curve(np.array([[0.5, 0.5]]), 1.0, [0.1, 0.05], grid_resolution=128)
 print("scipy.spatial" in sys.modules)
 """
@@ -24,4 +28,5 @@ def test_scipy_loads_only_for_the_minkowski_curve():
         [sys.executable, "-c", PROBE], capture_output=True, text=True, env=env, timeout=60
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split("\n")[:2] == ["[]", "True"]
+    # a product of one-column factors skips the k-d tree; any other cloud loads it
+    assert done.stdout.split("\n")[:3] == ["[]", "False", "True"]

@@ -8,9 +8,12 @@ oracle for the level-wise `cylinders`, stepping whole points with
 loop merge and the clipped lookup as the oracles for the vectorised
 interval lookup, stepping every sample as the oracle for the stable
 sampler's pullback prefilter, the per-word pullback loop and the
-per-depth cover search as the oracles for the cylinder levels, the
-`np.unique` count as the oracle for step-counted box counts, and the
-SVD of every word's product as the oracle for the 1-D expansion rate.
+per-depth cover search as the oracles for the cylinder levels (their
+rectangles and their first and parent rows), the `np.unique` count as
+the oracle for step-counted box counts, the SVD of every word's product
+as the oracle for the 1-D expansion rate, separate calls that each
+solve their own Perron problems as the oracle for the bound report, and
+the k-d tree as the oracle for the Minkowski curve of product clouds.
 """
 
 import numpy as np
@@ -18,7 +21,18 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hypdim.dimension import box_count, expansion_rate
+from hypdim import symbolic
+from hypdim.dimension import (
+    CLASSIFY_TOL_EXACT,
+    BoundReport,
+    _equivalence_checks,
+    bound_report,
+    box_count,
+    classify,
+    dimension_bound,
+    expansion_rate,
+    minkowski_content_curve,
+)
 from hypdim.errors import HypdimError
 from hypdim.models import (
     ModelSystem,
@@ -28,8 +42,10 @@ from hypdim.models import (
     build_doubling_map,
     build_golden_mean,
     build_linear_horseshoe,
+    potential,
 )
 from hypdim.pressure import (
+    PressureEstimate,
     ProductCloud,
     _CoverDistance,
     _death_steps,
@@ -46,9 +62,13 @@ from hypdim.pressure import (
 from hypdim.symbolic import (
     admissible_words,
     count_admissible_words,
+    cylinder_levels,
     cylinders,
+    equilibrium_markov_chain,
     is_primitive,
+    markov_measure_stats,
     partition_sums_through,
+    perron_root,
     power_model,
     pressure_spectral,
 )
@@ -768,3 +788,150 @@ def test_one_dimensional_rate_equals_the_enumeration(model, k_max):
     expected = enumerated_rate(model, k_max)
     assert rate.per_k.tobytes() == expected.tobytes()
     assert rate.value == float(expected.min()) and not rate.exact
+
+
+# -- cylinder levels: first and parent rows ----------------------------------------
+
+
+def per_word_levels(model: ModelSystem, k: int):
+    """(first, parent, rects) of depths 1..k from the per-word loop.
+
+    A word's parent is the row of its tail among the kept words one
+    level up; a depth with no kept word has empty arrays.
+    """
+    levels, rows = [], None
+    for depth in range(1, k + 1):
+        try:
+            words, rects = per_word_cylinders(model, depth)
+        except ValueError:
+            words, rects = np.empty((0, depth), dtype=np.int64), np.empty((0, 2, model.n))
+        parent = None if rows is None else np.array(
+            [rows[tuple(tail)] for tail in words[:, 1:].tolist()], dtype=np.int64
+        )
+        levels.append((words[:, 0].copy(), parent, rects))
+        rows = {tuple(word): i for i, word in enumerate(words.tolist())}
+    return levels
+
+
+def _assert_levels_equal_the_per_word_loop(model, k):
+    for depth, ((first, parent, lo, hi), (want_first, want_parent, want_rects)) in enumerate(
+        zip(cylinder_levels(model), per_word_levels(model, k)), 1
+    ):
+        if depth == 1:
+            assert parent is None and want_parent is None
+            _assert_same_arrays([first], [want_first])
+        else:
+            _assert_same_arrays([first, parent], [want_first, want_parent])
+        _assert_same_arrays([lo, hi], [want_rects[:, 0, :], want_rects[:, 1, :]])
+
+
+@PROPERTY_SETTINGS
+@given(model=markov_models() | touching_models(), k=st.integers(1, 6))
+def test_cylinder_levels_link_every_word_to_its_tail(model, k):
+    _assert_levels_equal_the_per_word_loop(model, k)
+
+
+def _one_branch_misses_a_domain():
+    """Branch 1 maps its domain onto [0.6, 1.6], which misses domain 0: the word 10 has no mass."""
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": 0, "domain": {"lo": [0.0], "hi": [0.4]}, "linear": [[2.5]], "offset": [0.0]},
+            {"symbol": 1, "domain": {"lo": [0.6], "hi": [1.0]}, "linear": [[2.5]], "offset": [-0.9]},
+        ],
+        "transition": [[1, 1], [1, 1]],
+        "unstable_dim": 1,
+    })
+
+
+@pytest.mark.parametrize(
+    "model, drops",
+    [(build_golden_mean(), False), (build_cantor_repeller(3, (0, 2)), False),
+     (_one_branch_misses_a_domain(), True)],
+)
+def test_cylinder_levels_compact_exactly_when_a_word_loses_its_mass(model, drops):
+    sizes = [len(level[0]) for _, level in zip(range(6), cylinder_levels(model))]
+    admissible = [int(count_admissible_words(model, k)) for k in range(1, 7)]
+    assert (sizes != admissible) == drops
+    _assert_levels_equal_the_per_word_loop(model, 6)
+
+
+# -- one Perron solve per problem in the bound report ------------------------------
+
+
+def separate_bound_report(model: ModelSystem, k_max: int = 8) -> dict:
+    """The bound report built from separate calls, each solving its own Perron problems."""
+    pot = potential(model, "phi_u" if model.kind == "diffeo" else "phi")
+    pest = PressureEstimate(pressure_spectral(model, pot), "spectral", extras={"potential": pot.label})
+    rate = expansion_rate(model, k_max)
+    bound = dimension_bound(model.n, pest.value, rate.value, CLASSIFY_TOL_EXACT)
+    cls = classify(pest, CLASSIFY_TOL_EXACT)
+    q, _ = equilibrium_markov_chain(model, pot)
+    stats = markov_measure_stats(model, pot, q)
+    checks = _equivalence_checks(model, stats, pest, bound, cls, CLASSIFY_TOL_EXACT)
+    return BoundReport(model.n, rate, pest, bound, cls, CLASSIFY_TOL_EXACT, checks).to_json_dict()
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+@pytest.mark.parametrize("check, solves", [(False, 1), (True, 2)])
+def test_bound_report_solves_each_perron_problem_once(monkeypatch, name, check, solves):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return perron_root(*args, **kwargs)
+
+    monkeypatch.setattr(symbolic, "perron_root", counting)
+    bound_report(BUILTINS[name], check_equivalences=check)
+    assert len(calls) == solves
+
+
+@pytest.mark.parametrize("name", BUILTINS)
+def test_bound_report_equals_the_separate_calls_on_the_builtins(name):
+    model = BUILTINS[name]
+    assert bound_report(model, check_equivalences=True).to_json_dict() == separate_bound_report(model)
+
+
+@PROPERTY_SETTINGS
+@given(model=markov_models())
+def test_bound_report_equals_the_separate_calls(model):
+    assert bound_report(model, check_equivalences=True).to_json_dict() == separate_bound_report(model)
+
+
+# -- Minkowski content of product clouds -------------------------------------------
+
+
+@st.composite
+def column_clouds(draw):
+    """Product clouds of 1 to 3 one-column factors, axes in any order, and a grid.
+
+    Factor values sit on cell centres and edges, one ulp off them, and
+    anywhere in [-0.2, 1.2], with duplicates; the radii include grid
+    distances, so some cell centres lie exactly at a radius.
+    """
+    n = draw(st.integers(1, 3))
+    resolution = draw(st.sampled_from([8, 16, 32] if n == 3 else [8, 16, 64, 128]))
+    ticks = st.integers(0, 2 * resolution).map(lambda i: i / (2 * resolution))
+    factors = []
+    for _ in range(n):
+        values = draw(st.lists(ticks | _floats(-0.2, 1.2), min_size=1, max_size=12))
+        values += np.nextafter(values, draw(st.sampled_from([-np.inf, np.inf]))).tolist()[:3]
+        values += draw(st.lists(st.sampled_from(values), max_size=3))
+        factors.append(np.array(values, dtype=float)[:, None])
+    order = draw(st.permutations(range(n)))
+    radii = draw(st.lists(
+        st.integers(4, 2 * resolution).map(lambda i: i / resolution) | _floats(4.0 / resolution, 2.0),
+        min_size=1, max_size=4, unique=True,
+    ))
+    cloud = ProductCloud(tuple(factors), tuple((axis,) for axis in order))
+    return cloud, sorted(radii, reverse=True), resolution
+
+
+@PROPERTY_SETTINGS
+@given(case=column_clouds(), t=_floats(0.0, 3.0))
+def test_product_minkowski_curve_equals_the_kd_tree(case, t):
+    cloud, radii, resolution = case
+    got = minkowski_content_curve(cloud, t, radii, grid_resolution=resolution)
+    expected = minkowski_content_curve(np.asarray(cloud), t, radii, grid_resolution=resolution)
+    assert got.tobytes() == expected.tobytes()
