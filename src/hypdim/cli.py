@@ -342,16 +342,27 @@ def cmd_dimension(args) -> int:
 
 
 def _parse_sweep(text: str):
+    """The values start, start + step, ... up to stop of `lambda_u=start:stop:step`.
+
+    Start, stop and step must be finite, the step above 0 and large
+    enough to advance the value, and the range must hold a value.
+    """
     name, _, rng = text.partition("=")
     if name.strip() != "lambda_u":
         raise ValueError("only lambda_u sweeps are supported")
     start_s, stop_s, step_s = rng.split(":")
     start, stop, step = float(start_s), float(stop_s), float(step_s)
+    if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
+        raise ValueError(f"sweep {rng!r} needs a finite start, stop and step, and a step above 0")
     values = []
     v = start
     while v <= stop + 1e-12:
         values.append(round(v, 12))
+        if v + step == v:
+            raise ValueError(f"sweep step {step} does not advance the value {v}")
         v += step
+    if not values:
+        raise ValueError(f"sweep {rng!r} holds no value: start lies above stop")
     return values
 
 

@@ -119,33 +119,83 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
 def box_count(points, scale: float) -> int:
     """Number of grid cells of edge `scale` (anchored at 0) meeting the points.
 
-    `points` is (N, n), or (N,) for N points on a line.  Each point gets
-    one integer key for its cell, and the count is 1 plus the number of
-    changes between neighbouring keys in sorted order, which is the
-    number of distinct keys.  Keys come out already sorted for sorted
-    1-D values (cylinder centres, stable-sampler factors), because
-    x -> floor(x / scale) is monotone in floats, so those are counted in
-    one linear pass; other keys are sorted first.  A `ProductCloud` is
-    counted factor by factor: the cells meeting a product are exactly
-    the products of the cells meeting its factors.
+    `points` is (N, n), or (N,) for N points on a line; see `box_counts`.
     """
-    if not 0.0 < scale <= 1.0:
+    return box_counts(points, [scale])[0]
+
+
+def box_counts(points, scales) -> list:
+    """`box_count` at every scale of `scales`, in their order, from one pass per factor.
+
+    A `ProductCloud` is counted factor by factor: the cells meeting a
+    product are exactly the products of the cells meeting its factors.
+    Each point of a factor gets one integer key for its cell, and the
+    count is 1 plus the number of changes between neighbouring keys in
+    sorted order, which is the number of distinct keys.  A one-column
+    factor is sorted (if it is not already) and keyed at the finest
+    scale only; x -> floor(x / scale) is monotone in floats, so its keys
+    come out sorted (`_line_counts`).  Wider factors are keyed, sorted
+    and counted scale by scale.
+    """
+    scales = [float(s) for s in scales]
+    if not all(0.0 < s <= 1.0 for s in scales):
         raise ValueError("scale must lie in (0, 1]")
-    extent = int(math.ceil(1.0 / scale)) + 2
-    count = 1
+    counts = [1] * len(scales)
     for factor in points.factors if isinstance(points, ProductCloud) else (points,):
         pts = np.asarray(factor, dtype=float)
         pts = pts.reshape(-1, 1) if pts.ndim < 2 else pts
         if pts.size == 0:
-            return 0
-        cells = np.floor(pts / scale).astype(np.int64)
-        key = cells[:, 0].copy()
-        for ax in range(1, cells.shape[1]):
-            key = key * extent + cells[:, ax]
-        if np.any(key[1:] < key[:-1]):
-            key = np.sort(key)
-        count *= 1 + int(np.count_nonzero(key[1:] != key[:-1]))
-    return count
+            return [0] * len(scales)
+        if pts.shape[1] == 1:
+            got = _line_counts(pts[:, 0], scales)
+        else:
+            got = [_key_count(pts, s) for s in scales]
+        counts = [c * int(g) for c, g in zip(counts, got)]
+    return counts
+
+
+def _key_count(pts: np.ndarray, scale: float) -> int:
+    """Distinct cell keys of the (N, n) points at one scale."""
+    extent = int(math.ceil(1.0 / scale)) + 2
+    cells = np.floor(pts / scale).astype(np.int64)
+    key = cells[:, 0].copy()
+    for ax in range(1, cells.shape[1]):
+        key = key * extent + cells[:, ax]
+    if np.any(key[1:] < key[:-1]):
+        key = np.sort(key)
+    return 1 + int(np.count_nonzero(key[1:] != key[:-1]))
+
+
+def _line_counts(x: np.ndarray, scales: list) -> np.ndarray:
+    """Distinct cells of the values `x` at every scale, from one keying at the finest.
+
+    Sorted x has sorted keys at every scale, so the finest count is 1
+    plus the changes of its keys, and each finest cell is a run of x.
+    A run is narrower than any coarser box, so its keys at a coarser
+    scale take at most two neighbouring values, and by monotonicity
+    its first and last values take both: those two ends per run give
+    every coarser count at once.  A scale within rounding of the
+    finest one (the run may then reach a third box) counts all values.
+    """
+    if np.any(x[1:] < x[:-1]):
+        x = np.sort(x)
+    scales = np.asarray(scales)
+    finest = scales.min()
+    key = np.floor(x / finest).astype(np.int64)
+    start = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+    ends = np.stack([x[start], x[np.append(start[1:], len(x)) - 1]], axis=1).ravel()
+    # rounding widens a run by a few ulps of its values; stay far above that
+    near = scales <= finest + 2.0**-40 * (finest + np.abs(x[[0, -1]]).max())
+    counts = np.empty(len(scales), dtype=np.int64)
+    for i in np.flatnonzero(near):
+        if scales[i] == finest:
+            counts[i] = len(start)
+        else:
+            keys = np.floor(x / scales[i]).astype(np.int64)
+            counts[i] = 1 + np.count_nonzero(keys[1:] != keys[:-1])
+    coarse = np.floor(ends / scales[~near, None]).astype(np.int64)
+    counts[~near] = 1 + np.count_nonzero(coarse[:, 1:] != coarse[:, :-1], axis=1)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -200,9 +250,9 @@ def box_dimension(scales, counts) -> DimensionEstimate:
 
 
 def measure_box_dimension(points: np.ndarray, scales) -> DimensionEstimate:
-    """Box-count a point cloud over the scales and fit the dimension."""
-    counts = [box_count(points, s) for s in sorted(scales, reverse=True)]
-    return box_dimension(sorted(scales, reverse=True), counts)
+    """Box-count a point cloud over the scales (`box_counts`) and fit the dimension."""
+    scales = sorted(scales, reverse=True)
+    return box_dimension(scales, box_counts(points, scales))
 
 
 # -- Minkowski content --------------------------------------------------------

@@ -206,6 +206,16 @@ class ModelSystem:
             out[ok] = self.apply_branches(pts[ok], idx[ok])
         return out, idx
 
+    @cached_property
+    def _stacked(self):
+        """(lo, hi, linear, offset) of every branch, stacked along a first axis."""
+        fields = ("lo", "hi", "linear", "offset")
+        return tuple(np.stack([getattr(b, f) for b in self.branches]) for f in fields)
+
+    @cached_property
+    def _leaves_whole_memo(self) -> dict:
+        return {}
+
     def leaves_whole(self, whole: np.ndarray) -> bool:
         """True iff the axes in the boolean mask `whole` split off as a product factor.
 
@@ -214,24 +224,30 @@ class ModelSystem:
         every branch maps them into the unit interval.  The checks carry
         no rounding slack, so a whole coordinate that starts in the unit
         cube stays inside every branch domain for good and never decides
-        a branch.
+        a branch.  Each mask is worked out once per model.
         """
-        if not whole.any():
-            return False
-        for b in self.branches:
-            block = b.linear[np.ix_(whole, whole)]
-            image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + b.offset[whole]
-            spans = np.all(b.lo[whole] <= 0.0) and np.all(b.hi[whole] >= 1.0)
-            coupled = np.any(b.linear[np.ix_(whole, ~whole)]) or np.any(b.linear[np.ix_(~whole, whole)])
-            inside = self.space.is_torus or (image.min() >= 0.0 and image.max() <= 1.0)
-            if not spans or coupled or not inside:
-                return False
-        return True
+        whole = np.asarray(whole, dtype=bool)
+        key = whole.tobytes()
+        if key not in self._leaves_whole_memo:
+            self._leaves_whole_memo[key] = bool(whole.any()) and self._splits_off(whole)
+        return self._leaves_whole_memo[key]
+
+    def _splits_off(self, whole: np.ndarray) -> bool:
+        lo, hi, linear, offset = self._stacked
+        rows = linear[:, whole]
+        block = rows[:, :, whole]
+        image_lo = np.minimum(block, 0.0).sum(axis=2) + offset[:, whole]
+        image_hi = np.maximum(block, 0.0).sum(axis=2) + offset[:, whole]
+        spans = np.all(lo[:, whole] <= 0.0) and np.all(hi[:, whole] >= 1.0)
+        coupled = np.any(rows[:, :, ~whole]) or np.any(linear[:, ~whole][:, :, whole])
+        inside = self.space.is_torus or (image_lo.min() >= 0.0 and image_hi.max() <= 1.0)
+        return bool(spans and not coupled and inside)
 
     @cached_property
     def whole_axes(self) -> np.ndarray:
         """Boolean mask of the axes every branch domain spans, if they split off exactly."""
-        spans = np.all([(b.lo <= 0.0) & (b.hi >= 1.0) for b in self.branches], axis=0)
+        lo, hi, _, _ = self._stacked
+        spans = np.all((lo <= 0.0) & (hi >= 1.0), axis=0)
         return _ro(spans & self.leaves_whole(spans), dtype=bool)
 
     @property

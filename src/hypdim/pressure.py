@@ -9,6 +9,7 @@ overestimate it by at most a cylinder diameter.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -22,7 +23,13 @@ from .errors import (
     NoBranchError,
 )
 from .models import ModelSystem, Potential, point_distance
-from .symbolic import _check_cap, cylinder_levels, partition_sums_through, pressure_spectral
+from .symbolic import (
+    check_word_cap,
+    cylinder_levels,
+    partition_sums_through,
+    pressure_spectral,
+    word_counts,
+)
 
 _FULL_TOL = 1e-9
 
@@ -217,13 +224,15 @@ def cover_rects(model: ModelSystem, epsilon: float):
 
     Returns (depth, rects).  One walk of `cylinder_levels` goes down
     until the cover is fine enough, checking each depth's word cap
-    before building it; the rectangles are those `cylinders(model, m)`
+    before building it from a running count, one vector-matrix step per
+    depth (`word_counts`); the rectangles are those `cylinders(model, m)`
     returns, bit for bit.  Axes whose cylinder extent never shrinks
     (e.g. coverings of the whole torus) are ignored; if no axis shrinks
     at all the cover is the branch domains themselves and distances to
     it are exact because the invariant set fills the space.
     """
-    levels = cylinder_levels(model)
+    levels, counts = cylinder_levels(model), word_counts(model)
+    next(counts)
     _, _, lo, hi = next(levels)
     first = np.stack([lo, hi], axis=1)
     base_ext = (hi - lo).max(axis=0)
@@ -236,7 +245,7 @@ def cover_rects(model: ModelSystem, epsilon: float):
         if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
             return depth, np.stack([lo, hi], axis=1)
         depth += 1
-        _check_cap(model, depth)
+        check_word_cap(next(counts), depth)
         _, _, lo, hi = next(levels)
         if len(lo) == 0:
             raise ValueError(f"no admissible depth-{depth} word has geometric mass")
@@ -275,6 +284,7 @@ def _grid_axis(resolution: int) -> np.ndarray:
     return (np.arange(resolution) + 0.5) / resolution
 
 
+@functools.lru_cache(maxsize=2)
 def _sample_axis(resolution: int, seed: int = 0) -> np.ndarray:
     """Stratified sample: one seeded uniform draw per grid cell.
 
@@ -282,10 +292,14 @@ def _sample_axis(resolution: int, seed: int = 0) -> np.ndarray:
     shares its lattice (a lambda_u = 4 horseshoe has dyadic cylinders,
     and dyadic cell centers occupy a residue class the cylinders avoid
     entirely).  Per-cell jitter removes every such congruence while
-    keeping the sample deterministic in the seed.
+    keeping the sample deterministic in the seed.  The draw is a pure
+    function of its arguments, so the last two are kept (a sweep draws
+    the same main and cross axes row after row) and returned read-only.
     """
     rng = np.random.default_rng(seed)
-    return (np.arange(resolution) + rng.random(resolution)) / resolution
+    axis = (np.arange(resolution) + rng.random(resolution)) / resolution
+    axis.setflags(write=False)
+    return axis
 
 
 def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
@@ -333,7 +347,8 @@ def _death_steps(model, pts, epsilon, k_max, dist):
     when every branch domain spans the whole axes and every branch maps
     them into the unit interval, so the unstepped coordinates would
     never fail a branch check.  Only the points still alive are
-    carried, as coordinates with their indices into `pts`.
+    carried, as coordinates with their indices into `pts`, and they are
+    compacted only in a step where some point dies.
     """
     if pts.ndim == 1:
         measure, step = dist.along_axis, _axis_step(model, dist.axis)
@@ -343,14 +358,60 @@ def _death_steps(model, pts, epsilon, k_max, dist):
     x, idx = pts, np.arange(len(pts))
     for k in range(k_max):
         far = measure(x) >= epsilon
-        death[idx[far]] = k
-        x, idx = x[~far], idx[~far]
+        if far.any():
+            death[idx[far]] = k
+            x, idx = x[~far], idx[~far]
         if k == k_max - 1 or idx.size == 0:
             break
         x, branch = step(x)
         kept = branch >= 0
-        death[idx[~kept]] = k + 1
-        x, idx = x[kept], idx[kept]
+        if not kept.all():
+            death[idx[~kept]] = k + 1
+            x, idx = x[kept], idx[kept]
+    return death
+
+
+def _tracks_forever(model: ModelSystem, dist: _CoverDistance, epsilon: float) -> bool:
+    """True when no finite point ever fails tracking, so every death step is k_max.
+
+    That holds for a zero cover on the torus when some branch domain
+    spans the torus and epsilon > 0: the distance to the cover is 0 <
+    epsilon everywhere, and `model.step` wraps every finite point into
+    [0, 1]^n (a float x % 1.0 lies in [0, 1]), where the spanning domain
+    gives it a branch.  `_death_steps` would keep every point for all
+    its steps, so its result is known without stepping.
+    """
+    return (
+        dist.mode == "zero"
+        and dist.torus
+        and epsilon > 0
+        and any(np.all(b.lo <= 0.0) and np.all(b.hi >= 1.0) for b in model.branches)
+    )
+
+
+def _grid_deaths(model, dist, epsilon, k_max, resolution, one_row, threads):
+    """`_death_steps` of the midpoint grid (one row of it when `one_row`), in chunks."""
+    axis = _grid_axis(resolution)
+    if one_row:
+        pts = axis if dist.tracks_one_axis else axis[:, None]
+    else:
+        mesh = np.meshgrid(*([axis] * model.n), indexing="ij")
+        pts = np.stack([m.ravel() for m in mesh], axis=1)
+    total = len(pts)
+    death = np.empty(total, dtype=np.int16)
+    n_chunks = max(1, min(64, total // 4096))
+    bounds = np.linspace(0, total, n_chunks + 1).astype(int)
+
+    def work(ci):
+        a, b = bounds[ci], bounds[ci + 1]
+        death[a:b] = _death_steps(model, pts[a:b], epsilon, k_max, dist)
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(work, range(n_chunks)))
+    else:
+        for ci in range(n_chunks):
+            work(ci)
     return death
 
 
@@ -371,7 +432,9 @@ def volume_curve(
     band.  When tracking reads one axis alone (`n == 1`, or the model
     factors along one varying axis; see `factored_axes`), only one row
     of cells is stepped, along that axis; the integer counts are the
-    ones the full grid gives.  More than 2^26 stepped
+    ones the full grid gives.  A zero cover on the torus with a branch
+    domain spanning it steps nothing (`_tracks_forever`): every cell
+    survives all k_max steps.  More than 2^26 stepped
     cells are refused before the grid is built.
 
     Results are independent of `threads`: the grid is chunked the same
@@ -386,33 +449,16 @@ def volume_curve(
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
     _refuse_large_grid(dist, n, grid_resolution, "grid")
+    # when deaths depend on one coordinate alone, one row of cells is
+    # stepped and counted for each of the grid**(n-1) identical rows
     one_row = n == 1 or dist.tracks_one_axis
-    axis = _grid_axis(grid_resolution)
-    if one_row:
-        # deaths depend on one coordinate alone: step one row of cells and
-        # count it for each of the grid**(n-1) identical rows of the full grid
-        pts = axis if dist.tracks_one_axis else axis[:, None]
-        shape, rows = (grid_resolution,), grid_resolution ** (n - 1)
+    shape = (grid_resolution,) if one_row else (grid_resolution,) * n
+    rows = grid_resolution ** (n - 1) if one_row else 1
+    total = math.prod(shape)
+    if _tracks_forever(model, dist, epsilon):
+        death = np.full(total, k_max, dtype=np.int16)
     else:
-        mesh = np.meshgrid(*([axis] * n), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
-        shape, rows = (grid_resolution,) * n, 1
-    total = len(pts)
-
-    death = np.empty(total, dtype=np.int16)
-    n_chunks = max(1, min(64, total // 4096))
-    bounds = np.linspace(0, total, n_chunks + 1).astype(int)
-
-    def work(ci):
-        a, b = bounds[ci], bounds[ci + 1]
-        death[a:b] = _death_steps(model, pts[a:b], epsilon, k_max, dist)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(work, range(n_chunks)))
-    else:
-        for ci in range(n_chunks):
-            work(ci)
+        death = _grid_deaths(model, dist, epsilon, k_max, grid_resolution, one_row, threads)
 
     hist = np.bincount(death, minlength=k_max + 1)
     # membership at k holds iff tracking survived steps 0..k-1
@@ -676,7 +722,10 @@ def sample_local_stable_set(
     with a grid on each remaining axis.  Only the samples inside
     `_tracking_superset` are stepped: each step rounds by less than its
     margin `tol`, so every sample the death loop keeps lies inside, and
-    the loop alone still decides which of them survive.  Otherwise the
+    the loop alone still decides which of them survive.  When no point
+    can fail tracking (`_tracks_forever`: a zero cover on the torus with
+    a spanning branch domain) the whole grid is kept, as a `ProductCloud`
+    with the sampled axis on every coordinate.  Otherwise the
     full n-dimensional grid is stepped and the kept points are returned
     as an array.  `cover` is `cover_distance(model, epsilon)` when the
     caller has it already.  More than 2^26 stepped cells are refused
@@ -688,6 +737,8 @@ def sample_local_stable_set(
     n = model.n
     _refuse_large_grid(dist, n, samples, "stable-set grid")
     axis_vals = _sample_axis(samples, seed)
+    if _tracks_forever(model, dist, epsilon):
+        return ProductCloud((axis_vals[:, None],) * n, tuple((a,) for a in range(n)))
     if dist.tracks_one_axis:
         tol = _pullback_tol(model, dist.axis, epsilon)
         lo, hi = _tracking_superset(model, dist, epsilon, depth, tol, limit=samples)

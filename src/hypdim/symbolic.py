@@ -85,14 +85,31 @@ def count_admissible_words(transition, k: int) -> float:
     return float(_transfer_sums(np.ones(a.shape[0]), a, max(k, 1), limit=1e18)[-1])
 
 
-def _check_cap(transition, k: int) -> None:
-    if k < 1:
-        raise ValueError("word length k must be >= 1")
-    count = count_admissible_words(transition, k)
+def word_counts(transition):
+    """Admissible-word counts of length 1, 2, ..., one vector-matrix step each.
+
+    The same recursion as `count_admissible_words`, so every count is
+    bit for bit the one it returns (below its saturation at 1e18).
+    """
+    a = _as_transition(transition).astype(float)
+    u = np.ones(a.shape[0])
+    while True:
+        yield float(u.sum())
+        u = u @ a
+
+
+def check_word_cap(count: float, k: int) -> None:
+    """Refuse `count` admissible words of length k when they exceed `WORD_CAP`."""
     if count > WORD_CAP:
         raise CapExceededError(
             f"{count:.3g} admissible words of length {k} exceed the cap {WORD_CAP}"
         )
+
+
+def _check_cap(transition, k: int) -> None:
+    if k < 1:
+        raise ValueError("word length k must be >= 1")
+    check_word_cap(count_admissible_words(transition, k), k)
 
 
 def admissible_words(transition, k: int) -> np.ndarray:
@@ -278,22 +295,26 @@ def perron_root(matrix, tol: float = SPECTRAL_TOL, max_iter: int = SPECTRAL_MAX_
 
     Power iteration with Collatz-Wielandt brackets: for positive v the
     ratios (Mv)_i / v_i bracket the Perron root, so the iteration stops
-    with a certified relative width below `tol`.
+    with a certified relative width below `tol`.  Rounding can hold the
+    bracket a little wider (an eigenvalue near -rho leaves v cycling
+    with period 2 in floats); once v repeats the one from two steps
+    back the bracket can shrink no further, and the iteration stops
+    there too.
     """
     m = np.asarray(matrix, dtype=float)
-    v = np.ones(m.shape[0])
+    v, last, before = np.ones(m.shape[0]), None, None
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
             w = m @ v
             ratios = np.where(v > 0, w / v, math.inf)
             lo, hi = float(ratios.min()), float(ratios.max())
-            if math.isfinite(hi) and hi - lo <= tol * hi:
+            if math.isfinite(hi) and (hi - lo <= tol * hi or np.array_equal(v, before)):
                 root = 0.5 * (lo + hi)
                 return root, w / np.linalg.norm(w)
             peak = w.max()
             if peak <= 0:
                 raise NotMixingError("matrix is not primitive (iteration collapsed)")
-            v = w / peak
+            v, last, before = w / peak, v, last
     raise NotMixingError(f"power iteration did not converge within {max_iter} steps")
 
 

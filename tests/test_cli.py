@@ -165,6 +165,22 @@ class TestReportCommand:
         assert (tmp_path / "bound_vs_lambda.csv").exists()
         assert (tmp_path / "dimension_vs_lambda.csv").exists()
 
+    @pytest.mark.parametrize("sweep", [
+        "2.2:4.0:0",  # a zero step never advanced
+        "2.2:4.0:-0.2",
+        "2.2:inf:0.2",
+        "-inf:4.0:0.2",
+        "2.2:4.0:nan",
+        "2.2:4.0:1e-300",  # below the rounding of 2.2: a zero step in effect
+        "4.0:2.2:0.2",  # no value: this used to write a header-only report.csv
+    ])
+    def test_a_sweep_range_without_finite_values_exits_2(self, capsys, tmp_path, sweep):
+        out_dir = tmp_path / "out"
+        code, out, err = run(capsys, ["report", "--sweep", f"lambda_u={sweep}", "--out-dir", str(out_dir)])
+        assert code == 2 and out == ""
+        assert "invalid configuration" in err
+        assert not out_dir.exists()
+
     def test_report_csv_reads_back_as_the_json_rows(self, capsys, tmp_path):
         # every sweep label ("horseshoe:2.5,0.25") holds a comma
         doc = run_json(

@@ -249,7 +249,14 @@ class TestStableSetSampling:
     def test_cat_map_fills_torus(self):
         m = build_cat_map()
         cloud = sample_local_stable_set(m, 0.05, 5, samples=64)
-        assert cloud.shape == (64 * 64, 2)
+        assert isinstance(cloud, ProductCloud)
+        # the grid that stepping keeps: every point, since none can fail
+        axis = _sample_axis(64, 0)
+        grid = np.stack([c.ravel() for c in np.meshgrid(axis, axis, indexing="ij")], axis=1)
+        dist = _CoverDistance(m, cover_rects(m, 0.05)[1])
+        kept = grid[_death_steps(m, grid, 0.05, 5, dist) >= 5]
+        assert kept.shape == (64 * 64, 2)
+        np.testing.assert_array_equal(np.asarray(cloud), kept)
 
     def test_depth_nesting(self):
         m = build_linear_horseshoe(3.0, 0.25)

@@ -10,30 +10,36 @@ interval lookup, stepping every sample as the oracle for the stable
 sampler's pullback prefilter, the per-word pullback loop and the
 per-depth cover search as the oracles for the cylinder levels (their
 rectangles and their first and parent rows), the `np.unique` count as
-the oracle for step-counted box counts, the SVD of every word's product
+the oracle for step-counted and multi-scale box counts, the per-branch
+`np.ix_` loop as the oracle for the product split, stepping every point
+as the oracle for the zero-cover shortcut, the SVD of every word's product
 as the oracle for the 1-D expansion rate, separate calls that each
 solve their own Perron problems as the oracle for the bound report, and
 the k-d tree as the oracle for the Minkowski curve of product clouds.
 """
+
+import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from hypdim import symbolic
+from hypdim import pressure, symbolic
 from hypdim.dimension import (
     CLASSIFY_TOL_EXACT,
     BoundReport,
     _equivalence_checks,
     bound_report,
     box_count,
+    box_counts,
     classify,
     dimension_bound,
     expansion_rate,
     minkowski_content_curve,
 )
-from hypdim.errors import HypdimError
+from hypdim.errors import CapExceededError, HypdimError
 from hypdim.models import (
     ModelSystem,
     Potential,
@@ -384,6 +390,83 @@ def test_whole_axes_factor_only_when_they_stay_inside_every_domain(field, index,
     )
 
 
+def per_branch_leaves_whole(model: ModelSystem, whole: np.ndarray) -> bool:
+    """The per-branch `np.ix_` loop that `ModelSystem.leaves_whole` replaced."""
+    if not whole.any():
+        return False
+    for b in model.branches:
+        block = b.linear[np.ix_(whole, whole)]
+        image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + b.offset[whole]
+        spans = np.all(b.lo[whole] <= 0.0) and np.all(b.hi[whole] >= 1.0)
+        coupled = np.any(b.linear[np.ix_(whole, ~whole)]) or np.any(b.linear[np.ix_(~whole, whole)])
+        inside = model.space.is_torus or (image.min() >= 0.0 and image.max() <= 1.0)
+        if not spans or coupled or not inside:
+            return False
+    return True
+
+
+@st.composite
+def split_models(draw):
+    """Diagonal and coupled models on the cube or the torus, in 1 to 3 dimensions.
+
+    Domains span the unit interval, miss it by 1e-12 or cover part of
+    it; linear parts are diagonal or carry off-diagonal entries, and
+    offsets put images inside the unit interval, on its ends or past them.
+    """
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, 3))
+    coupled = draw(st.booleans())
+    entry = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0]) | _floats(-2.0, 2.0)
+    domain = st.sampled_from(
+        [(0.0, 1.0), (0.0, 1.0), (-0.1, 1.1), (0.0, 1.0 - 1e-12), (1e-12, 1.0), (0.2, 0.6)]
+    )
+    offset = st.sampled_from([0.0, 0.5, 1.0, -0.5, 0.25, 0.75]) | _floats(-1.0, 1.0)
+    branches = []
+    for sym in range(m):
+        linear = np.diag([draw(entry) for _ in range(n)])
+        if coupled:
+            for i in range(n):
+                for j in range(n):
+                    if i != j and draw(st.booleans()):
+                        linear[i, j] = draw(entry)
+        ends = [draw(domain) for _ in range(n)]
+        branches.append({
+            "symbol": sym,
+            "domain": {"lo": [e[0] for e in ends], "hi": [e[1] for e in ends]},
+            "linear": linear.tolist(),
+            "offset": [draw(offset) for _ in range(n)],
+        })
+    return ModelSystem.from_json_dict({
+        "space": {"dim": n, "geometry": draw(st.sampled_from(["cube", "torus"]))},
+        "kind": "expanding",
+        "branches": branches,
+        "transition": np.ones((m, m), dtype=int).tolist(),
+        "unstable_dim": n,
+    })
+
+
+@PROPERTY_SETTINGS
+@given(model=split_models() | diagonal_models() | factored_models())
+def test_leaves_whole_equals_the_per_branch_loop(model):
+    for bits in range(1 << model.n):
+        mask = np.array([(bits >> a) & 1 for a in range(model.n)], dtype=bool)
+        assert model.leaves_whole(mask) is per_branch_leaves_whole(model, mask)
+        assert model.leaves_whole(mask) is per_branch_leaves_whole(model, mask)  # memoised
+    spans = np.all([(b.lo <= 0.0) & (b.hi >= 1.0) for b in model.branches], axis=0)
+    assert np.array_equal(model.whole_axes, spans & per_branch_leaves_whole(model, spans))
+
+
+@pytest.mark.parametrize("resolution,seed", [(1, 0), (64, 3), (1024, 8), (65536, 7)])
+def test_sample_axis_is_a_read_only_copy_of_a_fresh_draw(resolution, seed):
+    fresh = (np.arange(resolution) + np.random.default_rng(seed).random(resolution)) / resolution
+    for _ in range(2):  # the draw, then the kept one
+        axis = _sample_axis(resolution, seed)
+        assert axis.tobytes() == fresh.tobytes()
+        assert not axis.flags.writeable
+        with pytest.raises(ValueError):
+            axis[0] = 0.5
+
+
 @settings(max_examples=20, deadline=None)
 @given(model=factored_models(), epsilon=_floats(0.05, 0.5), k_max=st.integers(4, 8))
 def test_volume_curve_does_not_depend_on_threads(model, epsilon, k_max):
@@ -394,6 +477,88 @@ def test_volume_curve_does_not_depend_on_threads(model, epsilon, k_max):
     two = volume_curve(model, epsilon, k_max, 1 << 14, threads=2)
     assert np.array_equal(one.volumes, two.volumes)
     assert np.array_equal(one.bands, two.bands)
+
+
+# -- zero covers on the torus ----------------------------------------------------
+
+# hyperbolic toral automorphisms: with a zero offset the bounding box of
+# the preimage of a domain contains the domain, so cylinders never shrink
+CAT_MATRICES = (
+    [[2.0, 1.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 2.0]], [[3.0, 2.0], [1.0, 1.0]], [[1.0, 2.0], [1.0, 3.0]]
+)
+
+
+@st.composite
+def zero_cover_torus_models(draw, spanning=True):
+    """2-D torus diffeos on a full shift whose cylinders never shrink, so the cover mode is zero.
+
+    With `spanning`, some branch domain spans the torus; the others (and
+    every domain otherwise) stop 1e-10 short of its upper edges, inside
+    the cover's rounding slack but outside `branch_of`.
+    """
+    m = draw(st.integers(1, 3))
+    wide = draw(st.integers(0, m - 1)) if spanning else -1
+    branches = []
+    for sym in range(m):
+        lo, hi = [0.0, 0.0], [1.0, 1.0] if sym == wide else [1.0 - 1e-10] * 2
+        branches.append({
+            "symbol": sym,
+            "domain": {"lo": lo, "hi": hi},
+            "linear": draw(st.sampled_from(CAT_MATRICES)),
+            "offset": [0.0, 0.0],
+        })
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 2, "geometry": "torus"},
+        "kind": "diffeo",
+        "branches": branches,
+        "transition": np.ones((m, m), dtype=int).tolist(),
+        "unstable_dim": 1,
+    })
+
+
+def _stepped(function, *args, **kwargs):
+    """`function` with the zero-cover shortcut off, so that every point is stepped."""
+    with mock.patch.object(pressure, "_tracks_forever", lambda *a: False):
+        return function(*args, **kwargs)
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=zero_cover_torus_models(),
+    epsilon=_floats(0.2, 1.0),
+    k_max=st.integers(1, 6),
+    seed=st.integers(0, 100),
+)
+def test_a_zero_cover_on_the_torus_with_a_spanning_branch_kills_no_point(model, epsilon, k_max, seed):
+    dist = cover_distance(model, epsilon)
+    assert dist.mode == "zero" and pressure._tracks_forever(model, dist, epsilon)
+    rng = np.random.default_rng(seed)
+    edges = np.array([0.0, 1.0, 1e-10, 1.0 - 1e-11, np.nextafter(1.0, 0.0), -5e-324])
+    corners = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
+    pts = np.concatenate([rng.random((64, 2)), corners])
+    assert np.all(_death_steps(model, pts, epsilon, k_max, dist) == k_max)
+    curve = volume_curve(model, epsilon, k_max, 32)
+    assert curve.to_json_dict() == _stepped(volume_curve, model, epsilon, k_max, 32).to_json_dict()
+    cloud = sample_local_stable_set(model, epsilon, k_max, samples=32, seed=seed)
+    stepped = _stepped(sample_local_stable_set, model, epsilon, k_max, samples=32, seed=seed)
+    assert isinstance(cloud, ProductCloud)
+    assert np.asarray(cloud).tobytes() == stepped.tobytes()
+
+
+@PROPERTY_SETTINGS
+@given(model=zero_cover_torus_models(spanning=False), epsilon=_floats(0.2, 1.0), k_max=st.integers(2, 6))
+def test_a_zero_cover_without_a_spanning_branch_still_steps(model, epsilon, k_max):
+    dist = cover_distance(model, epsilon)
+    assert dist.mode == "zero" and not pressure._tracks_forever(model, dist, epsilon)
+    # the torus point (1 - 1e-11, 1/2) lies in no branch domain: it dies at the first step
+    death = _death_steps(model, np.array([[1.0 - 1e-11, 0.5], [0.5, 0.5]]), epsilon, k_max, dist)
+    assert death[0] == 1 and death[1] == k_max
+    curve = volume_curve(model, epsilon, k_max, 32)
+    assert curve.to_json_dict() == _stepped(volume_curve, model, epsilon, k_max, 32).to_json_dict()
+    cloud = sample_local_stable_set(model, epsilon, k_max, samples=32)
+    assert isinstance(cloud, np.ndarray)
+    stepped = _stepped(sample_local_stable_set, model, epsilon, k_max, samples=32)
+    assert cloud.tobytes() == stepped.tobytes()
 
 
 # -- interval lookups and the tracking pullback ----------------------------------
@@ -619,7 +784,7 @@ def _cover_equals_the_per_depth_loop(model, epsilon) -> bool:
     try:
         expected = per_depth_cover_rects(model, epsilon, max_depth=8)
     except (ValueError, HypdimError) as exc:
-        with pytest.raises(type(exc), match=str(exc)):
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
             cover_rects(model, epsilon)
         return True
     if expected is None:
@@ -689,6 +854,52 @@ def test_cover_rects_equal_the_per_depth_loop_on_the_builtins(name, scale):
     assert _cover_equals_the_per_depth_loop(model, scale * default_epsilon(model))
 
 
+def capped_line_model(m: int = 257) -> ModelSystem:
+    """A full shift on m symbols whose depth-3 word count, m^3, exceeds the word cap.
+
+    Branch 0 doubles [0, 1/2] onto [0, 1]; the other m - 1 branches
+    double narrow domains in (1/2, 1] into [0, 1/128], inside domain 0
+    only, so the geometric levels stay small while the admissible words
+    grow as m^k.
+    """
+    width = 0.5 / (m - 1)
+    branches = [{"symbol": 0, "domain": {"lo": [0.0], "hi": [0.5]}, "linear": [[2.0]], "offset": [0.0]}]
+    for sym in range(1, m):
+        lo = 0.5 + (sym - 1) * width
+        branches.append({
+            "symbol": sym,
+            "domain": {"lo": [lo], "hi": [lo + width]},
+            "linear": [[2.0]],
+            "offset": [-2.0 * lo],
+        })
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": branches,
+        "transition": np.ones((m, m), dtype=int).tolist(),
+        "unstable_dim": 1,
+    })
+
+
+def test_cover_rects_refuse_the_capped_depth_before_building_it(monkeypatch):
+    model = capped_line_model()
+    # depth 2 (extent 1/4) is not below epsilon / 4, so the search asks for depth 3
+    assert _cover_equals_the_per_depth_loop(model, 0.5)
+    with pytest.raises(CapExceededError, match="of length 3 exceed"):
+        cover_rects(model, 0.5)
+    built = []
+
+    def levels(model):
+        for level in cylinder_levels(model):
+            built.append(len(level[0]))
+            yield level
+
+    monkeypatch.setattr(pressure, "cylinder_levels", levels)
+    with pytest.raises(CapExceededError):
+        cover_rects(model, 0.5)
+    assert built == [257, 513]
+
+
 # -- step-counted box counts ------------------------------------------------------
 
 
@@ -737,6 +948,46 @@ def test_step_counted_box_count_equals_the_unique_count(line, other):
     assert box_count(cloud, scale) == unique_box_count(cloud, scale)
     if len(x) and len(y):
         assert box_count(np.asarray(cloud), scale) == unique_box_count(np.asarray(cloud), scale)
+
+
+@st.composite
+def scale_lists(draw):
+    """Box scales mixing dyadic, triadic and random ones, with duplicates, near duplicates and 1.0."""
+    scale = st.sampled_from([1.0, 0.5, 0.25, 2.0**-10, 1 / 3, 3.0**-4, 3.0**-7]) | _floats(1e-4, 1.0)
+    scales = draw(st.lists(scale, min_size=1, max_size=8))
+    twins = draw(st.lists(st.sampled_from(scales), max_size=2))
+    return scales + twins + np.minimum(np.nextafter(twins, 2.0), 1.0).tolist()
+
+
+@st.composite
+def multi_scale_line(draw):
+    """One-column values at the edges of every scale's cells, one ulp off them, and anywhere."""
+    scales = draw(scale_lists())
+    cells = [draw(st.lists(st.integers(-2, int(np.ceil(1 / s)) + 2), max_size=6)) for s in scales]
+    edges = [i * s for s, ids in zip(scales, cells) for i in ids]
+    near = np.nextafter(edges, draw(st.sampled_from([-np.inf, np.inf]))).tolist()
+    values = edges + near + draw(st.lists(_floats(-0.2, 1.2), min_size=1, max_size=30))
+    values += draw(st.lists(st.sampled_from(values), max_size=10))
+    order = draw(st.sampled_from(["sorted", "descending", "shuffled"]))
+    values = np.array(values, dtype=float)
+    if order == "shuffled":
+        values = np.random.default_rng(draw(st.integers(0, 1000))).permutation(values)
+    else:
+        values = np.sort(values)[:: 1 if order == "sorted" else -1]
+    return values, scales
+
+
+@PROPERTY_SETTINGS
+@given(line=multi_scale_line(), other=line_values())
+def test_multi_scale_box_counts_equal_the_unique_count_at_every_scale(line, other):
+    (x, scales), (y, _) = line, other
+    expected = [unique_box_count(x[:, None], s) for s in scales]
+    assert box_counts(x, scales) == box_counts(x[:, None], scales) == expected
+    assert [box_count(x, s) for s in scales] == expected
+    cloud = ProductCloud((x[:, None], y[:, None]), ((1,), (0,)))
+    assert box_counts(cloud, scales) == [unique_box_count(cloud, s) for s in scales]
+    wide = ProductCloud((x[:, None], np.column_stack([y, y[::-1]])), ((0,), (1, 2)))
+    assert box_counts(wide, scales) == [unique_box_count(wide, s) for s in scales]
 
 
 # -- one-dimensional expansion rate ----------------------------------------------
@@ -858,6 +1109,17 @@ def test_cylinder_levels_compact_exactly_when_a_word_loses_its_mass(model, drops
 
 
 # -- one Perron solve per problem in the bound report ------------------------------
+
+
+def test_perron_root_stops_where_rounding_holds_the_bracket():
+    # e^phi_u of a random 3-branch horseshoe: eigenvalues 0.1744, -0.1721
+    # and 0.0181; the iterate cycles with period 2 while the bracket stays
+    # 2.2e-14 wide, above the 1e-14 tolerance
+    a, b = 1 / 6.125, 1 / 49
+    matrix = np.array([[0.0, 0.0, a], [0.0, b, a], [a, b, 0.0]])
+    root, vector = perron_root(matrix)
+    assert root == pytest.approx(max(np.linalg.eigvals(matrix).real), rel=1e-13)
+    assert np.allclose(matrix @ vector, root * vector, rtol=1e-13, atol=0.0)
 
 
 def separate_bound_report(model: ModelSystem, k_max: int = 8) -> dict:
