@@ -60,12 +60,15 @@ from .pressure import (
     stable_resolution,
     volume_curve,
 )
-from .symbolic import WORD_CAP, cylinders
+from .symbolic import WORD_CAP, CylinderWalk
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_INCONCLUSIVE = 4
+
+# a sweep row takes about 5 ms on a 2-CPU machine, so the longest sweep runs about 20 s
+SWEEP_ROW_CAP = 4096
 
 
 @dataclass
@@ -295,8 +298,10 @@ def _default_depth(model: ModelSystem, scales) -> int:
 
 def sample_for_set(model: ModelSystem, set_name: str, args):
     if set_name in ("invariant", "repeller"):
+        # one walk: depth 2 decides the fallback, then goes on to the sample's depth
+        walk = CylinderWalk(model)
         # cylinders that never shrink mean the invariant set is everything
-        if len(factored_axes(model, cylinders(model, 2)[1])[0]) == 0:
+        if len(factored_axes(model, walk.rects(2))[0]) == 0:
             # grid sample of the full space; scales must stay above the
             # grid yet span the two decades the dimension fit requires
             res = args.grid or 1024
@@ -306,14 +311,14 @@ def sample_for_set(model: ModelSystem, set_name: str, args):
             else:
                 scales = [2.0**-e for e in range(max(0, finest - 7), finest + 1)]
             depth = args.depth or 2
-            points = invariant_set_sample(model, depth, resolution=res)
+            points = invariant_set_sample(model, depth, resolution=res, walk=walk)
             meta = {"set": set_name, "depth": depth, "resolution": res}
             return points, scales, meta
         # symbolic samples are cheap and exact; a long dyadic window
         # averages out the log-periodic wobble of Cantor counts
         scales = parse_scales(args.scales, finest=13)
         depth = args.depth or _default_depth(model, scales)
-        points = invariant_set_sample(model, depth, resolution=args.grid or 512)
+        points = invariant_set_sample(model, depth, resolution=args.grid or 512, walk=walk)
         meta = {"set": set_name, "depth": depth}
     elif set_name == "stable":
         scales = parse_scales(args.scales, finest=9)
@@ -345,7 +350,11 @@ def _parse_sweep(text: str):
     """The values start, start + step, ... up to stop of `lambda_u=start:stop:step`.
 
     Start, stop and step must be finite, the step above 0 and large
-    enough to advance the value, and the range must hold a value.
+    enough to advance the value, and the range must hold a value.  A
+    range of more than `SWEEP_ROW_CAP` rows is refused when the loop
+    reaches its first value past the cap, so no more are ever built;
+    the loop is the judge because the rounding of its running sum can
+    move the count by a row from (stop - start) / step + 1.
     """
     name, _, rng = text.partition("=")
     if name.strip() != "lambda_u":
@@ -357,6 +366,9 @@ def _parse_sweep(text: str):
     values = []
     v = start
     while v <= stop + 1e-12:
+        if len(values) == SWEEP_ROW_CAP:
+            rows = max((stop + 1e-12 - start) // step + 1, SWEEP_ROW_CAP + 1)
+            raise CapExceededError(f"sweep {rng!r} asks for {rows:.0f} rows, above the cap {SWEEP_ROW_CAP}")
         values.append(round(v, 12))
         if v + step == v:
             raise ValueError(f"sweep step {step} does not advance the value {v}")

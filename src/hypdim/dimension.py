@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
 from .pressure import PressureEstimate, ProductCloud, _grid_axis, factored_axes, spectral_estimate
-from .symbolic import _check_cap, _levels_through, cylinders, equilibrium_state
+from .symbolic import CylinderWalk, check_word_cap, count_admissible_words, equilibrium_state
 
 CLASSIFY_TOL_EXACT = 1e-9
 CLASSIFY_TOL_ESTIMATOR = 0.02
@@ -106,7 +106,7 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
         return ExpansionRate(
             value=rate, per_k=np.full(k_max, rate), k_max=k_max, exact=True
         )
-    _check_cap(model, k_max)
+    check_word_cap(count_admissible_words(model, k_max), k_max)
     per_k = np.array(
         [float(np.log(norms.max())) / k for k, norms in enumerate(_word_norms(model, k_max), 1)]
     )
@@ -487,7 +487,7 @@ def horseshoe_for_target_dimension(target: float, lambda_s: float = 0.25) -> Mod
 # -- invariant-set samples ----------------------------------------------------
 
 
-def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256):
+def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256, walk=None):
     """Point sample of the invariant set at a given symbolic depth.
 
     Expanding models: centers of the depth-k cylinders (the repeller).
@@ -496,11 +496,14 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256):
     depth-k word images of the unit cube on the whole axes.  Any other
     model (the invariant set fills the space, or its branches couple
     the two groups) gets the `resolution` grid as a per-axis `ProductCloud`.
+    The cylinders come from `walk`, a `CylinderWalk` of the model that
+    other depths may share, or from a walk of its own.
     """
+    walk = walk or CylinderWalk(model)
     if model.kind == "expanding":
-        rects = _levels_through(model, depth)[1]
-        return 0.5 * (rects[:, 0, :] + rects[:, 1, :])
-    words, rects = cylinders(model, depth)
+        rects = walk.rects(depth)  # a view of the walk's ends-first level: points leave C-ordered
+        return np.ascontiguousarray(0.5 * (rects[:, 0, :] + rects[:, 1, :]))
+    words, rects = walk.cylinders(depth)
     varying, factors = factored_axes(model, rects)
     if not factors:
         axis = _grid_axis(resolution)[:, None]

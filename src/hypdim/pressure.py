@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,21 +232,20 @@ def cover_rects(model: ModelSystem, epsilon: float):
     """
     levels, counts = cylinder_levels(model), word_counts(model)
     next(counts)
-    _, _, lo, hi = next(levels)
-    first = np.stack([lo, hi], axis=1)
-    base_ext = (hi - lo).max(axis=0)
+    first = rects = next(levels)[2]
+    base_ext = (rects[:, 1] - rects[:, 0]).max(axis=0)
     depth = 1
     while True:
-        ext = (hi - lo).max(axis=0)
+        ext = (rects[:, 1] - rects[:, 0]).max(axis=0)
         shrinking = ext < base_ext - 1e-12
         if depth > 1 and not shrinking.any():
-            return 1, first
+            return 1, np.ascontiguousarray(first)
         if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
-            return depth, np.stack([lo, hi], axis=1)
+            return depth, np.ascontiguousarray(rects)
         depth += 1
         check_word_cap(next(counts), depth)
-        _, _, lo, hi = next(levels)
-        if len(lo) == 0:
+        rects = next(levels)[2]
+        if len(rects) == 0:
             raise ValueError(f"no admissible depth-{depth} word has geometric mass")
 
 
@@ -407,6 +405,8 @@ def _grid_deaths(model, dist, epsilon, k_max, resolution, one_row, threads):
         death[a:b] = _death_steps(model, pts[a:b], epsilon, k_max, dist)
 
     if threads > 1:
+        from concurrent.futures import ThreadPoolExecutor  # deferred: only threaded grids use it
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(work, range(n_chunks)))
     else:

@@ -135,25 +135,35 @@ def birkhoff_sum(pot: Potential, word) -> float:
 def cylinder_levels(model: ModelSystem):
     """Geometric cylinders of depth 1, 2, ..., one level at a time.
 
-    Yields (first, parent, lo, hi) for each depth j, one row per kept
+    Yields (first, parent, rects) for each depth j, one row per kept
     word in lexicographic order: the word's first symbol, the row of its
     tail (the word without that symbol) in the depth-(j - 1) level (None
-    at depth 1), and the [lo, hi] corners of its rectangle.  A cylinder
-    is the set of points whose first j symbols equal the word.  Depth 1
-    is the branch domains.  Depth j + 1 prepends each symbol s to the
-    depth-j words whose first symbol s may precede, pulls their
-    rectangles back through s's branch inverse and cuts them to s's
-    domain, so building depth k costs about as much as its last level.
-    The rows are gathered with `take` (symbol by symbol, each over the
-    level in order, gives the lexicographic order), and a level is
+    at depth 1), and its rectangle, [lo, hi] per row of a read-only
+    (N, 2, n) view.  A cylinder is the set of points whose first j
+    symbols equal the word.  Depth 1 is the branch domains.
+
+    Depth j + 1 is built one block per symbol s, in symbol order: branch
+    s's inverse, a fixed matrix, pulls back the depth-j rectangles whose
+    first symbol s may precede (the whole level, without a gather, when
+    s may precede every symbol), and the result is cut to s's domain.
+    Blocks keep the level's order, so the words stay lexicographic, and
+    depth k costs about as much as its last level.  A level is stored as
+    (2, n, N), so each end of each axis is one contiguous row, and it is
     compacted only when some word has lost its mass.
-    A word's rectangle is bit for bit the one that pulling back from
-    its last symbol's domain through each earlier symbol gives: that
-    loop's value after the tail is the tail's rectangle, and the level
-    applies the same float operations to it once more.  The pullback
-    is the bounding box of the preimage: exact for diagonal linear
-    parts, otherwise an interval-arithmetic overestimate that keeps
-    cylinder covers supersets of the invariant set.  Words
+
+    A word's rectangle is bit for bit the one that pulling back from its
+    last symbol's domain through each earlier symbol gives.  On axis i
+    that pullback is the sum of the n terms c * (end - offset) of row i
+    of the inverse, the low end taking lo where c > 0 and hi elsewhere
+    (the high end the other way round).  Each block writes the same
+    terms, with the same float operations, along a contiguous last axis
+    of length n and reduces that axis with `np.add.reduce`, the
+    reduction behind the per-word loop's `.sum(axis=2)`, so the
+    additions run in the same order and every bit is the same.
+
+    The pullback is the bounding box of the preimage: exact for
+    diagonal linear parts, otherwise an interval-arithmetic overestimate
+    that keeps cylinder covers supersets of the invariant set.  Words
     whose rectangle empties have no geometric mass and are dropped, with
     every word that extends them; a level may come out empty.  The axes
     the model leaves whole (`ModelSystem.whole_axes`) keep the first
@@ -162,64 +172,105 @@ def cylinder_levels(model: ModelSystem):
     contracting axis.  The generator checks no word cap; callers check
     the cap of a depth before they ask for it.
     """
-    branches = model.branches
-    inverses = np.linalg.inv(np.stack([b.linear for b in branches]))
-    offsets = np.stack([b.offset for b in branches])
-    dom_lo = np.stack([b.lo for b in branches])
-    dom_hi = np.stack([b.hi for b in branches])
+    n, symbols = model.n, np.arange(model.nsym)
     whole = np.flatnonzero(model.whole_axes)
-    precedes = _as_transition(model)
-    symbols = np.arange(model.nsym)
-    first, parent, lo, hi = symbols, None, dom_lo, dom_hi
+    varying = np.flatnonzero(~model.whole_axes).tolist()
+    inverses = np.linalg.inv(np.stack([b.linear for b in model.branches])).tolist()
+    blocks = []  # per symbol: its transition row (None if all ones) and, per varying axis, its pullback
+    for row, inverse, branch in zip(model.transition != 0, inverses, model.branches):
+        axes = []
+        for i in varying:
+            # per column j: the offset and the order of the ends; low pulls back from lo when c > 0, else from hi
+            columns = [(j, branch.offset[j], slice(None) if c > 0 else slice(None, None, -1))
+                       for j, c in enumerate(inverse[i])]
+            axes.append((i, np.array(inverse[i]), columns, branch.lo[i], branch.hi[i]))
+        blocks.append((None if row.all() else row, axes))
+    # levels are stored as (2, n, N): ends, axes, words; each ends-axis row is contiguous
+    domains = np.stack([np.stack([b.lo for b in model.branches], axis=1),
+                        np.stack([b.hi for b in model.branches], axis=1)])
+    whole_domains = domains[:, whole]
+    first, parent, level = symbols, None, domains
     while True:
-        yield first, parent, lo, hi
-        tails = [np.flatnonzero(row.take(first)) for row in precedes]
-        first = np.repeat(symbols, [len(t) for t in tails])
-        parent = np.concatenate(tails)
-        inv, offset = inverses.take(first, axis=0), offsets.take(first, axis=0)
-        shifted_lo = (lo.take(parent, axis=0) - offset)[:, None, :]
-        shifted_hi = (hi.take(parent, axis=0) - offset)[:, None, :]
-        low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=2)
-        high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=2)
-        low[:, whole], high[:, whole] = -np.inf, np.inf
-        lo = np.maximum(low, dom_lo.take(first, axis=0))
-        hi = np.minimum(high, dom_hi.take(first, axis=0))
-        keep = ~np.any(lo > hi + 1e-15, axis=1)
-        hi = np.maximum(hi, lo)
-        if not keep.all():  # some word lost its mass
-            kept = np.flatnonzero(keep)
-            first, parent = first.take(kept), parent.take(kept)
-            lo, hi = lo.take(kept, axis=0), hi.take(kept, axis=0)
+        rects = level.transpose(2, 0, 1)
+        rects.flags.writeable = False
+        yield first, parent, rects
+        rows = np.arange(len(first))
+        tails = [rows if row is None else np.flatnonzero(row.take(first)) for row, _ in blocks]
+        out = np.empty((2, n, sum(map(len, tails))))
+        start = 0
+        for tail, (row, axes) in zip(tails, blocks):
+            block = out[:, :, start : start + len(tail)]
+            start += len(tail)
+            pulled = level if row is None else level.take(tail, axis=2)
+            terms = np.empty((2, len(tail), n))
+            for i, coefficients, columns, dom_lo, dom_hi in axes:
+                for j, offset, order in columns:
+                    np.subtract(pulled[order, j], offset, out=terms[:, :, j])
+                np.multiply(coefficients, terms, out=terms)
+                np.add.reduce(terms, axis=2, out=block[:, i])  # the low and high ends of axis i
+                np.maximum(block[0, i], dom_lo, out=block[0, i])
+                np.minimum(block[1, i], dom_hi, out=block[1, i])
+        first = np.repeat(symbols, list(map(len, tails)))
+        parent, level = np.concatenate(tails), out
+        if len(whole):
+            level[:, whole] = whole_domains.take(first, axis=2)
+        empty = level[0] > level[1] + 1e-15
+        np.maximum(level[1], level[0], out=level[1])
+        if empty.any():  # some word lost its mass
+            kept = np.flatnonzero(~empty.any(axis=0))
+            first, parent, level = first.take(kept), parent.take(kept), level.take(kept, axis=2)
 
 
-def _levels_through(model: ModelSystem, k: int):
-    """(links, rects): the (first, parent) rows of depths 1..k and the depth-k rectangles.
+class CylinderWalk:
+    """One walk of `cylinder_levels`, shared by every depth asked of it.
 
-    The word cap of depth k is checked before any level is built.
+    The walk keeps the (first, parent) links of every level it builds,
+    but the rectangles only of depth 1 (the branch domains) and of the
+    depths asked for.  Asking for a depth past the deepest built checks
+    its word cap first and then builds the levels down to it; asking for
+    one already asked reads it back.
     """
-    _check_cap(model, k)
-    links = []
-    for _, (first, parent, lo, hi) in zip(range(k), cylinder_levels(model)):
-        links.append((first, parent))
-    if len(lo) == 0:
-        raise ValueError(f"no admissible depth-{k} word has geometric mass")
-    return links, np.stack([lo, hi], axis=1)
+
+    def __init__(self, model: ModelSystem):
+        self._model = model
+        self._links = []
+        self._rects = {}
+        self._steps = cylinder_levels(model)
+
+    def rects(self, k: int) -> np.ndarray:
+        """Depth-k cylinder rectangles: the level's read-only (N, 2, n) view, [lo, hi] per cylinder."""
+        if k not in self._rects:
+            _check_cap(self._model, k)
+            if k <= len(self._links):
+                raise ValueError(f"this walk has passed depth {k} and kept no rectangles of it")
+            while len(self._links) < k:
+                first, parent, rects = next(self._steps)
+                self._links.append((first, parent))
+                if len(self._links) in (1, k):
+                    self._rects[len(self._links)] = rects
+        rects = self._rects[k]
+        if len(rects) == 0:
+            raise ValueError(f"no admissible depth-{k} word has geometric mass")
+        return rects
+
+    def cylinders(self, k: int):
+        """(words, rects) of depth k, rects C-ordered; words are read back from the parent rows, deepest level first."""
+        rects = self.rects(k)
+        row, columns = np.arange(len(rects)), []
+        for first, parent in reversed(self._links[1:k]):
+            columns.append(first.take(row))
+            row = parent.take(row)
+        return np.stack(columns + [row], axis=1), np.ascontiguousarray(rects)
 
 
 def cylinders(model: ModelSystem, k: int):
     """Depth-k cylinder rectangles and their words (see `cylinder_levels`).
 
     Returns (words, rects): words is (N, k) in lexicographic order and
-    rects is (N, 2, n) holding [lo, hi] per cylinder.  The words are
-    read back from the parent rows, deepest level first; a depth-1 row
-    is its symbol.
+    rects is (N, 2, n) holding [lo, hi] per cylinder; a depth-1 word is
+    its symbol.
     """
-    links, rects = _levels_through(model, k)
-    row, columns = np.arange(len(rects)), []
-    for first, parent in reversed(links[1:]):
-        columns.append(first.take(row))
-        row = parent.take(row)
-    return np.stack(columns + [row], axis=1), rects
+    return CylinderWalk(model).cylinders(k)
 
 
 @dataclass(frozen=True)

@@ -8,8 +8,9 @@ import time
 
 import pytest
 
-from hypdim import cli
-from hypdim.cli import emit_document, main, make_config, parse_scales
+from hypdim import cli, symbolic
+from hypdim.cli import SWEEP_ROW_CAP, _parse_sweep, emit_document, main, make_config, parse_scales
+from hypdim.errors import CapExceededError
 from hypdim.models import build_linear_horseshoe
 from hypdim.pressure import cover_distance
 
@@ -124,6 +125,28 @@ class TestDimensionCommand:
                                 "--grid", "512"])
         assert doc["result"]["dimension"]["slope"] == pytest.approx(2.0, abs=0.05)
 
+    @pytest.mark.parametrize("argv", [
+        ["--model", "cantor:3,02"],
+        ["--model", "cantor:3,02", "--depth", "1"],
+        ["--model", "horseshoe:3,0.25", "--set", "invariant", "--depth", "5"],
+        ["--model", "catmap", "--set", "invariant"],  # the full-space fallback
+        ["--model", "catmap", "--set", "invariant", "--depth", "4"],
+    ])
+    def test_an_invariant_sample_walks_the_cylinder_levels_once(self, monkeypatch, argv):
+        built = []
+        levels = symbolic.cylinder_levels
+
+        def counted(model):
+            for level in levels(model):
+                built.append(len(level[0]))
+                yield level
+
+        monkeypatch.setattr(symbolic, "cylinder_levels", counted)
+        args = cli.build_parser().parse_args(["dimension", *argv])
+        _, _, meta = cli.sample_for_set(cli.parse_model(args), args.set_name, args)
+        # depth 2 decides the fallback on the way to the sample's depth
+        assert len(built) == max(2, meta["depth"])
+
     def test_csv_side_file(self, capsys, tmp_path):
         csv = tmp_path / "curve.csv"
         run_json(
@@ -180,6 +203,26 @@ class TestReportCommand:
         assert code == 2 and out == ""
         assert "invalid configuration" in err
         assert not out_dir.exists()
+
+    def test_a_sweep_past_the_row_cap_exits_3_before_building_a_row(self, capsys, tmp_path):
+        # 1.8e9 values: building them first would exhaust memory
+        started = time.perf_counter()
+        code, out, err = run(capsys, ["report", "--sweep", "lambda_u=2.2:4.0:1e-9", "--out-dir", str(tmp_path)])
+        assert time.perf_counter() - started < 1.0
+        assert code == 3 and out == ""
+        assert f"1800000001 rows, above the cap {SWEEP_ROW_CAP}" in err
+        assert not (tmp_path / "report.csv").exists() and not (tmp_path / "report.txt").exists()
+
+    def test_a_sweep_at_the_row_cap_keeps_its_values(self):
+        values = _parse_sweep(f"lambda_u=1:{SWEEP_ROW_CAP}:1")
+        assert values == [float(v) for v in range(1, SWEEP_ROW_CAP + 1)]
+        # a stop between two values counts the rows the loop builds
+        assert _parse_sweep(f"lambda_u=0:{SWEEP_ROW_CAP - 0.5}:1") == [float(v) for v in range(SWEEP_ROW_CAP)]
+        # (409.6 - 0) / 0.1 + 1 = 4097, but the loop's running sum passes 409.6 after 4,096 values
+        assert len(_parse_sweep("lambda_u=0:409.6:0.1")) == SWEEP_ROW_CAP
+        for stop in (SWEEP_ROW_CAP, SWEEP_ROW_CAP + 0.5):
+            with pytest.raises(CapExceededError, match=f"asks for {SWEEP_ROW_CAP + 1} rows"):
+                _parse_sweep(f"lambda_u=0:{stop}:1")
 
     def test_report_csv_reads_back_as_the_json_rows(self, capsys, tmp_path):
         # every sweep label ("horseshoe:2.5,0.25") holds a comma

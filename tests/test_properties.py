@@ -23,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hypdim import pressure, symbolic
@@ -406,14 +406,14 @@ def per_branch_leaves_whole(model: ModelSystem, whole: np.ndarray) -> bool:
 
 
 @st.composite
-def split_models(draw):
-    """Diagonal and coupled models on the cube or the torus, in 1 to 3 dimensions.
+def split_models(draw, dims=st.integers(1, 3)):
+    """Diagonal and coupled models on the cube or the torus, in 1 to 3 dimensions (or `dims`).
 
     Domains span the unit interval, miss it by 1e-12 or cover part of
     it; linear parts are diagonal or carry off-diagonal entries, and
     offsets put images inside the unit interval, on its ends or past them.
     """
-    n = draw(st.integers(1, 3))
+    n = draw(dims)
     m = draw(st.integers(1, 3))
     coupled = draw(st.booleans())
     entry = st.sampled_from([0.0, 0.5, -0.5, 1.0, -1.0, 0.25, 2.0]) | _floats(-2.0, 2.0)
@@ -779,6 +779,19 @@ def test_cylinders_equal_the_per_word_loop_on_the_builtins(name, k):
     _assert_same_arrays(cylinders(model, k), per_word_cylinders(model, k))
 
 
+@pytest.mark.parametrize("name", BUILTINS)
+def test_a_walk_reads_back_depth_one_and_the_depths_asked(name):
+    model = BUILTINS[name]
+    walk = symbolic.CylinderWalk(model)
+    _assert_same_arrays(walk.cylinders(2), per_word_cylinders(model, 2))
+    _assert_same_arrays(walk.cylinders(5), per_word_cylinders(model, 5))
+    for k in (1, 2):
+        _assert_same_arrays(walk.cylinders(k), per_word_cylinders(model, k))
+    # the rectangles of depths stepped over are not kept
+    with pytest.raises(ValueError, match="has passed depth 3"):
+        walk.rects(3)
+
+
 def _cover_equals_the_per_depth_loop(model, epsilon) -> bool:
     """Assert the equality; False when the loop would go deeper than 8 levels."""
     try:
@@ -1064,8 +1077,8 @@ def per_word_levels(model: ModelSystem, k: int):
     return levels
 
 
-def _assert_levels_equal_the_per_word_loop(model, k):
-    for depth, ((first, parent, lo, hi), (want_first, want_parent, want_rects)) in enumerate(
+def _assert_levels_equal_the_per_word_loop(model, k, same_rects=_assert_same_arrays):
+    for depth, ((first, parent, rects), (want_first, want_parent, want_rects)) in enumerate(
         zip(cylinder_levels(model), per_word_levels(model, k)), 1
     ):
         if depth == 1:
@@ -1073,13 +1086,88 @@ def _assert_levels_equal_the_per_word_loop(model, k):
             _assert_same_arrays([first], [want_first])
         else:
             _assert_same_arrays([first, parent], [want_first, want_parent])
-        _assert_same_arrays([lo, hi], [want_rects[:, 0, :], want_rects[:, 1, :]])
+        same_rects([rects], [want_rects])
 
 
 @PROPERTY_SETTINGS
 @given(model=markov_models() | touching_models(), k=st.integers(1, 6))
 def test_cylinder_levels_link_every_word_to_its_tail(model, k):
     _assert_levels_equal_the_per_word_loop(model, k)
+
+
+def _invertible(model) -> bool:
+    try:
+        np.linalg.inv(np.stack([b.linear for b in model.branches]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def _assert_same_arrays_but_nan_bits(got, expected):
+    """`_assert_same_arrays` with every NaN read as np.nan.
+
+    A branch inverse with infinite or huge entries (a linear part near
+    1e-308) turns rectangles into NaN; which NaN bits come out depends
+    on the loop numpy picks, not on the arithmetic.
+    """
+    _assert_same_arrays(
+        [np.where(np.isnan(a), np.nan, a) for a in got], [np.where(np.isnan(b), np.nan, b) for b in expected]
+    )
+
+
+def _minus_zero_pullback():
+    """Branch 0 pulls domain 1's low end, 0.0 = its offset, back to -1 * 0.0 = -0.0.
+
+    The pullback sums from +0.0, so the word 01 ends at +0.0; the clamp
+    against domain 0's low end, -0.1, keeps whichever zero the sum gave.
+    """
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": 0, "domain": {"lo": [-0.1], "hi": [1.1]}, "linear": [[-1.0]], "offset": [0.0]},
+            {"symbol": 1, "domain": {"lo": [0.0], "hi": [1.0]}, "linear": [[2.0]], "offset": [0.0]},
+        ],
+        "transition": [[1, 1], [1, 1]],
+        "unstable_dim": 1,
+    })
+
+
+def _infinite_inverse():
+    """The x slope 1e-309 has an infinite inverse, so depth 2 has x-end inf * 0.0 = NaN.
+
+    At depth 3 the zero coefficient of x in row y meets that NaN, and
+    0.0 * NaN makes the y ends NaN too: every term is summed, zero
+    coefficients included.
+    """
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 2, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": [{"symbol": 0, "domain": {"lo": [0.0, 0.0], "hi": [0.5, 1.0]},
+                      "linear": [[1e-309, 0.0], [0.0, 2.0]], "offset": [0.0, 0.0]}],
+        "transition": [[1]],
+        "unstable_dim": 2,
+    })
+
+
+@PROPERTY_SETTINGS
+@given(model=split_models(), k=st.integers(1, 4))
+@example(model=_minus_zero_pullback(), k=2)
+@example(model=_infinite_inverse(), k=3)
+def test_cylinder_levels_equal_the_per_word_loop_on_coupled_models(model, k):
+    # zero and negative inverse entries, whole axes, and levels that empty
+    assume(_invertible(model))
+    with np.errstate(all="ignore"):
+        _assert_levels_equal_the_per_word_loop(model, k, _assert_same_arrays_but_nan_bits)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=15)
+@given(model=split_models(dims=st.sampled_from([8, 9])), k=st.integers(1, 3))
+def test_cylinder_levels_equal_the_per_word_loop_from_eight_axes_on(model, k):
+    # numpy sums eight or more terms pairwise, not left to right
+    assume(_invertible(model))
+    with np.errstate(all="ignore"):
+        _assert_levels_equal_the_per_word_loop(model, k, _assert_same_arrays_but_nan_bits)
 
 
 def _one_branch_misses_a_domain():
