@@ -24,7 +24,8 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -102,6 +103,35 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
+def _write_json(value, out: list, indent: str) -> None:
+    """Append `json.dumps(value, sort_keys=True, indent=2, default=_json_default)` to `out`.
+
+    `indent` is a newline and the indent of `value`.  Types go in the stdlib's order, with its
+    reprs and string encoder; a non-finite float or a key that is not text raises TypeError."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float) and math.isfinite(value):
+        out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        for i, item in enumerate(value):
+            out.append(("," if i else "[") + indent + "  ")
+            _write_json(item, out, indent + "  ")
+        out.append(indent + "]" if value else "[]")
+    elif isinstance(value, dict):
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if not isinstance(key, str):
+                raise TypeError(key)
+            out.append(("," if i else "{") + indent + "  " + encode_basestring_ascii(key) + ": ")
+            _write_json(item, out, indent + "  ")
+        out.append(indent + "}" if value else "{}")
+    else:
+        _write_json(_json_default(value), out, indent)
+
+
 def atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hypdim-", suffix=".tmp")
@@ -119,7 +149,7 @@ def emit_document(args, config: ExperimentConfig, result: dict) -> None:
     doc = {
         "tool": "hypdim",
         "version": __version__,
-        "config": asdict(config),
+        "config": {f.name: getattr(config, f.name) for f in fields(config)},
         "caps": {"word_cap": WORD_CAP},
         "tolerances": {
             "classification_exact": CLASSIFY_TOL_EXACT,
@@ -127,7 +157,12 @@ def emit_document(args, config: ExperimentConfig, result: dict) -> None:
         },
         "result": result,
     }
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_json_default) + "\n"
+    out = []
+    try:
+        _write_json(doc, out, "\n")
+    except TypeError:  # json.dumps writes a key that is not text, and refuses the rest with its own error
+        out = [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=_json_default)]
+    text = "".join(out) + "\n"
     if getattr(args, "out", None):
         atomic_write(args.out, text)
     else:

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
 from .pressure import PressureEstimate, ProductCloud, _grid_axis, factored_axes, spectral_estimate
-from .symbolic import CylinderWalk, check_word_cap, count_admissible_words, equilibrium_state
+from .symbolic import CylinderWalk, check_word_cap, equilibrium_state
 
 CLASSIFY_TOL_EXACT = 1e-9
 CLASSIFY_TOL_ESTIMATOR = 0.02
@@ -106,7 +106,7 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
         return ExpansionRate(
             value=rate, per_k=np.full(k_max, rate), k_max=k_max, exact=True
         )
-    check_word_cap(count_admissible_words(model, k_max), k_max)
+    check_word_cap(model, k_max)
     per_k = np.array(
         [float(np.log(norms.max())) / k for k, norms in enumerate(_word_norms(model, k_max), 1)]
     )

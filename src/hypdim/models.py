@@ -30,6 +30,13 @@ KINDS = ("diffeo", "expanding")
 POTENTIAL_LABELS = ("phi_u", "phi_s", "phi", "custom")
 
 
+def _no_constant(token: str):
+    raise ValueError(f"model files hold finite numbers only, not {token}")
+
+
+_MODEL_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+
+
 def _ro(values, dtype=float):
     """Return a read-only ndarray copy of `values`."""
     arr = np.array(values, dtype=dtype)
@@ -73,7 +80,7 @@ class AffineBranch:
         n = self.lo.shape[0]
         if self.hi.shape != (n,) or self.linear.shape != (n, n) or self.offset.shape != (n,):
             raise ParameterOutOfRangeError("branch arrays have inconsistent shapes")
-        if np.any(self.hi < self.lo):
+        if (self.hi < self.lo).any():
             raise ParameterOutOfRangeError("branch domain rectangle is empty")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
@@ -138,7 +145,7 @@ class ModelSystem:
                 raise ParameterOutOfRangeError("diffeo models need d_u + d_s = n")
         if self.transition.shape != (m, m):
             raise ParameterOutOfRangeError("transition matrix size must equal branch count")
-        if np.any(self.transition.sum(axis=0) == 0) or np.any(self.transition.sum(axis=1) == 0):
+        if (self.transition.sum(axis=0) == 0).any() or (self.transition.sum(axis=1) == 0).any():
             raise ParameterOutOfRangeError("transition matrix needs a 1 in every row and column")
         if [b.symbol for b in self.branches] != list(range(m)):
             raise ParameterOutOfRangeError("branch symbols must be 0..m-1 in order")
@@ -146,10 +153,10 @@ class ModelSystem:
             raise ParameterOutOfRangeError("lambda_u must have one entry per branch")
         if self.strict:
             # adapted-metric convention: one-step expansion/contraction, c = 1
-            if np.any(self.lambda_u <= 1.0):
+            if (self.lambda_u <= 1.0).any():
                 raise ParameterOutOfRangeError("lambda_u entries must exceed 1")
             if self.kind == "diffeo":
-                if self.lambda_s is None or np.any(self.lambda_s >= 1.0) or np.any(self.lambda_s <= 0):
+                if self.lambda_s is None or (self.lambda_s >= 1.0).any() or (self.lambda_s <= 0).any():
                     raise ParameterOutOfRangeError("diffeo models need lambda_s entries in (0, 1)")
                 if any(abs(np.linalg.det(b.linear)) < 1e-300 for b in self.branches):
                     raise ParameterOutOfRangeError("diffeo branches need invertible linear parts")
@@ -333,6 +340,11 @@ class ModelSystem:
         from singular values, without verifying the hyperbolic-set
         conditions.
         """
+        return cls._from_dict(data)[0]
+
+    @classmethod
+    def _from_dict(cls, data: dict):
+        """(model, singular values of each branch's linear part, descending)."""
         space = AmbientSpace(int(data["space"]["dim"]), data["space"]["geometry"])
         kind = data["kind"]
         branches = tuple(
@@ -347,12 +359,7 @@ class ModelSystem:
         )
         d_u = int(data["unstable_dim"])
         d_s = 0 if kind == "expanding" else space.dim - d_u
-        lam_u = []
-        lam_s = []
-        for b in branches:
-            sv = np.linalg.svd(b.linear, compute_uv=False)
-            lam_u.append(float(np.prod(sv[:d_u])))
-            lam_s.append(float(np.prod(sv[d_u:])) if d_s else 1.0)
+        sv = np.linalg.svd(np.array([b.linear for b in branches]), compute_uv=False)
         return cls(
             space=space,
             branches=branches,
@@ -360,14 +367,19 @@ class ModelSystem:
             unstable_dim=d_u,
             stable_dim=d_s,
             transition=np.asarray(data["transition"]),
-            lambda_u=np.asarray(lam_u),
-            lambda_s=np.asarray(lam_s) if kind == "diffeo" else None,
+            lambda_u=sv[:, :d_u].prod(axis=1),
+            lambda_s=sv[:, d_u:].prod(axis=1) if kind == "diffeo" else None,
             strict=False,
-        )
+        ), sv
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSystem":
-        return cls.from_json_dict(json.loads(text))
+        """`from_json_dict` of a model file; refuses NaN, Infinity and a branch without a finite inverse."""
+        model, sv = cls._from_dict(_MODEL_DECODER.decode(text))
+        for b, s in zip(model.branches, sv[:, -1].tolist()):
+            if not (s > 0.0 and 1.0 / s < math.inf):
+                raise ParameterOutOfRangeError(f"branch {b.symbol} has no finite inverse: {b.linear.tolist()}")
+        return model
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,6 @@ from .symbolic import (
     cylinder_levels,
     partition_sums_through,
     pressure_spectral,
-    word_counts,
 )
 
 _FULL_TOL = 1e-9
@@ -223,15 +222,13 @@ def cover_rects(model: ModelSystem, epsilon: float):
 
     Returns (depth, rects).  One walk of `cylinder_levels` goes down
     until the cover is fine enough, checking each depth's word cap
-    before building it from a running count, one vector-matrix step per
-    depth (`word_counts`); the rectangles are those `cylinders(model, m)`
+    before building it; the rectangles are those `cylinders(model, m)`
     returns, bit for bit.  Axes whose cylinder extent never shrinks
     (e.g. coverings of the whole torus) are ignored; if no axis shrinks
     at all the cover is the branch domains themselves and distances to
     it are exact because the invariant set fills the space.
     """
-    levels, counts = cylinder_levels(model), word_counts(model)
-    next(counts)
+    levels = cylinder_levels(model)
     first = rects = next(levels)[2]
     base_ext = (rects[:, 1] - rects[:, 0]).max(axis=0)
     depth = 1
@@ -243,7 +240,7 @@ def cover_rects(model: ModelSystem, epsilon: float):
         if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
             return depth, np.ascontiguousarray(rects)
         depth += 1
-        check_word_cap(next(counts), depth)
+        check_word_cap(model, depth)
         rects = next(levels)[2]
         if len(rects) == 0:
             raise ValueError(f"no admissible depth-{depth} word has geometric mass")

@@ -52,20 +52,17 @@ def is_primitive(transition) -> bool:
     return bool(power.all())
 
 
-def _transfer_sums(weights: np.ndarray, matrix: np.ndarray, k: int, limit: float = math.inf):
+def _transfer_sums(weights: np.ndarray, matrix: np.ndarray, k: int):
     """Z_1..Z_k by the row-vector recursion u_1 = weights, u_{j+1} = u_j M.
 
     Z_j is the sum of u_j.  With weights e^phi and M = A diag(e^phi) it
     is the partition sum of phi over admissible j-words; with phi = 0 it
-    counts them.  Entries from the first one above `limit` on are inf.
+    counts them.
     """
-    out = np.full(k, math.inf)
+    out = np.empty(k)
     u = weights
     for j in range(k):
-        z = u.sum()
-        if z > limit:
-            break
-        out[j] = z
+        out[j] = u.sum()
         u = u @ matrix
     return out
 
@@ -80,42 +77,34 @@ def _weighted(model: ModelSystem, pot: Potential):
 
 
 def count_admissible_words(transition, k: int) -> float:
-    """Number of admissible length-k words (float; saturates, never raises)."""
-    a = _as_transition(transition).astype(float)
-    return float(_transfer_sums(np.ones(a.shape[0]), a, max(k, 1), limit=1e18)[-1])
-
-
-def word_counts(transition):
-    """Admissible-word counts of length 1, 2, ..., one vector-matrix step each.
-
-    The same recursion as `count_admissible_words`, so every count is
-    bit for bit the one it returns (below its saturation at 1e18).
-    """
+    """Number of admissible length-k words (float, inf once past the floats; never raises)."""
     a = _as_transition(transition).astype(float)
     u = np.ones(a.shape[0])
-    while True:
-        yield float(u.sum())
-        u = u @ a
+    with np.errstate(over="ignore"):
+        for _ in range(k - 1):
+            if u.sum() == math.inf:  # stop before inf * 0 makes NaN
+                break
+            u = u @ a
+        return float(u.sum())
 
 
-def check_word_cap(count: float, k: int) -> None:
-    """Refuse `count` admissible words of length k when they exceed `WORD_CAP`."""
-    if count > WORD_CAP:
-        raise CapExceededError(
-            f"{count:.3g} admissible words of length {k} exceed the cap {WORD_CAP}"
-        )
+def check_word_cap(transition, k: int) -> None:
+    """Refuse word length k when the admissible k-words exceed `WORD_CAP`.
 
-
-def _check_cap(transition, k: int) -> None:
+    They are counted only when the bound m * r^(k - 1) does, r the largest row sum of the
+    0/1 transition (the exponent stops at 25, which takes any r >= 2 past the cap)."""
     if k < 1:
         raise ValueError("word length k must be >= 1")
-    check_word_cap(count_admissible_words(transition, k), k)
+    a = _as_transition(transition)
+    if a.shape[0] * int(a.sum(axis=1).max(initial=0)) ** min(k - 1, WORD_CAP.bit_length()) > WORD_CAP:
+        if (count := count_admissible_words(a, k)) > WORD_CAP:
+            raise CapExceededError(f"{count:.3g} admissible words of length {k} exceed the cap {WORD_CAP}")
 
 
 def admissible_words(transition, k: int) -> np.ndarray:
     """All admissible length-k words, one per row, lexicographic order."""
     a = _as_transition(transition)
-    _check_cap(a, k)
+    check_word_cap(a, k)
     words = np.arange(a.shape[0], dtype=np.int64)[:, None]
     for _ in range(k - 1):
         # row-major order of the nonzeros keeps the words lexicographic
@@ -240,7 +229,7 @@ class CylinderWalk:
     def rects(self, k: int) -> np.ndarray:
         """Depth-k cylinder rectangles: the level's read-only (N, 2, n) view, [lo, hi] per cylinder."""
         if k not in self._rects:
-            _check_cap(self._model, k)
+            check_word_cap(self._model, k)
             if k <= len(self._links):
                 raise ValueError(f"this walk has passed depth {k} and kept no rectangles of it")
             while len(self._links) < k:
@@ -329,7 +318,7 @@ def partition_sums_through(
     word cap still bounds k_max, which keeps every Z_k finite.
     """
     _check_delta(model, delta)
-    _check_cap(model, k_max)
+    check_word_cap(model, k_max)
     return _transfer_sums(*_weighted(model, pot), k_max)
 
 
@@ -350,22 +339,26 @@ def perron_root(matrix, tol: float = SPECTRAL_TOL, max_iter: int = SPECTRAL_MAX_
     bracket a little wider (an eigenvalue near -rho leaves v cycling
     with period 2 in floats); once v repeats the one from two steps
     back the bracket can shrink no further, and the iteration stops
-    there too.
+    there too.  The bracket is worked out on Python floats (numpy's bits); an iterate
+    holding NaN or +inf can only run out of steps, so it stops at once with that error.
     """
     m = np.asarray(matrix, dtype=float)
-    v, last, before = np.ones(m.shape[0]), None, None
+    v, values, last, before = np.ones(m.shape[0]), [1.0] * m.shape[0], None, None
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(max_iter):
             w = m @ v
-            ratios = np.where(v > 0, w / v, math.inf)
-            lo, hi = float(ratios.min()), float(ratios.max())
-            if math.isfinite(hi) and (hi - lo <= tol * hi or np.array_equal(v, before)):
-                root = 0.5 * (lo + hi)
-                return root, w / np.linalg.norm(w)
-            peak = w.max()
+            products = w.tolist()
+            if not all(x < math.inf for x in products):
+                break
+            ratios = [x / y if y > 0 else math.inf for x, y in zip(products, values)]
+            lo, hi = min(ratios), max(ratios)
+            if math.isfinite(hi) and (hi - lo <= tol * hi or values == before):
+                return 0.5 * (lo + hi), w / np.linalg.norm(w)
+            peak = max(products)
             if peak <= 0:
                 raise NotMixingError("matrix is not primitive (iteration collapsed)")
-            v, last, before = w / peak, v, last
+            v = w / peak
+            values, last, before = v.tolist(), values, last
     raise NotMixingError(f"power iteration did not converge within {max_iter} steps")
 
 

@@ -6,7 +6,10 @@ import json
 import math
 import time
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypdim import cli, symbolic
 from hypdim.cli import SWEEP_ROW_CAP, _parse_sweep, emit_document, main, make_config, parse_scales
@@ -25,6 +28,22 @@ def run_json(capsys, argv):
     code, out, err = run(capsys, argv)
     assert code == 0, err
     return json.loads(out)
+
+
+def _repeller_doc(slopes, transition) -> dict:
+    """A 1-D repeller: branch i maps [lo_i, lo_i + 1/slope_i] onto [0, 1], the domains spread over [0, 1]."""
+    gap = (1.0 - sum(1.0 / s for s in slopes)) / max(len(slopes) - 1, 1)
+    los = [sum(1.0 / t for t in slopes[:i]) + i * gap for i in range(len(slopes))]
+    return {
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [lo], "hi": [lo + 1.0 / s]}, "linear": [[s]], "offset": [-s * lo]}
+            for i, (lo, s) in enumerate(zip(los, slopes))
+        ],
+        "transition": transition,
+        "unstable_dim": 1,
+    }
 
 
 class TestBoundCommand:
@@ -411,6 +430,52 @@ class TestModelFiles:
         assert out == ""
         assert "depth-2" in err and "geometric mass" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["dimension", "--set", "repeller", "--depth", "4"], ["pressure", "--method", "volume"],
+         ["bound", "--check-srb"]],
+    )
+    def test_a_branch_without_a_finite_inverse_is_refused(self, capsys, tmp_path, argv):
+        # 1 / 1e-309 overflows: every cylinder would pull back through an infinite inverse
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "space": {"dim": 2, "geometry": "cube"},
+            "kind": "expanding",
+            "branches": [
+                {"symbol": 0, "domain": {"lo": [0.0, 0.0], "hi": [0.4, 1.0]},
+                 "linear": [[1e-309, 0.0], [0.0, 2.0]], "offset": [0.0, 0.0]},
+                {"symbol": 1, "domain": {"lo": [0.6, 0.0], "hi": [1.0, 1.0]},
+                 "linear": [[2.5, 0.0], [0.0, 2.0]], "offset": [-1.5, 0.0]},
+            ],
+            "transition": [[1, 1], [1, 1]],
+            "unstable_dim": 2,
+        }))
+        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: branch 0 has no finite inverse: [[1e-309, 0.0], [0.0, 2.0]]\n"
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_nan_and_infinity_tokens_are_refused(self, capsys, tmp_path, token):
+        path = tmp_path / "token.json"
+        doc = json.dumps(_repeller_doc([2.5, 2.5], [[1, 1], [1, 1]]))
+        path.write_text(doc.replace('"linear": [[2.5]]', f'"linear": [[{token}]]', 1))
+        code, out, err = run(capsys, ["pressure", "--model-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == f"hypdim: invalid configuration: model files hold finite numbers only, not {token}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dimension", "--set", "repeller", "--depth", "14"],
+         ["pressure", "--method", "partition", "--kmax", "14"]],
+    )
+    def test_a_cap_refusal_shows_a_count_past_1e18(self, capsys, tmp_path, argv):
+        # 257^14 = 5.48e33 words: finite, though the refusal read inf while the count saturated at 1e18
+        path = tmp_path / "full257.json"
+        path.write_text(json.dumps(_repeller_doc([300.0] * 257, [[1] * 257] * 257)))
+        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        assert (code, out) == (3, "")
+        assert err == "hypdim: cap exceeded: 5.48e+33 admissible words of length 14 exceed the cap 16777216\n"
+
     def test_stable_set_rejected_for_expanding_models(self, capsys):
         code, _, err = run(capsys, ["dimension", "--model", "doubling:2", "--set", "stable"])
         assert code == 2
@@ -440,6 +505,93 @@ class TestDeterminism:
         assert doc["config"]["model"] == "doubling:2"
         assert doc["caps"]["word_cap"] == 1 << 24
         assert "classification_exact" in doc["tolerances"]
+
+
+JSON_SCALARS = (
+    st.text(max_size=8) | st.integers() | st.booleans() | st.none()
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.floats(allow_nan=False, allow_infinity=False).map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=4).map(np.array)
+    | st.lists(st.integers(-9, 9), max_size=4).map(lambda v: np.array(v, dtype=np.int64).reshape(-1, 1))
+)
+JSON_DOCS = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+
+
+def stdlib_dumps(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False, default=cli._json_default)
+
+
+def written(doc) -> str:
+    out = []
+    cli._write_json(doc, out, "\n")
+    return "".join(out)
+
+
+class TestFixedCost:
+    @pytest.mark.parametrize(
+        "argv",
+        [["dimension", "--model", "cantor:3,02", "--set", "repeller", "--depth", "14"],
+         ["pressure", "--model", "cantor:3,02", "--method", "partition", "--kmax", "22"],
+         ["bound", "--model", "goldenmean", "--check-srb"],
+         ["dimension", "--model", "goldenmean", "--set", "repeller"],
+         ["dimension", "--model-file", "GOLDEN", "--set", "repeller"],
+         ["pressure", "--model-file", "GOLDEN", "--method", "partition", "--kmax", "22"],
+         ["bound", "--model-file", "GOLDEN", "--check-srb"],
+         ["dimension", "--model-file", "THREE", "--set", "repeller", "--depth", "9"],
+         ["pressure", "--model-file", "THREE", "--method", "partition", "--kmax", "13"],
+         ["bound", "--model-file", "THREE", "--check-srb"],
+         ["pressure", "--model", "horseshoe:2.7,0.25", "--method", "volume", "--kmax", "8", "--grid", "2048"],
+         ["report", "--sweep", "lambda_u=2.2:4.0:0.2", "--seed", "3"]],
+    )
+    def test_benchmark_shaped_calls_check_word_caps_without_counting(self, capsys, monkeypatch, tmp_path, argv):
+        # every cap check these calls make passes on the bound m * r^(k - 1) alone
+        files = {
+            "GOLDEN": _repeller_doc([2.7, 2.2], [[1, 1], [1, 0]]),
+            "THREE": _repeller_doc([3.3, 4.0, 4.6], [[1, 1, 1]] * 3),
+        }
+        for name, doc in files.items():
+            (tmp_path / name).write_text(json.dumps(doc))
+        counted = []
+        monkeypatch.setattr(symbolic, "count_admissible_words", lambda *args: counted.append(args))
+        extra = ["--out-dir", str(tmp_path)] if argv[0] == "report" else []
+        run_json(capsys, [str(tmp_path / a) if a in files else a for a in argv] + extra)
+        assert counted == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(doc=JSON_DOCS)
+    def test_the_json_writer_gives_the_stdlib_bytes(self, doc):
+        assert written(doc) == stdlib_dumps(doc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(doc=JSON_DOCS, bad=st.sampled_from([math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                               np.float32(math.inf), np.array([1.0, -math.inf])]))
+    def test_a_non_finite_value_raises_the_stdlib_error(self, doc, bad):
+        # the document goes to json.dumps, whose error names the value
+        args = argparse.Namespace(seed=0, threads=1)
+        for container in ([doc, bad], {"a": doc, "b": [bad]}):
+            with pytest.raises(ValueError) as expected:
+                stdlib_dumps(container)
+            with pytest.raises(ValueError) as got:
+                emit_document(args, make_config(args, "pressure"), container)
+            assert str(got.value) == str(expected.value)
+
+    def test_keys_that_are_not_text_go_to_the_stdlib(self, capsys):
+        with pytest.raises(TypeError):
+            written({1: "a"})
+        args = argparse.Namespace(seed=0, threads=1)
+        emit_document(args, make_config(args, "pressure"), {1: "a", 2: [1.5]})
+        emit_document(args, make_config(args, "pressure"), {"1": "a", "2": [1.5]})
+        first, second = capsys.readouterr().out.split("}\n{")
+        assert first + "}\n" == "{" + second
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            written({"a": object()})
 
 
 SHARED = {"--model", "--model-file", "--target-dim", "--out"}

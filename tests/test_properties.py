@@ -14,11 +14,17 @@ the oracle for step-counted and multi-scale box counts, the per-branch
 `np.ix_` loop as the oracle for the product split, stepping every point
 as the oracle for the zero-cover shortcut, the SVD of every word's product
 as the oracle for the 1-D expansion rate, separate calls that each
-solve their own Perron problems as the oracle for the bound report, and
-the k-d tree as the oracle for the Minkowski curve of product clouds.
+solve their own Perron problems as the oracle for the bound report,
+the k-d tree as the oracle for the Minkowski curve of product clouds,
+the Perron loop with its bracket on numpy arrays as the oracle for the
+scalar bracket, and integer word counts as the oracle for the word-cap
+check by bound.
 """
 
+import math
 import re
+import struct
+import sys
 from unittest import mock
 
 import numpy as np
@@ -39,7 +45,7 @@ from hypdim.dimension import (
     expansion_rate,
     minkowski_content_curve,
 )
-from hypdim.errors import CapExceededError, HypdimError
+from hypdim.errors import CapExceededError, HypdimError, NotMixingError
 from hypdim.models import (
     ModelSystem,
     Potential,
@@ -1208,6 +1214,114 @@ def test_perron_root_stops_where_rounding_holds_the_bracket():
     root, vector = perron_root(matrix)
     assert root == pytest.approx(max(np.linalg.eigvals(matrix).real), rel=1e-13)
     assert np.allclose(matrix @ vector, root * vector, rtol=1e-13, atol=0.0)
+
+
+def vector_perron_root(matrix, tol=symbolic.SPECTRAL_TOL, max_iter=symbolic.SPECTRAL_MAX_ITER):
+    """The Perron loop with the bracket worked out on numpy arrays, as it was before the scalar one."""
+    m = np.asarray(matrix, dtype=float)
+    v, last, before = np.ones(m.shape[0]), None, None
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            w = m @ v
+            ratios = np.where(v > 0, w / v, math.inf)
+            lo, hi = float(ratios.min()), float(ratios.max())
+            if math.isfinite(hi) and (hi - lo <= tol * hi or np.array_equal(v, before)):
+                root = 0.5 * (lo + hi)
+                return root, w / np.linalg.norm(w)
+            peak = w.max()
+            if peak <= 0:
+                raise NotMixingError("matrix is not primitive (iteration collapsed)")
+            v, last, before = w / peak, v, last
+    raise NotMixingError(f"power iteration did not converge within {max_iter} steps")
+
+
+def _perron_outcome(solve, matrix, max_iter):
+    """(root bits, vector bytes) of a solve, or the type and text of its error."""
+    try:
+        with np.errstate(over="ignore"):
+            root, vector = solve(matrix, max_iter=max_iter)
+    except NotMixingError as exc:
+        return type(exc), str(exc)
+    assert type(root) is float
+    return struct.pack("<d", root), vector.tobytes()
+
+
+@st.composite
+def perron_matrices(draw):
+    """Square nonnegative matrices of 1 to 6 rows: zeros, tiny and huge entries, inf and NaN."""
+    n = draw(st.integers(1, 6))
+    entry = st.just(0.0) | _floats(0.0, 4.0) | _floats(0.5, 4.0)
+    matrix = np.array([[draw(entry) for _ in range(n)] for _ in range(n)])
+    special = st.sampled_from([1e-300, 1e300, math.inf, math.nan]) | st.floats(0.0, 1e308)
+    for _ in range(draw(st.integers(0, 2))):
+        matrix[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(special)
+    return matrix
+
+
+TWO_CYCLE = np.array([[0.0, 0.0, 1 / 6.125], [0.0, 1 / 49, 1 / 6.125], [1 / 6.125, 1 / 49, 0.0]])
+
+
+@settings(PROPERTY_SETTINGS, max_examples=300)
+@given(matrix=perron_matrices(), max_iter=st.integers(1, 300))
+@example(matrix=TWO_CYCLE, max_iter=symbolic.SPECTRAL_MAX_ITER)
+@example(matrix=np.array([[1.0, 1.0], [1.0, 0.0]]), max_iter=symbolic.SPECTRAL_MAX_ITER)
+@example(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), max_iter=50)
+@example(matrix=np.array([[1.0, math.inf], [1.0, 1.0]]), max_iter=symbolic.SPECTRAL_MAX_ITER)
+@example(matrix=np.array([[1.0, 1.0], [math.nan, 1.0]]), max_iter=7)
+def test_perron_root_equals_the_vector_loop(matrix, max_iter):
+    # same root bits, same vector bytes, or the same error with the same text
+    assert _perron_outcome(perron_root, matrix, max_iter) == _perron_outcome(vector_perron_root, matrix, max_iter)
+
+
+@st.composite
+def word_cap_transitions(draw):
+    """0/1 transitions: 1 to 5 symbols at random, full shifts, shifts without fixed points, and cycles."""
+    kind = draw(st.sampled_from(["random", "full", "no fixed point", "cycle"]))
+    if kind == "random":
+        return np.array(draw(transitions(draw(st.integers(1, 5)))))
+    if kind == "cycle":
+        return np.roll(np.eye(draw(st.sampled_from([1, 5, 300])), dtype=int), 1, axis=1)
+    m = draw(st.sampled_from([2, 3, 4, 17, 257, 300]))
+    return np.ones((m, m), dtype=int) - (kind == "no fixed point") * np.eye(m, dtype=int)
+
+
+def _exact_word_count(transition, k: int) -> int:
+    """Admissible k-words in integers: closed forms for the large shifts, the column recursion for small ones."""
+    a = np.asarray(transition) != 0
+    m = len(a)
+    if a.all():
+        return m**k
+    if (a.sum(axis=0) == 1).all() and (a.sum(axis=1) == 1).all():
+        return m  # a permutation
+    if m > 5:
+        assert (a.sum(axis=1) == m - 1).all() and not a.diagonal().any()
+        return m * (m - 1) ** (k - 1)
+    counts, rows = [1] * m, a.tolist()
+    for _ in range(k - 1):
+        counts = [sum(c for c, row in zip(counts, rows) if row[j]) for j in range(m)]
+    return sum(counts)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=200)
+@given(transition=word_cap_transitions(), k=st.integers(1, 150))
+@example(transition=np.ones((2, 2), dtype=int), k=24)
+@example(transition=np.ones((2, 2), dtype=int), k=25)
+@example(transition=np.array([[1, 1], [1, 0]]), k=35)  # 24,157,817 words: the bound 2^35 counts them
+@example(transition=np.array([[1, 1], [1, 0]]), k=34)  # 14,930,352 words, under the cap
+@example(transition=np.ones((257, 257), dtype=int), k=14)  # 5.5e33 words, shown as inf before
+@example(transition=np.ones((257, 257), dtype=int) - np.eye(257, dtype=int), k=140)  # past the floats
+def test_check_word_cap_refuses_exactly_the_counts_past_the_cap(transition, k):
+    exact = _exact_word_count(transition, k)
+    assert (count_admissible_words(transition, k) > symbolic.WORD_CAP) == (exact > symbolic.WORD_CAP)
+    if exact <= symbolic.WORD_CAP:
+        symbolic.check_word_cap(transition, k)
+        return
+    with pytest.raises(CapExceededError) as refusal:
+        symbolic.check_word_cap(transition, k)
+    # the refusal shows the count to 3 digits, also past 1e18, where the count used to saturate
+    shown, _, rest = str(refusal.value).partition(" ")
+    assert shown == "inf" if exact > sys.float_info.max else float(shown) == pytest.approx(exact, rel=5e-3)
+    assert rest == f"admissible words of length {k} exceed the cap {symbolic.WORD_CAP}"
 
 
 def separate_bound_report(model: ModelSystem, k_max: int = 8) -> dict:
