@@ -7,8 +7,8 @@ byte-identical for identical configuration and seed; files are written
 to a temp name and renamed, so failures leave no partials.
 
 Exit codes: 0 success, 2 invalid configuration (an unoffered flag, a
-`pressure` flag its --method never reads, or a non-positive count,
-epsilon or delta among them), 3 enumeration cap exceeded, 4
+`pressure` flag its --method never reads, or a non-positive count or
+epsilon among them), 3 enumeration cap exceeded, 4
 inconclusive classification when a verdict was demanded.
 """
 
@@ -24,7 +24,6 @@ import os
 import re
 import sys
 import tempfile
-from dataclasses import dataclass, fields
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -34,6 +33,7 @@ from .dimension import (
     CLASSIFY_TOL_ESTIMATOR,
     CLASSIFY_TOL_EXACT,
     bound_report,
+    classification_tolerance,
     classify,
     horseshoe_for_target_dimension,
     invariant_set_sample,
@@ -72,27 +72,9 @@ EXIT_INCONCLUSIVE = 4
 SWEEP_ROW_CAP = 4096
 
 
-@dataclass
-class ExperimentConfig:
-    """Echo of everything that determined a run; flags a command lacks echo their defaults."""
-
-    command: str
-    model: str | None = None
-    model_file: str | None = None
-    potential: str | None = None
-    method: str | None = None
-    eps: float | None = None
-    delta: float | None = None
-    kmax: int | None = None
-    grid: int | None = None
-    depth: int | None = None
-    scales: str | None = None
-    set_name: str | None = None
-    window: str | None = None
-    sweep: str | None = None
-    target_dim: float | None = None
-    seed: int = 0
-    threads: int = 1
+# the config echo: every setting that determines a run, with the value it echoes when not given
+_ECHO = dict.fromkeys(["model", "model_file", "potential", "method", "eps", "kmax", "grid", "depth", "scales",
+                       "set_name", "window", "sweep", "target_dim"]) | {"seed": 0, "threads": 1}
 
 
 def _json_default(obj):
@@ -145,11 +127,11 @@ def atomic_write(path: str, text: str) -> None:
         raise
 
 
-def emit_document(args, config: ExperimentConfig, result: dict) -> None:
+def emit_document(args, config: dict, result: dict) -> None:
     doc = {
         "tool": "hypdim",
         "version": __version__,
-        "config": {f.name: getattr(config, f.name) for f in fields(config)},
+        "config": config,
         "caps": {"word_cap": WORD_CAP},
         "tolerances": {
             "classification_exact": CLASSIFY_TOL_EXACT,
@@ -247,10 +229,11 @@ def parse_window(text: str | None):
     return (int(lo), int(hi))
 
 
-def make_config(args, command: str) -> ExperimentConfig:
+def make_config(args, command: str) -> dict:
+    """The config echo of a run: `_ECHO` with the settings given, and the command."""
     given = vars(args)
-    echo = {f.name: given[f.name] for f in fields(ExperimentConfig) if given.get(f.name) is not None}
-    return ExperimentConfig(**{**echo, "command": command})
+    echo = {key: default if given.get(key) is None else given[key] for key, default in _ECHO.items()}
+    return {**echo, "command": command}
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -267,7 +250,7 @@ def _potential_for(model: ModelSystem, label: str | None) -> Potential:
 # the flags of `pressure` that only some --method reads, per method
 _METHOD_FLAGS = {
     "spectral": {"--potential"},
-    "partition": {"--potential", "--kmax", "--delta", "--csv"},
+    "partition": {"--potential", "--kmax", "--csv"},
     "volume": {"--kmax", "--eps", "--grid", "--threads", "--window", "--csv"},
 }
 
@@ -282,7 +265,7 @@ def cmd_pressure(args) -> int:
     if args.method == "spectral":
         estimate = spectral_estimate(model, pot)
     elif args.method == "partition":
-        estimate = pressure_from_partition_sums(model, pot, args.kmax or 12, args.delta)
+        estimate = pressure_from_partition_sums(model, pot, args.kmax or 12)
     elif args.method == "volume":
         eps = args.eps if args.eps is not None else default_epsilon(model)
         kmax = args.kmax or 10
@@ -298,9 +281,7 @@ def cmd_pressure(args) -> int:
     if args.classify:
         verdict = classify(estimate)
         result["classification"] = verdict
-        result["classification_tolerance"] = (
-            CLASSIFY_TOL_EXACT if estimate.method == "spectral" else CLASSIFY_TOL_ESTIMATOR
-        )
+        result["classification_tolerance"] = classification_tolerance(estimate)
     if args.csv and estimate.curve:
         keys = list(estimate.curve.keys())
         rows = zip(*[estimate.curve[k] for k in keys])
@@ -318,20 +299,14 @@ def cmd_bound(args) -> int:
     return EXIT_OK
 
 
-def _stable_sample(model: ModelSystem, eps: float, depth: int, args):
-    """The stable-set cloud and its resolution per axis, both read off one cover."""
-    cover = cover_distance(model, eps)
-    res = args.grid or stable_resolution(model, depth, cover)
-    return sample_local_stable_set(model, eps, depth, samples=res, seed=args.seed, cover=cover), res
-
-
 def _default_depth(model: ModelSystem, scales) -> int:
     finest = min(scales)
     rate = math.log(float(np.min(model.lambda_u)))
     return max(4, min(14, int(math.ceil(math.log(1.0 / finest) / rate)) + 1))
 
 
-def sample_for_set(model: ModelSystem, set_name: str, args):
+def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 10):
+    """(points, scales, meta) of `set_name`; `stable_depth` is the stable sample's depth without --depth."""
     if set_name in ("invariant", "repeller"):
         # one walk: depth 2 decides the fallback, then goes on to the sample's depth
         walk = CylinderWalk(model)
@@ -358,8 +333,10 @@ def sample_for_set(model: ModelSystem, set_name: str, args):
     elif set_name == "stable":
         scales = parse_scales(args.scales, finest=9)
         eps = args.eps if args.eps is not None else default_epsilon(model)
-        depth = args.depth or 10
-        points, res = _stable_sample(model, eps, depth, args)
+        depth = args.depth or stable_depth
+        cover = cover_distance(model, eps)  # the cloud and its resolution per axis read off one cover
+        res = args.grid or stable_resolution(model, depth, cover)
+        points = sample_local_stable_set(model, eps, depth, samples=res, seed=args.seed, cover=cover)
         meta = {"set": set_name, "depth": depth, "eps": eps, "resolution": res}
     else:
         raise ValueError(f"unknown point set {set_name!r}")
@@ -415,17 +392,8 @@ def _parse_sweep(text: str):
 
 def _report_row(model: ModelSystem, args, label: str) -> dict:
     report = bound_report(model, k_max=args.kmax or 8, check_equivalences=True)
-    if model.kind == "diffeo":
-        scales = parse_scales(args.scales, finest=9)
-        eps = args.eps if args.eps is not None else default_epsilon(model)
-        depth = args.depth or 8
-        points, _ = _stable_sample(model, eps, depth, args)
-        set_name = "stable"
-    else:
-        scales = parse_scales(args.scales, finest=13)
-        depth = args.depth or _default_depth(model, scales)
-        points = invariant_set_sample(model, depth, resolution=args.grid or 512)
-        set_name = "repeller"
+    set_name = "stable" if model.kind == "diffeo" else "repeller"
+    points, scales, _ = sample_for_set(model, set_name, args, stable_depth=8)
     estimate = measure_box_dimension(points, scales)
     return {
         "label": label,
@@ -503,7 +471,7 @@ def _positive(kind):
 _FLAGS = {
     "--model": dict(help="built-in model, e.g. horseshoe:3,0.25"),
     "--model-file": dict(help="JSON model file"),
-    "--seed": dict(type=int, default=ExperimentConfig.seed, help="seed of the stable-set sampler"),
+    "--seed": dict(type=int, default=_ECHO["seed"], help="seed of the stable-set sampler"),
     "--threads": dict(type=_positive(int), help="grid worker threads"),
     "--out": dict(help="write the JSON document here instead of stdout"),
     "--csv": dict(help="write the raw curve as CSV here"),
@@ -515,7 +483,6 @@ _FLAGS = {
     "--target-dim": dict(type=float, help="synthesize a horseshoe with this stable-set dimension"),
     "--potential": dict(choices=["phi_u", "phi_s", "phi", "zero"]),
     "--method": dict(choices=["spectral", "partition", "volume"], default="spectral"),
-    "--delta": dict(type=_positive(float), help="separation scale for partition sums"),
     "--window": dict(help="fit window lo:hi for the volume method"),
     "--classify": dict(action="store_true", help="demand an attractor verdict (exit 4 if inconclusive)"),
     "--check-srb": dict(action="store_true", help="also run the equivalence chain checks"),
@@ -527,7 +494,7 @@ _FLAGS = {
 # each subcommand: handler, help, and the flags it reads besides the four all read
 _COMMANDS = {
     "pressure": (cmd_pressure, "estimate topological pressure",
-                 "--potential --method --kmax --delta --eps --grid --threads --window --classify --csv"),
+                 "--potential --method --kmax --eps --grid --threads --window --classify --csv"),
     "bound": (cmd_bound, "dimension bound n + P/s with classification", "--kmax --check-srb"),
     "dimension": (cmd_dimension, "box-dimension estimate of a model set",
                   "--set --eps --grid --depth --scales --seed --csv"),

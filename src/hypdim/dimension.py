@@ -21,7 +21,7 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
-from .pressure import PressureEstimate, ProductCloud, _grid_axis, factored_axes, spectral_estimate
+from .pressure import PressureEstimate, ProductCloud, factored_axes, grid_axis, ols_line, spectral_estimate
 from .symbolic import CylinderWalk, check_word_cap, equilibrium_state
 
 CLASSIFY_TOL_EXACT = 1e-9
@@ -238,15 +238,8 @@ def box_dimension(scales, counts) -> DimensionEstimate:
     if np.any(np.diff(counts) < 0):
         raise ValueError("box counts must not decrease as the scale shrinks")
     fit_s = scales[2:]
-    fit_n = counts[2:]
-    xs = np.log(1.0 / fit_s)
-    ys = np.log(fit_n)
-    design = np.vstack([xs, np.ones(len(xs))]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
-    rms = float(np.sqrt(np.mean((ys - design @ np.array([slope, intercept])) ** 2)))
-    return DimensionEstimate(
-        slope=float(slope), scales=scales, counts=counts, residual=rms, fit_scales=fit_s
-    )
+    slope, _, rms = ols_line(np.log(1.0 / fit_s), np.log(counts[2:]))
+    return DimensionEstimate(slope=slope, scales=scales, counts=counts, residual=rms, fit_scales=fit_s)
 
 
 def measure_box_dimension(points: np.ndarray, scales) -> DimensionEstimate:
@@ -289,7 +282,7 @@ def minkowski_content_curve(
         raise GridTooCoarseError("grid cell exceeds a quarter of the smallest rho")
     if grid_resolution**n > (1 << 26):
         raise GridTooCoarseError("grid too large for the ambient dimension")
-    axis = _grid_axis(grid_resolution)
+    axis = grid_axis(grid_resolution)
     if columns:
         square = [None] * n
         for factor, (ax,) in zip(points.factors, points.axes):
@@ -346,18 +339,21 @@ def dimension_bound(n: int, pressure: float, s: float, tolerance: float = CLASSI
     return min(float(n), n + pressure / s)
 
 
+def classification_tolerance(estimate: PressureEstimate) -> float:
+    """The default tolerance of `classify`: 1e-9 for exact (spectral) estimates, 0.02 for sampled ones."""
+    return CLASSIFY_TOL_EXACT if estimate.method == "spectral" else CLASSIFY_TOL_ESTIMATOR
+
+
 def classify(estimate: PressureEstimate, tolerance: float | None = None) -> str:
     """Attractor dichotomy from the sign of the pressure.
 
-    Exact (spectral) estimates use a 1e-9 tolerance, sampled estimators
-    0.02.  The residual widens the verdict bands on both sides: a value
-    whose uncertainty interval straddles the threshold stays
-    inconclusive rather than picking a side.
+    `tolerance` defaults to `classification_tolerance(estimate)`.  The
+    residual widens the verdict bands on both sides: a value whose
+    uncertainty interval straddles the threshold stays inconclusive
+    rather than picking a side.
     """
     if tolerance is None:
-        tolerance = (
-            CLASSIFY_TOL_EXACT if estimate.method == "spectral" else CLASSIFY_TOL_ESTIMATOR
-        )
+        tolerance = classification_tolerance(estimate)
     value = estimate.value
     if abs(value) + estimate.residual <= tolerance:
         return "attractor"
@@ -506,7 +502,7 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256, 
     words, rects = walk.cylinders(depth)
     varying, factors = factored_axes(model, rects)
     if not factors:
-        axis = _grid_axis(resolution)[:, None]
+        axis = grid_axis(resolution)[:, None]
         return ProductCloud((axis,) * model.n, tuple((i,) for i in range(model.n)))
     # forward cylinders pin the varying axes; word images pin the whole ones
     whole = np.setdiff1d(np.arange(model.n), varying)

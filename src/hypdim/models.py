@@ -190,16 +190,6 @@ class ModelSystem:
             idx[sel] = b.symbol
         return idx
 
-    def apply_branches(self, points: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        """Apply branch `idx[i]` to `points[i]` (idx entries must be >= 0)."""
-        pts = self.wrap(np.atleast_2d(np.asarray(points, dtype=float)))
-        out = np.empty_like(pts)
-        for b in self.branches:
-            sel = idx == b.symbol
-            if sel.any():
-                out[sel] = b.apply(pts[sel])
-        return self.wrap(out)
-
     def step(self, points: np.ndarray):
         """One map step for an (N, n) array; returns (images, branch_idx).
 
@@ -208,9 +198,10 @@ class ModelSystem:
         pts = self.wrap(np.atleast_2d(np.asarray(points, dtype=float)))
         idx = self.branch_of(pts)
         out = pts.copy()
-        ok = idx >= 0
-        if ok.any():
-            out[ok] = self.apply_branches(pts[ok], idx[ok])
+        for b in self.branches:
+            sel = idx == b.symbol
+            if sel.any():
+                out[sel] = self.wrap(b.apply(pts[sel]))
         return out, idx
 
     @cached_property
@@ -338,7 +329,8 @@ class ModelSystem:
         User-supplied hyperbolicity data is accepted as declared: the
         splitting is taken from `unstable_dim` and the per-branch rates
         from singular values, without verifying the hyperbolic-set
-        conditions.
+        conditions.  A branch whose domain, linear part or offset holds a
+        number that is not finite is refused.
         """
         return cls._from_dict(data)[0]
 
@@ -357,6 +349,10 @@ class ModelSystem:
             )
             for br in sorted(data["branches"], key=lambda br: int(br["symbol"]))
         )
+        for b in branches:  # a number past the float range parses as inf
+            for name in ("lo", "hi", "linear", "offset"):
+                if not np.isfinite(values := getattr(b, name)).all():
+                    raise ParameterOutOfRangeError(f"branch {b.symbol} has a non-finite {name}: {values.tolist()}")
         d_u = int(data["unstable_dim"])
         d_s = 0 if kind == "expanding" else space.dim - d_u
         sv = np.linalg.svd(np.array([b.linear for b in branches]), compute_uv=False)

@@ -275,7 +275,8 @@ class VolumeCurve:
         }
 
 
-def _grid_axis(resolution: int) -> np.ndarray:
+def grid_axis(resolution: int) -> np.ndarray:
+    """The `resolution` cell centres of a midpoint grid on the unit interval."""
     return (np.arange(resolution) + 0.5) / resolution
 
 
@@ -386,7 +387,7 @@ def _tracks_forever(model: ModelSystem, dist: _CoverDistance, epsilon: float) ->
 
 def _grid_deaths(model, dist, epsilon, k_max, resolution, one_row, threads):
     """`_death_steps` of the midpoint grid (one row of it when `one_row`), in chunks."""
-    axis = _grid_axis(resolution)
+    axis = grid_axis(resolution)
     if one_row:
         pts = axis if dist.tracks_one_axis else axis[:, None]
     else:
@@ -525,7 +526,8 @@ def spectral_estimate(model: ModelSystem, pot: Potential) -> PressureEstimate:
     )
 
 
-def _ols_line(xs: np.ndarray, ys: np.ndarray):
+def ols_line(xs: np.ndarray, ys: np.ndarray):
+    """(slope, intercept, RMS residual) of the least-squares line through (xs, ys)."""
     design = np.vstack([xs, np.ones(len(xs))]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ys, rcond=None)
     rms = float(np.sqrt(np.mean((ys - design @ np.array([slope, intercept])) ** 2)))
@@ -560,8 +562,8 @@ def pressure_from_volume_growth(curve: VolumeCurve, window: tuple | None = None)
         )
     fit_lo = _top_half(lo, hi)
     fit = ks_w >= fit_lo
-    slope, _, rms = _ols_line(ks_w[fit], np.log(vols_w[fit]))
-    slope_full, _, _ = _ols_line(ks_w, np.log(vols_w))
+    slope, _, rms = ols_line(ks_w[fit], np.log(vols_w[fit]))
+    slope_full, _, _ = ols_line(ks_w, np.log(vols_w))
     return PressureEstimate(
         value=slope,
         method="volume_growth",
@@ -581,9 +583,7 @@ def pressure_from_volume_growth(curve: VolumeCurve, window: tuple | None = None)
     )
 
 
-def pressure_from_partition_sums(
-    model: ModelSystem, pot: Potential, k_max: int, delta: float | None = None
-) -> PressureEstimate:
+def pressure_from_partition_sums(model: ModelSystem, pot: Potential, k_max: int) -> PressureEstimate:
     """Growth rate of the partition sums Z_k.
 
     Z_k is geometric up to lower Perron modes, so the per-step ratios
@@ -595,7 +595,7 @@ def pressure_from_partition_sums(
     """
     if k_max < 6:
         raise ValueError("need k_max >= 6")
-    z = partition_sums_through(model, pot, k_max, delta)
+    z = partition_sums_through(model, pot, k_max)
     ks = np.arange(1, k_max + 1)
     logs = np.log(z)
     ratios = np.diff(logs)
@@ -607,7 +607,7 @@ def pressure_from_partition_sums(
         value = float(x2)  # ratios already flat to rounding
     fit_lo = _top_half(1, k_max)
     sel = ks >= fit_lo
-    slope_ols, _, _ = _ols_line(ks[sel], logs[sel])
+    slope_ols, _, _ = ols_line(ks[sel], logs[sel])
     intercept = float(np.mean(logs[sel] - value * ks[sel]))
     rms = float(np.sqrt(np.mean((logs[sel] - intercept - value * ks[sel]) ** 2)))
     return PressureEstimate(
@@ -616,7 +616,7 @@ def pressure_from_partition_sums(
         window=(fit_lo, k_max),
         residual=rms,
         curve={"k": ks.tolist(), "z": z.tolist(), "log_z": logs.tolist()},
-        extras={"ols_slope": slope_ols, "delta": delta, "potential": pot.label},
+        extras={"ols_slope": slope_ols, "potential": pot.label},
     )
 
 

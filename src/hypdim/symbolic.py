@@ -272,33 +272,19 @@ class SeparatedSet:
     words: np.ndarray
 
 
-def default_delta(model: ModelSystem) -> float:
-    """Half the scale at which distinct cylinder representatives separate.
-
-    Uses the larger of the domain gap and the inverse-branch separation;
-    zero when the geometry is degenerate (identical branches), in which
-    case only symbolic (delta=None) partition sums are meaningful.
-    """
-    return 0.5 * max(model.min_branch_gap, model.branch_separation)
-
-
-def _check_delta(model: ModelSystem, delta) -> float | None:
-    if delta is None:
-        return None
-    allowed = max(model.min_branch_gap, model.branch_separation)
-    if delta > allowed:
-        raise DeltaTooLargeError(
-            f"delta {delta} exceeds the separation {allowed} this geometry guarantees"
-        )
-    return float(delta)
-
-
 def separated_set(model: ModelSystem, k: int, delta: float | None = None) -> SeparatedSet:
-    """Centers of the depth-k cylinders as a (k, delta)-separated set."""
+    """Centers of the depth-k cylinders as a (k, delta)-separated set.
+
+    The geometry guarantees the separation up to the larger of the
+    domain gap and the inverse-branch separation; delta defaults to half
+    of that (zero when the branches are identical), and a larger delta
+    raises `DeltaTooLargeError`.
+    """
+    allowed = max(model.min_branch_gap, model.branch_separation)
     if delta is None:
-        delta = default_delta(model)
-    else:
-        _check_delta(model, delta)
+        delta = 0.5 * allowed
+    elif delta > allowed:
+        raise DeltaTooLargeError(f"delta {delta} exceeds the separation {allowed} this geometry guarantees")
     words, rects = cylinders(model, k)
     centers = 0.5 * (rects[:, 0, :] + rects[:, 1, :])
     return SeparatedSet(k=k, delta=float(delta), points=centers, words=words)
@@ -307,9 +293,7 @@ def separated_set(model: ModelSystem, k: int, delta: float | None = None) -> Sep
 # -- partition sums --------------------------------------------------------
 
 
-def partition_sums_through(
-    model: ModelSystem, pot: Potential, k_max: int, delta: float | None = None
-) -> np.ndarray:
+def partition_sums_through(model: ModelSystem, pot: Potential, k_max: int) -> np.ndarray:
     """Z_k for k = 1..k_max in one sweep.
 
     Z_k sums exp(S_k phi) over one representative per admissible word;
@@ -317,14 +301,13 @@ def partition_sums_through(
     representatives, so Z_k = e^phi (A diag e^phi)^(k-1) 1 exactly.  The
     word cap still bounds k_max, which keeps every Z_k finite.
     """
-    _check_delta(model, delta)
     check_word_cap(model, k_max)
     return _transfer_sums(*_weighted(model, pot), k_max)
 
 
-def partition_sum(model: ModelSystem, pot: Potential, k: int, delta: float | None = None) -> float:
+def partition_sum(model: ModelSystem, pot: Potential, k: int) -> float:
     """Z_k = sum over admissible k-words of exp(Birkhoff sum)."""
-    return float(partition_sums_through(model, pot, k, delta)[-1])
+    return float(partition_sums_through(model, pot, k)[-1])
 
 
 # -- spectral pressure oracle ----------------------------------------------

@@ -223,6 +223,18 @@ class TestReportCommand:
         assert "invalid configuration" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "model, dimension_argv",
+        [("horseshoe:3,0.25", ["--set", "stable", "--depth", "8"]), ("cantor:3,02", ["--set", "repeller"])],
+    )
+    def test_measured_dimension_is_the_dimension_command_slope(self, capsys, tmp_path, model, dimension_argv):
+        # report samples through the dimension command's path, at stable depth 8 instead of 10
+        report = run_json(capsys, ["report", "--model", model, "--out-dir", str(tmp_path)])
+        dimension = run_json(capsys, ["dimension", "--model", model, *dimension_argv])
+        row = report["result"]["rows"][0]
+        assert row["measured_set"] == dimension["result"]["sample"]["set"]
+        assert row["measured_dimension"] == dimension["result"]["dimension"]["slope"]
+
     def test_a_sweep_past_the_row_cap_exits_3_before_building_a_row(self, capsys, tmp_path):
         # 1.8e9 values: building them first would exhaust memory
         started = time.perf_counter()
@@ -407,7 +419,7 @@ class TestModelFiles:
 
     @pytest.mark.parametrize(
         "argv",
-        [["dimension", "--set", "repeller", "--depth", "3"], ["pressure", "--method", "volume"]],
+        [["dimension", "--set", "repeller", "--depth", "3"], ["pressure", "--method", "volume"], ["report"]],
     )
     def test_massless_cylinders_are_named(self, capsys, tmp_path, argv):
         # both branches map onto [0.4, 0.6], which meets neither domain
@@ -425,7 +437,8 @@ class TestModelFiles:
         }
         path = tmp_path / "massless.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "report" else []
+        code, out, err = run(capsys, [*argv, "--model-file", str(path), *extra])
         assert code == 2
         assert out == ""
         assert "depth-2" in err and "geometric mass" in err
@@ -462,6 +475,27 @@ class TestModelFiles:
         code, out, err = run(capsys, ["pressure", "--model-file", str(path)])
         assert (code, out) == (2, "")
         assert err == f"hypdim: invalid configuration: model files hold finite numbers only, not {token}\n"
+
+    @pytest.mark.parametrize("field, value", [("offset", "1e999"), ("lo", "-1e999"), ("linear", "1e999")])
+    @pytest.mark.parametrize(
+        "argv",
+        [["pressure", "--method", "partition"], ["bound", "--check-srb"],
+         ["dimension", "--set", "repeller", "--depth", "6"]],
+    )
+    def test_a_number_that_overflows_is_refused(self, capsys, tmp_path, field, value, argv):
+        # json parses 1e999 as inf, which the NaN and Infinity refusal never sees
+        doc = _repeller_doc([3.0, 4.0, 5.0], [[1] * 3] * 3)
+        branch = doc["branches"][0]
+        if field == "linear":
+            branch["linear"] = [["OVERFLOW"]]
+        else:
+            (branch["domain"] if field == "lo" else branch)[field] = ["OVERFLOW"]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc).replace('"OVERFLOW"', value))
+        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        assert (code, out) == (2, "")
+        shown = "[[inf]]" if field == "linear" else "[-inf]" if value.startswith("-") else "[inf]"
+        assert err == f"hypdim: invalid configuration: branch 0 has a non-finite {field}: {shown}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -596,7 +630,7 @@ class TestFixedCost:
 
 SHARED = {"--model", "--model-file", "--target-dim", "--out"}
 OFFERED = {
-    "pressure": SHARED | {"--potential", "--method", "--kmax", "--delta", "--eps", "--grid",
+    "pressure": SHARED | {"--potential", "--method", "--kmax", "--eps", "--grid",
                           "--threads", "--window", "--classify", "--csv"},
     "bound": SHARED | {"--kmax", "--check-srb"},
     "dimension": SHARED | {"--set", "--eps", "--grid", "--depth", "--scales", "--seed", "--csv"},
@@ -610,7 +644,7 @@ BASE = {
     "report": ["report", "--model", "horseshoe:3,0.25", "--depth", "4"],
 }
 UNSET_ECHO = dict.fromkeys(
-    ["model_file", "potential", "method", "eps", "delta", "kmax", "grid", "depth", "scales",
+    ["model_file", "potential", "method", "eps", "kmax", "grid", "depth", "scales",
      "set_name", "window", "sweep", "target_dim"]
 )
 
@@ -625,7 +659,7 @@ class TestFlags:
             for name, p in subparsers.choices.items()
         }
         assert offered == OFFERED
-        assert sum(len(flags) for flags in offered.values()) == 44
+        assert sum(len(flags) for flags in offered.values()) == 43
 
     @pytest.mark.parametrize(
         "command, flag, value",
@@ -644,12 +678,19 @@ class TestFlags:
             ("dimension", "--kmax", "8"),
             ("report", "--threads", "2"),
             ("report", "--csv", "CSV"),
+            # --delta is gone: the partition sums never depended on it
+            ("pressure:spectral", "--delta", "0.1"),
+            ("pressure:volume", "--delta", "0.1"),
+            ("pressure:partition", "--delta", "0.1"),
+            ("pressure:partition", "--delta", "0"),
+            ("pressure:partition", "--delta", "-1"),
         ],
     )
     def test_a_flag_the_subcommand_ignores_exits_2(self, capsys, tmp_path, command, flag, value):
         csv_path = tmp_path / "x.csv"
-        argv = [*BASE[command], flag, str(csv_path) if value == "CSV" else value]
-        code, out, err = run(capsys, argv + (["--out-dir", str(tmp_path)] if command == "report" else []))
+        name, _, method = command.partition(":")  # pressure:METHOD adds --method METHOD
+        argv = [*BASE[name], *(["--method", method] if method else []), flag, str(csv_path) if value == "CSV" else value]
+        code, out, err = run(capsys, argv + (["--out-dir", str(tmp_path)] if name == "report" else []))
         assert code == 2
         assert out == ""
         assert "unrecognized arguments" in err and flag in err
@@ -668,8 +709,6 @@ class TestFlags:
             (["pressure", "--model", "cantor:3,02", "--method", "volume", "--eps", "0"], "--eps"),
             (["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--eps", "-0.1"], "--eps"),
             (["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--eps", "nan"], "--eps"),
-            (["pressure", "--model", "horseshoe:3,0.25", "--method", "partition", "--delta", "0"], "--delta"),
-            (["pressure", "--model", "horseshoe:3,0.25", "--method", "partition", "--delta", "-1"], "--delta"),
         ],
     )
     def test_bad_counts_and_epsilons_exit_2(self, capsys, argv, flag):
@@ -681,8 +720,6 @@ class TestFlags:
     @pytest.mark.parametrize(
         "method, flag, value",
         [
-            ("spectral", "--delta", "0.1"),
-            ("volume", "--delta", "0.1"),
             *[(method, flag, value) for method in ("spectral", "partition")
               for flag, value in [("--eps", "0.1"), ("--grid", "64"), ("--threads", "1"),
                                   ("--window", "1:3")]],
@@ -702,7 +739,7 @@ class TestFlags:
 
     def test_each_method_accepts_the_flags_it_reads(self, capsys, tmp_path):
         for method, flags in cli._METHOD_FLAGS.items():
-            values = {"--potential": "phi_u", "--kmax": "6", "--delta": "0.05", "--eps": "0.1",
+            values = {"--potential": "phi_u", "--kmax": "6", "--eps": "0.1",
                       "--grid": "64", "--threads": "2", "--window": "1:6",
                       "--csv": str(tmp_path / f"{method}.csv")}
             argv = [*BASE["pressure"], "--method", method]
@@ -730,6 +767,27 @@ class TestFlags:
         doc = run_json(capsys, argv + extra)
         expected = {**UNSET_ECHO, "command": argv[0], "model": argv[2], "seed": 0, "threads": 1, **echo}
         assert doc["config"] == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pressure", "--method", "spectral"], ["pressure", "--method", "partition", "--classify"],
+         ["pressure", "--method", "volume", "--kmax", "6", "--grid", "512"], ["bound", "--check-srb"],
+         ["dimension"], ["dimension", "--set", "stable", "--depth", "6"], ["report", "--depth", "4"]],
+    )
+    def test_no_document_carries_a_delta_key(self, capsys, tmp_path, argv):
+        def keys(value):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield key
+                    yield from keys(item)
+            elif isinstance(value, list):
+                for item in value:
+                    yield from keys(item)
+
+        extra = ["--out-dir", str(tmp_path)] if argv[0] == "report" else []
+        doc = run_json(capsys, [argv[0], "--model", "horseshoe:3,0.25", *argv[1:], *extra])
+        assert "delta" not in set(keys(doc))
+        assert len(doc["config"]) == 16
 
     def test_parser_is_built_once(self, capsys, monkeypatch):
         built, init = [], argparse.ArgumentParser.__init__

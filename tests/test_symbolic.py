@@ -139,11 +139,11 @@ class TestPartitionSums:
             assert z[j + k - 1] == pytest.approx(z[j - 1] * z[k - 1], rel=1e-12)
 
     def test_delta_guard(self):
+        # the geometry of cantor:3,02 guarantees separation up to 2/3
         m = build_cantor_repeller(3, (0, 2))
-        pot = potential(m, "phi")
-        assert partition_sum(m, pot, 4, delta=0.3) > 0
+        assert separated_set(m, 4, delta=0.3).delta == 0.3
         with pytest.raises(DeltaTooLargeError):
-            partition_sum(m, pot, 4, delta=0.8)
+            separated_set(m, 4, delta=0.8)
 
     @pytest.mark.parametrize(
         "make",
