@@ -51,9 +51,11 @@ from .models import (
     potential,
 )
 from .pressure import (
+    ProductCloud,
     cover_distance,
     default_epsilon,
     factored_axes,
+    grid_axis,
     pressure_from_partition_sums,
     pressure_from_volume_growth,
     sample_local_stable_set,
@@ -116,7 +118,10 @@ def _write_json(value, out: list, indent: str) -> None:
 
 def atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hypdim-", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".hypdim-", suffix=".tmp")
+    except OSError as exc:  # name the file asked for, not the random temporary one
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
@@ -321,7 +326,8 @@ def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 
             else:
                 scales = [2.0**-e for e in range(max(0, finest - 7), finest + 1)]
             depth = args.depth or 2
-            points = invariant_set_sample(model, depth, resolution=res, walk=walk)
+            walk.rects(depth)  # the depth's word cap and mass are checked all the same
+            points = ProductCloud.grid([grid_axis(res)] * model.n)
             meta = {"set": set_name, "depth": depth, "resolution": res}
             return points, scales, meta
         # symbolic samples are cheap and exact; a long dyadic window

@@ -21,7 +21,9 @@ from .errors import (
     ParameterOutOfRangeError,
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
-from .pressure import PressureEstimate, ProductCloud, factored_axes, grid_axis, ols_line, spectral_estimate
+from .pressure import (
+    GRID_CAP, PressureEstimate, ProductCloud, factored_axes, grid_axis, ols_line, spectral_estimate,
+)
 from .symbolic import CylinderWalk, check_word_cap, equilibrium_state
 
 CLASSIFY_TOL_EXACT = 1e-9
@@ -280,7 +282,7 @@ def minkowski_content_curve(
     cell = 1.0 / grid_resolution
     if cell > rhos.min() / 4.0:
         raise GridTooCoarseError("grid cell exceeds a quarter of the smallest rho")
-    if grid_resolution**n > (1 << 26):
+    if grid_resolution**n > GRID_CAP:
         raise GridTooCoarseError("grid too large for the ambient dimension")
     axis = grid_axis(grid_resolution)
     if columns:
@@ -295,8 +297,7 @@ def minkowski_content_curve(
             total = np.add.outer(total, part)
         dist = np.sqrt(total)
     else:
-        mesh = np.meshgrid(*([axis] * n), indexing="ij")
-        centers = np.stack([m.ravel() for m in mesh], axis=1)
+        centers = np.asarray(ProductCloud.grid([axis] * n))
         from scipy.spatial import cKDTree  # deferred: the import costs more than most commands
 
         dist, _ = cKDTree(pts).query(centers)
@@ -389,16 +390,12 @@ class BoundReport:
         }
 
 
-def bound_report(
-    model: ModelSystem,
-    k_max: int = 8,
-    tolerance: float = CLASSIFY_TOL_EXACT,
-    check_equivalences: bool = False,
-) -> BoundReport:
+def bound_report(model: ModelSystem, k_max: int = 8, check_equivalences: bool = False) -> BoundReport:
     """Compute P, s, the bound n + P/s and the attractor classification.
 
-    With `check_equivalences` the report also verifies the equivalence
-    chain numerically.  For diffeomorphisms: bound = n, P(phi_u) = 0 and
+    P is the exact spectral value, held to `CLASSIFY_TOL_EXACT`.  With
+    `check_equivalences` the report also verifies the equivalence chain
+    numerically.  For diffeomorphisms: bound = n, P(phi_u) = 0 and
     the attractor classification must all agree, and when they hold the
     equilibrium measure of phi_u satisfies the entropy formula h = sum of
     positive exponents (the SRB signature).  For expanding maps the same
@@ -415,16 +412,18 @@ def bound_report(
     else:
         pest = spectral_estimate(model, pot)
     rate = expansion_rate(model, k_max)
-    bound = dimension_bound(model.n, pest.value, rate.value, tolerance)
-    cls = classify(pest, tolerance)
-    checks = _equivalence_checks(model, stats, pest, bound, cls, tolerance) if check_equivalences else ()
+    bound = dimension_bound(model.n, pest.value, rate.value, CLASSIFY_TOL_EXACT)
+    cls = classify(pest, CLASSIFY_TOL_EXACT)
+    checks = ()
+    if check_equivalences:
+        checks = _equivalence_checks(model, stats, pest, bound, cls, CLASSIFY_TOL_EXACT)
     return BoundReport(
         n=model.n,
         expansion=rate,
         pressure=pest,
         bound=bound,
         classification=cls,
-        tolerance=tolerance,
+        tolerance=CLASSIFY_TOL_EXACT,
         equivalence_checks=checks,
     )
 
@@ -490,8 +489,8 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256, 
     Diffeomorphisms that factor (see `factored_axes`): a `ProductCloud`
     of the cylinder centers on the varying axes with the centers of the
     depth-k word images of the unit cube on the whole axes.  Any other
-    model (the invariant set fills the space, or its branches couple
-    the two groups) gets the `resolution` grid as a per-axis `ProductCloud`.
+    diffeomorphism (the invariant set fills the space, or its branches
+    couple the two groups) gets the `resolution` grid (`ProductCloud.grid`).
     The cylinders come from `walk`, a `CylinderWalk` of the model that
     other depths may share, or from a walk of its own.
     """
@@ -502,8 +501,7 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256, 
     words, rects = walk.cylinders(depth)
     varying, factors = factored_axes(model, rects)
     if not factors:
-        axis = grid_axis(resolution)[:, None]
-        return ProductCloud((axis,) * model.n, tuple((i,) for i in range(model.n)))
+        return ProductCloud.grid([grid_axis(resolution)] * model.n)
     # forward cylinders pin the varying axes; word images pin the whole ones
     whole = np.setdiff1d(np.arange(model.n), varying)
     linears = np.stack([b.linear[np.ix_(whole, whole)] for b in model.branches])

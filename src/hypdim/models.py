@@ -260,13 +260,10 @@ class ModelSystem:
     @property
     def min_branch_gap(self) -> float:
         """Smallest sup-norm gap between two branch domains (0 if they touch)."""
-        gaps = []
-        for i in range(self.nsym):
-            for j in range(i + 1, self.nsym):
-                a, b = self.branches[i], self.branches[j]
-                per_axis = np.maximum(np.maximum(a.lo - b.hi, b.lo - a.hi), 0.0)
-                gaps.append(per_axis.max())
-        return float(min(gaps)) if gaps else 0.0
+        lo, hi, _, _ = self._stacked
+        gaps = np.maximum(np.maximum(lo[:, None] - hi, lo - hi[:, None]), 0.0).max(axis=2)
+        np.fill_diagonal(gaps, np.inf)  # a domain and itself are no pair
+        return float(gaps.min()) if self.nsym > 1 else 0.0
 
     @property
     def branch_separation(self) -> float:

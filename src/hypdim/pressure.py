@@ -22,14 +22,11 @@ from .errors import (
     NoBranchError,
 )
 from .models import ModelSystem, Potential, point_distance
-from .symbolic import (
-    check_word_cap,
-    cylinder_levels,
-    partition_sums_through,
-    pressure_spectral,
-)
+from .symbolic import CylinderWalk, partition_sums_through, pressure_spectral
 
 _FULL_TOL = 1e-9
+# no grid of more cells than this is built or stepped
+GRID_CAP = 1 << 26
 
 
 def default_epsilon(model: ModelSystem) -> float:
@@ -90,6 +87,15 @@ class ProductCloud:
 
     factors: tuple
     axes: tuple
+
+    @classmethod
+    def grid(cls, columns) -> "ProductCloud":
+        """The grid of one 1-D array of values per axis, in axis order.
+
+        `np.asarray` of it is the C-order mesh, the first axis slowest.
+        """
+        factors = tuple(np.asarray(c)[:, None] for c in columns)
+        return cls(factors, tuple((a,) for a in range(len(factors))))
 
     def __len__(self) -> int:
         return math.prod(len(f) for f in self.factors)
@@ -220,16 +226,16 @@ class _CoverDistance:
 def cover_rects(model: ModelSystem, epsilon: float):
     """Depth-m cylinder cover with shrinking extents below epsilon/4.
 
-    Returns (depth, rects).  One walk of `cylinder_levels` goes down
-    until the cover is fine enough, checking each depth's word cap
-    before building it; the rectangles are those `cylinders(model, m)`
-    returns, bit for bit.  Axes whose cylinder extent never shrinks
-    (e.g. coverings of the whole torus) are ignored; if no axis shrinks
-    at all the cover is the branch domains themselves and distances to
-    it are exact because the invariant set fills the space.
+    Returns (depth, rects).  One `CylinderWalk` goes down until the
+    cover is fine enough, checking each depth's word cap before building
+    it; the rectangles are those `cylinders(model, m)` returns, bit for
+    bit.  Axes whose cylinder extent never shrinks (e.g. coverings of
+    the whole torus) are ignored; if no axis shrinks at all the cover is
+    the branch domains themselves and distances to it are exact because
+    the invariant set fills the space.
     """
-    levels = cylinder_levels(model)
-    first = rects = next(levels)[2]
+    walk = CylinderWalk(model)
+    first = rects = walk.rects(1)
     base_ext = (rects[:, 1] - rects[:, 0]).max(axis=0)
     depth = 1
     while True:
@@ -240,10 +246,7 @@ def cover_rects(model: ModelSystem, epsilon: float):
         if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
             return depth, np.ascontiguousarray(rects)
         depth += 1
-        check_word_cap(model, depth)
-        rects = next(levels)[2]
-        if len(rects) == 0:
-            raise ValueError(f"no admissible depth-{depth} word has geometric mass")
+        rects = walk.rects(depth)
 
 
 # -- tracking-neighborhood volumes -------------------------------------------
@@ -299,11 +302,11 @@ def _sample_axis(resolution: int, seed: int = 0) -> np.ndarray:
 
 
 def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
-    """Refuse more than 2^26 cells to step: one row when tracking reads one axis."""
+    """Refuse more than `GRID_CAP` cells to step: one row when tracking reads one axis."""
     stepped = resolution if dist.tracks_one_axis else resolution**n
-    if stepped > (1 << 26):
+    if stepped > GRID_CAP:
         raise GridTooCoarseError(
-            f"{what} too large at {resolution} per axis: {stepped} cells to step exceed {1 << 26}"
+            f"{what} too large at {resolution} per axis: {stepped} cells to step exceed {GRID_CAP}"
         )
 
 
@@ -385,14 +388,12 @@ def _tracks_forever(model: ModelSystem, dist: _CoverDistance, epsilon: float) ->
     )
 
 
-def _grid_deaths(model, dist, epsilon, k_max, resolution, one_row, threads):
-    """`_death_steps` of the midpoint grid (one row of it when `one_row`), in chunks."""
-    axis = grid_axis(resolution)
-    if one_row:
-        pts = axis if dist.tracks_one_axis else axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis] * model.n), indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=1)
+def _grid_deaths(model, dist, epsilon, k_max, axis, threads):
+    """`_death_steps` of the grid with the values `axis` on every axis, in chunks.
+
+    Only the row along `dist.axis` is stepped when `dist.tracks_one_axis`.
+    """
+    pts = axis if dist.tracks_one_axis else np.asarray(ProductCloud.grid([axis] * model.n))
     total = len(pts)
     death = np.empty(total, dtype=np.int16)
     n_chunks = max(1, min(64, total // 4096))
@@ -432,8 +433,8 @@ def volume_curve(
     of cells is stepped, along that axis; the integer counts are the
     ones the full grid gives.  A zero cover on the torus with a branch
     domain spanning it steps nothing (`_tracks_forever`): every cell
-    survives all k_max steps.  More than 2^26 stepped
-    cells are refused before the grid is built.
+    survives all k_max steps.  More than `GRID_CAP` stepped cells are
+    refused before the grid is built.
 
     Results are independent of `threads`: the grid is chunked the same
     way regardless, and only integer cell counts are aggregated.
@@ -449,38 +450,30 @@ def volume_curve(
     _refuse_large_grid(dist, n, grid_resolution, "grid")
     # when deaths depend on one coordinate alone, one row of cells is
     # stepped and counted for each of the grid**(n-1) identical rows
-    one_row = n == 1 or dist.tracks_one_axis
-    shape = (grid_resolution,) if one_row else (grid_resolution,) * n
-    rows = grid_resolution ** (n - 1) if one_row else 1
-    total = math.prod(shape)
+    shape = (grid_resolution,) if dist.tracks_one_axis else (grid_resolution,) * n
+    rows = grid_resolution ** (n - 1) if dist.tracks_one_axis else 1
     if _tracks_forever(model, dist, epsilon):
-        death = np.full(total, k_max, dtype=np.int16)
+        death = np.full(shape, k_max, dtype=np.int16)
     else:
-        death = _grid_deaths(model, dist, epsilon, k_max, grid_resolution, one_row, threads)
+        death = _grid_deaths(model, dist, epsilon, k_max, grid_axis(grid_resolution), threads).reshape(shape)
 
-    hist = np.bincount(death, minlength=k_max + 1)
     # membership at k holds iff tracking survived steps 0..k-1
-    counts = np.array([total - hist[:k].sum() for k in range(1, k_max + 1)]) * rows
+    counts = (death.size - np.cumsum(np.bincount(death.ravel(), minlength=k_max + 1))[:k_max]) * rows
     cellvol = cell**n
     volumes = counts * cellvol
 
-    bands = np.zeros(k_max)
-    for k in range(1, k_max + 1):
-        mask = (death >= k).reshape(shape)
-        boundary = np.zeros(shape, dtype=bool)
-        for ax in range(mask.ndim):
-            if model.space.is_torus:
-                boundary |= mask != np.roll(mask, 1, axis=ax)
-                boundary |= mask != np.roll(mask, -1, axis=ax)
-            else:
-                sl_a = [slice(None)] * mask.ndim
-                sl_b = [slice(None)] * mask.ndim
-                sl_a[ax] = slice(1, None)
-                sl_b[ax] = slice(None, -1)
-                diff = mask[tuple(sl_a)] != mask[tuple(sl_b)]
-                boundary[tuple(sl_a)] |= diff
-                boundary[tuple(sl_b)] |= diff
-        bands[k - 1] = boundary.sum() * rows * cellvol
+    # a cell is on the boundary of {death >= k} iff lo < k <= hi, lo and hi
+    # the least and largest death over the cell and its 2n neighbours
+    padded = np.pad(death, 1, mode="wrap" if model.space.is_torus else "edge")
+    inner = (slice(1, -1),) * death.ndim
+    lo = hi = death
+    for ax in range(death.ndim):
+        for side in (slice(None, -2), slice(2, None)):
+            near = padded[inner[:ax] + (side,) + inner[ax + 1 :]]
+            lo, hi = np.minimum(lo, near), np.maximum(hi, near)
+    # cell counts with lo < k minus those with hi < k
+    below = [np.bincount(ends.ravel() + 1, minlength=k_max + 2) for ends in (lo, hi)]
+    bands = np.cumsum(below[0] - below[1])[1 : k_max + 1] * rows * cellvol
 
     return VolumeCurve(
         epsilon=float(epsilon),
@@ -725,8 +718,8 @@ def sample_local_stable_set(
     with the sampled axis on every coordinate.  Otherwise the
     full n-dimensional grid is stepped and the kept points are returned
     as an array.  `cover` is `cover_distance(model, epsilon)` when the
-    caller has it already.  More than 2^26 stepped cells are refused
-    before any sample is drawn.
+    caller has it already.  More than `GRID_CAP` stepped cells are
+    refused before any sample is drawn.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
@@ -735,7 +728,7 @@ def sample_local_stable_set(
     _refuse_large_grid(dist, n, samples, "stable-set grid")
     axis_vals = _sample_axis(samples, seed)
     if _tracks_forever(model, dist, epsilon):
-        return ProductCloud((axis_vals[:, None],) * n, tuple((a,) for a in range(n)))
+        return ProductCloud.grid([axis_vals] * n)
     if dist.tracks_one_axis:
         tol = _pullback_tol(model, dist.axis, epsilon)
         lo, hi = _tracking_superset(model, dist, epsilon, depth, tol, limit=samples)
@@ -743,8 +736,6 @@ def sample_local_stable_set(
         inside = _ranges(first, np.searchsorted(axis_vals, hi, "right") - first)
         alive = inside[_death_steps(model, axis_vals[inside], epsilon, depth, dist) >= depth]
         other_axis = _sample_axis(min(samples, cross_resolution), seed + 1)
-        grids = [axis_vals[alive] if a == dist.axis else other_axis for a in range(n)]
-        return ProductCloud(tuple(g[:, None] for g in grids), tuple((a,) for a in range(n)))
-    mesh = np.meshgrid(*([axis_vals] * n), indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+        return ProductCloud.grid([axis_vals[alive] if a == dist.axis else other_axis for a in range(n)])
+    pts = np.asarray(ProductCloud.grid([axis_vals] * n))
     return pts[_death_steps(model, pts, epsilon, depth, dist) >= depth]

@@ -8,6 +8,7 @@ symbol), so Birkhoff sums and partition sums are exact.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -52,19 +53,17 @@ def is_primitive(transition) -> bool:
     return bool(power.all())
 
 
-def _transfer_sums(weights: np.ndarray, matrix: np.ndarray, k: int):
-    """Z_1..Z_k by the row-vector recursion u_1 = weights, u_{j+1} = u_j M.
+def _transfer_sums(weights: np.ndarray, matrix: np.ndarray):
+    """Z_1, Z_2, ... by the row-vector recursion u_1 = weights, u_{j+1} = u_j M.
 
     Z_j is the sum of u_j.  With weights e^phi and M = A diag(e^phi) it
     is the partition sum of phi over admissible j-words; with phi = 0 it
     counts them.
     """
-    out = np.empty(k)
     u = weights
-    for j in range(k):
-        out[j] = u.sum()
+    while True:
+        yield u.sum()
         u = u @ matrix
-    return out
 
 
 def _weighted(model: ModelSystem, pot: Potential):
@@ -77,15 +76,13 @@ def _weighted(model: ModelSystem, pot: Potential):
 
 
 def count_admissible_words(transition, k: int) -> float:
-    """Number of admissible length-k words (float, inf once past the floats; never raises)."""
+    """Number of admissible length-k words, k >= 1 (float, inf once past the floats; never raises)."""
     a = _as_transition(transition).astype(float)
-    u = np.ones(a.shape[0])
     with np.errstate(over="ignore"):
-        for _ in range(k - 1):
-            if u.sum() == math.inf:  # stop before inf * 0 makes NaN
+        for count in itertools.islice(_transfer_sums(np.ones(len(a)), a), k):
+            if count == math.inf:  # stop before inf * 0 makes NaN
                 break
-            u = u @ a
-        return float(u.sum())
+    return float(count)
 
 
 def check_word_cap(transition, k: int) -> None:
@@ -302,7 +299,7 @@ def partition_sums_through(model: ModelSystem, pot: Potential, k_max: int) -> np
     word cap still bounds k_max, which keeps every Z_k finite.
     """
     check_word_cap(model, k_max)
-    return _transfer_sums(*_weighted(model, pot), k_max)
+    return np.fromiter(_transfer_sums(*_weighted(model, pot)), float, k_max)
 
 
 def partition_sum(model: ModelSystem, pot: Potential, k: int) -> float:

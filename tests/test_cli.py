@@ -166,6 +166,25 @@ class TestDimensionCommand:
         # depth 2 decides the fallback on the way to the sample's depth
         assert len(built) == max(2, meta["depth"])
 
+    @pytest.mark.parametrize("set_name", ["invariant", "repeller"])
+    def test_an_expanding_map_of_the_whole_circle_samples_the_grid(self, capsys, tmp_path, set_name):
+        # x -> 3x mod 1 as one torus branch: its depth-2 cylinder spans the circle, so
+        # the full-space fallback counts the grid, not that cylinder's one centre
+        path = tmp_path / "triple.json"
+        path.write_text(json.dumps({
+            "space": {"dim": 1, "geometry": "torus"},
+            "kind": "expanding",
+            "branches": [
+                {"symbol": 0, "domain": {"lo": [0.0], "hi": [1.0]}, "linear": [[3.0]], "offset": [0.0]},
+            ],
+            "transition": [[1]],
+            "unstable_dim": 1,
+        }))
+        doc = run_json(capsys, ["dimension", "--model-file", str(path), "--set", set_name])
+        assert doc["result"]["sample"] == {"set": set_name, "depth": 2, "resolution": 1024}
+        assert doc["result"]["dimension"]["counts"] == [2**e for e in range(2, 10)]
+        assert doc["result"]["dimension"]["slope"] == pytest.approx(1.0, abs=1e-12)
+
     def test_csv_side_file(self, capsys, tmp_path):
         csv = tmp_path / "curve.csv"
         run_json(
@@ -288,6 +307,15 @@ class TestExitCodes:
         code, _, err = run(capsys, ["bound", "--model-file", "/does/not/exist.json"])
         assert code == 2
         assert err
+
+    def test_a_missing_out_directory_names_the_out_path(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["pressure", "--model", "horseshoe:3,0.25", "--out", "nodir/x.json"]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("hypdim: invalid configuration: ") and "'nodir/x.json'" in err
+        assert run(capsys, argv) == (code, out, err)  # no random temporary name
+        assert list(tmp_path.iterdir()) == []
 
     def test_cap_exceeded(self, capsys):
         code, _, err = run(

@@ -1,12 +1,15 @@
 """Bowen balls, tracking volumes and the pressure estimators."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
+from hypdim.cli import main
 from hypdim.errors import DegenerateCurveError, GridTooCoarseError, IncompatibleLabelError
 from hypdim.models import (
+    ModelSystem,
     Potential,
     build_cantor_repeller,
     build_cat_map,
@@ -128,30 +131,111 @@ class TestVolumeCurves:
     @pytest.mark.parametrize("lambda_u", [2.5, 4.0])
     @pytest.mark.parametrize("grid", [512, 1000])
     def test_factored_grid_matches_full_grid(self, lambda_u, grid):
-        # reference: step every cell of the full 2-D grid, count on the 2-D mask
         m = build_linear_horseshoe(lambda_u, 0.25)
         eps, k_max = default_epsilon(m), 8
-        dist = _CoverDistance(m, cover_rects(m, eps)[1])
-        axis = (np.arange(grid) + 0.5) / grid
-        mesh = np.meshgrid(axis, axis, indexing="ij")
-        pts = np.stack([g.ravel() for g in mesh], axis=1)
-        death = _death_steps(m, pts, eps, k_max, dist).reshape(grid, grid)
-        counts, boundaries = [], []
-        for k in range(1, k_max + 1):
-            mask = death >= k
-            boundary = np.zeros_like(mask)
-            rows, cols = mask[1:] != mask[:-1], mask[:, 1:] != mask[:, :-1]
-            boundary[1:] |= rows
-            boundary[:-1] |= rows
-            boundary[:, 1:] |= cols
-            boundary[:, :-1] |= cols
-            counts.append(int(mask.sum()))
-            boundaries.append(int(boundary.sum()))
+        counts, boundaries = full_grid_reference(m, eps, k_max, grid)
         cellvol = (1.0 / grid) ** 2
         curve = volume_curve(m, eps, k_max, grid)
         assert curve.volumes.tolist() == [c * cellvol for c in counts]
         assert curve.bands.tolist() == [b * cellvol for b in boundaries]
         assert max(boundaries) > 0 and counts[-1] < counts[0]
+
+    # the repellers of cantor:3,01 (torus) and goldenmean (cube) are not symmetric
+    # under x -> 1 - x, so their end cells die at different steps, and the bands
+    # tell neighbours that wrap round from neighbours that stop at the edge
+    @pytest.mark.parametrize("name, eps, grid", [
+        ("cantor:3,02", 0.05, 2048), ("cantor:3,01", 0.05, 2048), ("goldenmean", 0.05, 2048),
+        ("cantor-square-torus", 0.2, 128),
+    ])
+    def test_grid_matches_the_full_grid_reference(self, name, eps, grid):
+        if name.startswith("cantor:"):
+            m = build_cantor_repeller(3, tuple(int(d) for d in name.split(",")[1]))
+        else:
+            m = build_golden_mean() if name == "goldenmean" else cantor_square("torus")
+        k_max = 6
+        counts, boundaries = full_grid_reference(m, eps, k_max, grid)
+        cellvol = (1.0 / grid) ** m.n
+        curve = volume_curve(m, eps, k_max, grid)
+        assert curve.volumes.tolist() == [c * cellvol for c in counts]
+        assert curve.bands.tolist() == [b * cellvol for b in boundaries]
+        assert max(boundaries) > 0 and counts[-1] < counts[0]
+
+
+def full_grid_reference(m, eps, k_max, grid):
+    """Cell counts and boundary-cell counts per k from stepping every cell of the full grid.
+
+    A cell is on the boundary when its membership differs from a neighbour's:
+    the neighbours wrap round on the torus (`np.roll`) and stop at the edge of the cube.
+    """
+    dist = _CoverDistance(m, cover_rects(m, eps)[1])
+    axis = (np.arange(grid) + 0.5) / grid
+    mesh = np.meshgrid(*[axis] * m.n, indexing="ij")
+    pts = np.stack([g.ravel() for g in mesh], axis=1)
+    death = _death_steps(m, pts, eps, k_max, dist).reshape((grid,) * m.n)
+    counts, boundaries = [], []
+    for k in range(1, k_max + 1):
+        mask = death >= k
+        boundary = np.zeros_like(mask)
+        for ax in range(m.n):
+            if m.space.is_torus:
+                boundary |= (mask != np.roll(mask, 1, axis=ax)) | (mask != np.roll(mask, -1, axis=ax))
+            else:
+                diff = np.diff(mask, axis=ax) != 0
+                boundary[(slice(None),) * ax + (slice(1, None),)] |= diff
+                boundary[(slice(None),) * ax + (slice(None, -1),)] |= diff
+        counts.append(int(mask.sum()))
+        boundaries.append(int(boundary.sum()))
+    return counts, boundaries
+
+
+def cantor_square_doc(geometry: str) -> dict:
+    """Cantor x Cantor: four branches diag(3, 3), one per digit pair in {0, 2}^2, as a JSON model."""
+    digits = [(a, b) for a in (0, 2) for b in (0, 2)]
+    return {
+        "space": {"dim": 2, "geometry": geometry},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [a / 3, b / 3], "hi": [(a + 1) / 3, (b + 1) / 3]},
+             "linear": [[3.0, 0.0], [0.0, 3.0]], "offset": [-float(a), -float(b)]}
+            for i, (a, b) in enumerate(digits)
+        ],
+        "transition": [[1] * 4] * 4,
+        "unstable_dim": 2,
+    }
+
+
+def cantor_square(geometry: str) -> ModelSystem:
+    return ModelSystem.from_json(json.dumps(cantor_square_doc(geometry)))
+
+
+class TestRectsCover:
+    """A cover that varies along two axes: the `rects` mode and its brute-force distance."""
+
+    @pytest.mark.parametrize("geometry", ["cube", "torus"])
+    def test_distance_is_the_largest_per_axis_distance(self, geometry):
+        m = cantor_square(geometry)
+        rects = cover_rects(m, 0.2)[1]
+        dist = _CoverDistance(m, rects)
+        assert dist.mode == "rects" and not dist.tracks_one_axis
+        pts = np.random.default_rng(5).random((2000, 2))
+        # the cover is a product of interval unions, so the sup-norm distance
+        # to it is the largest of the distances along each axis
+        per_axis = []
+        for ax in range(2):
+            lo, hi = np.unique(rects[:, 0, ax]), np.unique(rects[:, 1, ax])
+            x = pts[:, ax, None]
+            per_axis.append(np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1))
+        assert dist(pts).tolist() == np.maximum(*per_axis).tolist()
+        assert dist(pts).max() > 0.1
+
+    def test_volume_pressure_of_the_cube_model(self, tmp_path, capsys):
+        path = tmp_path / "cantor_square.json"
+        path.write_text(json.dumps(cantor_square_doc("cube")))
+        argv = ["pressure", "--model-file", str(path), "--method", "volume", "--eps", "0.2", "--grid", "256",
+                "--kmax", "6"]
+        assert main(argv) == 0
+        value = json.loads(capsys.readouterr().out)["result"]["pressure"]["value"]
+        assert value == pytest.approx(math.log(4.0 / 9.0), abs=1e-3)
 
 
 class TestVolumeGrowthFit:

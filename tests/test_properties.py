@@ -913,7 +913,7 @@ def test_cover_rects_refuse_the_capped_depth_before_building_it(monkeypatch):
             built.append(len(level[0]))
             yield level
 
-    monkeypatch.setattr(pressure, "cylinder_levels", levels)
+    monkeypatch.setattr(symbolic, "cylinder_levels", levels)
     with pytest.raises(CapExceededError):
         cover_rects(model, 0.5)
     assert built == [257, 513]
@@ -1361,6 +1361,14 @@ def test_bound_report_equals_the_separate_calls_on_the_builtins(name):
 @given(model=markov_models())
 def test_bound_report_equals_the_separate_calls(model):
     assert bound_report(model, check_equivalences=True).to_json_dict() == separate_bound_report(model)
+
+
+@PROPERTY_SETTINGS
+@given(model=markov_models() | touching_models())
+def test_min_branch_gap_is_the_smallest_gap_of_a_pair(model):
+    gaps = [np.maximum(np.maximum(a.lo - b.hi, b.lo - a.hi), 0.0).max()
+            for i, a in enumerate(model.branches) for b in model.branches[i + 1 :]]
+    assert model.min_branch_gap == (float(min(gaps)) if gaps else 0.0)
 
 
 # -- Minkowski content of product clouds -------------------------------------------

@@ -22,6 +22,7 @@ from hypdim.models import (
 )
 from hypdim.symbolic import (
     admissible_words,
+    count_admissible_words,
     birkhoff_sum,
     cylinders,
     equilibrium_markov_chain,
@@ -82,6 +83,13 @@ class TestAdmissibleWords:
     def test_matches_brute_force(self, k):
         for a in ([[1, 1], [1, 1]], [[1, 1], [1, 0]], build_cat_map().transition):
             assert admissible_words(a, k).tolist() == [list(w) for w in brute_words(a, k)]
+
+    def test_a_count_past_the_floats_stops_at_the_first_inf(self):
+        # 2^k overflows at k = 1024; the recursion stops there instead of running on to k
+        assert count_admissible_words([[1, 1], [1, 1]], 1023) == 2.0**1023
+        assert count_admissible_words([[1, 1], [1, 1]], 1024) == math.inf
+        assert count_admissible_words([[1, 1], [1, 1]], 10**12) == math.inf
+        assert count_admissible_words([[1, 1], [1, 0]], 10**12) == math.inf
 
 
 class TestBirkhoffSums:
