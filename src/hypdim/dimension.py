@@ -72,20 +72,19 @@ def _word_norms(model: ModelSystem, k_max: int):
     largest singular value of a 1x1 matrix is |x| exactly.  In more
     dimensions the singular values of every word's product are listed.
     """
-    linears = np.stack([b.linear for b in model.branches])
     precedes = model.transition != 0
     if model.n == 1:
-        slopes = best = np.abs(linears[:, 0, 0])
+        slopes = best = np.abs(model.linear[:, 0, 0])
         yield best
         for _ in range(k_max - 1):
             best = slopes * np.where(precedes, best[:, None], 0.0).max(axis=0)
             yield best
     else:
-        prods, last = linears, np.arange(model.nsym)
+        prods, last = model.linear, np.arange(model.nsym)
         yield np.linalg.svd(prods, compute_uv=False)[:, 0]
         for _ in range(k_max - 1):
             rows, last = np.nonzero(precedes[last])
-            prods = linears[last] @ prods[rows]
+            prods = model.linear[last] @ prods[rows]
             yield np.linalg.svd(prods, compute_uv=False)[:, 0]
 
 
@@ -504,8 +503,7 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256, 
         return ProductCloud.grid([grid_axis(resolution)] * model.n)
     # forward cylinders pin the varying axes; word images pin the whole ones
     whole = np.setdiff1d(np.arange(model.n), varying)
-    linears = np.stack([b.linear[np.ix_(whole, whole)] for b in model.branches])
-    offsets = np.stack([b.offset[whole] for b in model.branches])
+    linears, offsets = model.linear[:, whole[:, None], whole], model.offset[:, whole]
     lo = np.zeros((len(words), whole.size))
     hi = np.ones((len(words), whole.size))
     for symbols in words.T:

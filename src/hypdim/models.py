@@ -83,14 +83,22 @@ class AffineBranch:
         if (self.hi < self.lo).any():
             raise ParameterOutOfRangeError("branch domain rectangle is empty")
 
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized closed-rectangle membership for (N, n) points."""
-        pts = np.atleast_2d(points)
-        return np.all((pts >= self.lo) & (pts <= self.hi), axis=1)
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         return pts @ self.linear.T + self.offset
+
+
+def first_branch(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Per point, the lowest symbol whose closed domain [lo[s], hi[s]] holds it; -1 where none does.
+
+    The points are the rows of an (N, d) array with (m, d) domain ends,
+    or N coordinates along one axis with the m ends on that axis.
+    """
+    branch = np.full(len(x), -1, dtype=np.int64)
+    for s in range(len(lo) - 1, -1, -1):  # lower symbols overwrite higher
+        inside = (lo[s] <= x) & (x <= hi[s])
+        branch[inside if inside.ndim == 1 else inside.all(axis=1)] = s
+    return branch
 
 
 def torus_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -115,6 +123,9 @@ class ModelSystem:
     and `lambda_s` hold the per-branch unstable/stable Jacobian
     magnitudes |det Df| restricted to the expanding/contracting
     directions; for the built-in constructors these are exact.
+    `lo`, `hi`, `linear` and `offset` stack the branch fields of that
+    name, the symbol first, in read-only arrays: the one form that array
+    code reads.
     """
 
     space: AmbientSpace
@@ -151,6 +162,8 @@ class ModelSystem:
             raise ParameterOutOfRangeError("branch symbols must be 0..m-1 in order")
         if self.lambda_u.shape != (m,):
             raise ParameterOutOfRangeError("lambda_u must have one entry per branch")
+        for name in ("lo", "hi", "linear", "offset"):
+            object.__setattr__(self, name, _ro(np.stack([getattr(b, name) for b in self.branches])))
         if self.strict:
             # adapted-metric convention: one-step expansion/contraction, c = 1
             if (self.lambda_u <= 1.0).any():
@@ -158,7 +171,7 @@ class ModelSystem:
             if self.kind == "diffeo":
                 if self.lambda_s is None or (self.lambda_s >= 1.0).any() or (self.lambda_s <= 0).any():
                     raise ParameterOutOfRangeError("diffeo models need lambda_s entries in (0, 1)")
-                if any(abs(np.linalg.det(b.linear)) < 1e-300 for b in self.branches):
+                if (np.abs(np.linalg.det(self.linear)) < 1e-300).any():
                     raise ParameterOutOfRangeError("diffeo branches need invertible linear parts")
 
     # -- basic queries ---------------------------------------------------
@@ -179,16 +192,7 @@ class ModelSystem:
 
         Points on shared boundaries resolve to the lowest symbol index.
         """
-        pts = self.wrap(np.atleast_2d(np.asarray(points, dtype=float)))
-        idx = np.full(pts.shape[0], -1, dtype=np.int64)
-        for b in self.branches:
-            free = idx < 0
-            if not free.any():
-                break
-            hit = b.contains(pts[free])
-            sel = np.flatnonzero(free)[hit]
-            idx[sel] = b.symbol
-        return idx
+        return first_branch(self.wrap(np.atleast_2d(np.asarray(points, dtype=float))), self.lo, self.hi)
 
     def step(self, points: np.ndarray):
         """One map step for an (N, n) array; returns (images, branch_idx).
@@ -203,12 +207,6 @@ class ModelSystem:
             if sel.any():
                 out[sel] = self.wrap(b.apply(pts[sel]))
         return out, idx
-
-    @cached_property
-    def _stacked(self):
-        """(lo, hi, linear, offset) of every branch, stacked along a first axis."""
-        fields = ("lo", "hi", "linear", "offset")
-        return tuple(np.stack([getattr(b, f) for b in self.branches]) for f in fields)
 
     @cached_property
     def _leaves_whole_memo(self) -> dict:
@@ -231,37 +229,31 @@ class ModelSystem:
         return self._leaves_whole_memo[key]
 
     def _splits_off(self, whole: np.ndarray) -> bool:
-        lo, hi, linear, offset = self._stacked
-        rows = linear[:, whole]
+        rows = self.linear[:, whole]
         block = rows[:, :, whole]
-        image_lo = np.minimum(block, 0.0).sum(axis=2) + offset[:, whole]
-        image_hi = np.maximum(block, 0.0).sum(axis=2) + offset[:, whole]
-        spans = np.all(lo[:, whole] <= 0.0) and np.all(hi[:, whole] >= 1.0)
-        coupled = np.any(rows[:, :, ~whole]) or np.any(linear[:, ~whole][:, :, whole])
+        image_lo = np.minimum(block, 0.0).sum(axis=2) + self.offset[:, whole]
+        image_hi = np.maximum(block, 0.0).sum(axis=2) + self.offset[:, whole]
+        spans = np.all(self.lo[:, whole] <= 0.0) and np.all(self.hi[:, whole] >= 1.0)
+        coupled = np.any(rows[:, :, ~whole]) or np.any(self.linear[:, ~whole][:, :, whole])
         inside = self.space.is_torus or (image_lo.min() >= 0.0 and image_hi.max() <= 1.0)
         return bool(spans and not coupled and inside)
 
     @cached_property
     def whole_axes(self) -> np.ndarray:
         """Boolean mask of the axes every branch domain spans, if they split off exactly."""
-        lo, hi, _, _ = self._stacked
-        spans = np.all((lo <= 0.0) & (hi >= 1.0), axis=0)
+        spans = np.all((self.lo <= 0.0) & (self.hi >= 1.0), axis=0)
         return _ro(spans & self.leaves_whole(spans), dtype=bool)
 
     @property
     def uniform_linear(self) -> np.ndarray | None:
         """The common linear part if all branches share one, else None."""
-        first = self.branches[0].linear
-        for b in self.branches[1:]:
-            if not np.array_equal(b.linear, first):
-                return None
-        return first
+        first = self.linear[0]
+        return first if (self.linear == first).all() else None
 
     @property
     def min_branch_gap(self) -> float:
         """Smallest sup-norm gap between two branch domains (0 if they touch)."""
-        lo, hi, _, _ = self._stacked
-        gaps = np.maximum(np.maximum(lo[:, None] - hi, lo - hi[:, None]), 0.0).max(axis=2)
+        gaps = np.maximum(np.maximum(self.lo[:, None] - self.hi, self.lo - self.hi[:, None]), 0.0).max(axis=2)
         np.fill_diagonal(gaps, np.inf)  # a domain and itself are no pair
         return float(gaps.min()) if self.nsym > 1 else 0.0
 
@@ -276,26 +268,20 @@ class ModelSystem:
         inverses contract along the axis considered; everywhere else the
         bound degrades to zero and only the domain gap remains.
         """
-        if any(np.any(b.linear != np.diag(np.diag(b.linear))) for b in self.branches):
+        if np.any(self.linear != np.where(np.eye(self.linear.shape[1], dtype=bool), self.linear, 0.0)):
             return 0.0
-        best = math.inf
-        for i in range(self.nsym):
-            for j in range(i + 1, self.nsym):
-                a, b = self.branches[i], self.branches[j]
-                da = np.diag(a.linear)
-                db = np.diag(b.linear)
-                contracting = (np.abs(1.0 / da) <= 1.0) & (np.abs(1.0 / db) <= 1.0)
-                if not contracting.any():
-                    best = 0.0
-                    continue
-                # g(q) = inv_a(q) - inv_b(q), affine per axis over q in [0, 1]
-                coef = 1.0 / da - 1.0 / db
-                const = b.offset / db - a.offset / da
-                at_zero = np.abs(const)
-                at_one = np.abs(coef + const)
-                lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(at_zero, at_one))
-                best = min(best, float(lower[contracting].max()))
-        return 0.0 if not math.isfinite(best) else best
+        a, b = np.triu_indices(self.nsym, 1)  # every pair of branches a < b
+        diag = np.diagonal(self.linear, axis1=1, axis2=2)
+        inverse, shift = 1.0 / diag, self.offset / diag
+        contracting = (np.abs(inverse[a]) <= 1.0) & (np.abs(inverse[b]) <= 1.0)
+        if not contracting.any(axis=1).all():
+            return 0.0  # some pair has no contracting axis
+        # g(q) = inv_a(q) - inv_b(q), affine per axis over q in [0, 1]
+        coef, const = inverse[a] - inverse[b], shift[b] - shift[a]
+        lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(np.abs(const), np.abs(coef + const)))
+        # per pair the largest bound over its contracting axes; the least of them, skipping NaN
+        best = np.fmin.reduce(np.max(lower, axis=1, where=contracting, initial=-np.inf), initial=np.inf)
+        return float(best) if best < math.inf else 0.0
 
     # -- serialization ---------------------------------------------------
 
@@ -304,13 +290,10 @@ class ModelSystem:
             "space": {"dim": self.space.dim, "geometry": self.space.geometry},
             "kind": self.kind,
             "branches": [
-                {
-                    "symbol": b.symbol,
-                    "domain": {"lo": b.lo.tolist(), "hi": b.hi.tolist()},
-                    "linear": b.linear.tolist(),
-                    "offset": b.offset.tolist(),
-                }
-                for b in self.branches
+                {"symbol": symbol, "domain": {"lo": lo, "hi": hi}, "linear": linear, "offset": offset}
+                for symbol, (lo, hi, linear, offset) in enumerate(
+                    zip(self.lo.tolist(), self.hi.tolist(), self.linear.tolist(), self.offset.tolist())
+                )
             ],
             "transition": self.transition.tolist(),
             "unstable_dim": self.unstable_dim,
@@ -429,8 +412,7 @@ def potential(model: ModelSystem, label: str) -> Potential:
             raise IncompatibleLabelError("phi_s needs stable directions (diffeo kind)")
         return Potential(np.log(model.lambda_s), "phi_s")
     if label == "phi":
-        dets = np.array([abs(np.linalg.det(b.linear)) for b in model.branches])
-        return Potential(-np.log(dets), "phi")
+        return Potential(-np.log(np.abs(np.linalg.det(model.linear))), "phi")
     raise IncompatibleLabelError(f"unknown potential label {label!r}")
 
 

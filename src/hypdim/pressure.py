@@ -21,8 +21,8 @@ from .errors import (
     IncompatibleLabelError,
     NoBranchError,
 )
-from .models import ModelSystem, Potential, point_distance
-from .symbolic import CylinderWalk, partition_sums_through, pressure_spectral
+from .models import ModelSystem, Potential, first_branch, point_distance
+from .symbolic import cylinder_rects, partition_sums_through, pressure_spectral
 
 _FULL_TOL = 1e-9
 # no grid of more cells than this is built or stepped
@@ -226,27 +226,23 @@ class _CoverDistance:
 def cover_rects(model: ModelSystem, epsilon: float):
     """Depth-m cylinder cover with shrinking extents below epsilon/4.
 
-    Returns (depth, rects).  One `CylinderWalk` goes down until the
-    cover is fine enough, checking each depth's word cap before building
-    it; the rectangles are those `cylinders(model, m)` returns, bit for
-    bit.  Axes whose cylinder extent never shrinks (e.g. coverings of
-    the whole torus) are ignored; if no axis shrinks at all the cover is
-    the branch domains themselves and distances to it are exact because
-    the invariant set fills the space.
+    Returns (depth, rects).  The search walks `cylinder_rects` down
+    until the cover is fine enough, holding depth 1 and the level in
+    hand only; the rectangles are those `cylinders(model, m)` returns,
+    bit for bit.  Axes whose cylinder extent never shrinks (e.g.
+    coverings of the whole torus) are ignored; if no axis shrinks at all
+    the cover is the branch domains themselves and distances to it are
+    exact because the invariant set fills the space.
     """
-    walk = CylinderWalk(model)
-    first = rects = walk.rects(1)
-    base_ext = (rects[:, 1] - rects[:, 0]).max(axis=0)
-    depth = 1
-    while True:
+    for depth, rects in enumerate(cylinder_rects(model), 1):
         ext = (rects[:, 1] - rects[:, 0]).max(axis=0)
+        if depth == 1:
+            first, base_ext = rects, ext
         shrinking = ext < base_ext - 1e-12
         if depth > 1 and not shrinking.any():
             return 1, np.ascontiguousarray(first)
         if shrinking.any() and ext[shrinking].max() < 0.25 * epsilon:
             return depth, np.ascontiguousarray(rects)
-        depth += 1
-        rects = walk.rects(depth)
 
 
 # -- tracking-neighborhood volumes -------------------------------------------
@@ -310,25 +306,21 @@ def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
         )
 
 
-def _axis_branches(model: ModelSystem, axis: int) -> np.ndarray:
-    """Rows lo, hi, slope, offset: every branch's domain and affine part along `axis`."""
-    return np.array(
-        [(b.lo[axis], b.hi[axis], b.linear[axis, axis], b.offset[axis]) for b in model.branches]
-    ).T
+def _axis_branches(model: ModelSystem, axis: int):
+    """lo, hi, slope, offset: every branch's domain and affine part along `axis`."""
+    return model.lo[:, axis], model.hi[:, axis], model.linear[:, axis, axis], model.offset[:, axis]
 
 
 def _axis_step(model: ModelSystem, axis: int):
     """`model.step` for the coordinates along `axis` alone; branch -1 means escaped.
 
-    On a shared boundary the lowest symbol wins, as in `ModelSystem.branch_of`.
+    Branches are chosen by `first_branch`, as in `ModelSystem.branch_of`.
     """
     lo, hi, slope, offset = _axis_branches(model, axis)
 
     def step(x):
         x = model.wrap(x)
-        branch = np.full(x.shape, -1)
-        for s in reversed(range(model.nsym)):  # lower symbols overwrite higher
-            branch[(lo[s] <= x) & (x <= hi[s])] = s
+        branch = first_branch(x, lo, hi)
         # escaped coordinates get the last branch's image, which the caller drops
         return model.wrap(x * slope[branch] + offset[branch]), branch
 
@@ -384,7 +376,7 @@ def _tracks_forever(model: ModelSystem, dist: _CoverDistance, epsilon: float) ->
         dist.mode == "zero"
         and dist.torus
         and epsilon > 0
-        and any(np.all(b.lo <= 0.0) and np.all(b.hi >= 1.0) for b in model.branches)
+        and np.all((model.lo <= 0.0) & (model.hi >= 1.0), axis=1).any()
     )
 
 

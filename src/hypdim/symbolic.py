@@ -161,19 +161,18 @@ def cylinder_levels(model: ModelSystem):
     n, symbols = model.n, np.arange(model.nsym)
     whole = np.flatnonzero(model.whole_axes)
     varying = np.flatnonzero(~model.whole_axes).tolist()
-    inverses = np.linalg.inv(np.stack([b.linear for b in model.branches])).tolist()
+    inverses = np.linalg.inv(model.linear).tolist()
     blocks = []  # per symbol: its transition row (None if all ones) and, per varying axis, its pullback
-    for row, inverse, branch in zip(model.transition != 0, inverses, model.branches):
+    for row, inverse, offset, lo, hi in zip(model.transition != 0, inverses, model.offset, model.lo, model.hi):
         axes = []
         for i in varying:
             # per column j: the offset and the order of the ends; low pulls back from lo when c > 0, else from hi
-            columns = [(j, branch.offset[j], slice(None) if c > 0 else slice(None, None, -1))
+            columns = [(j, offset[j], slice(None) if c > 0 else slice(None, None, -1))
                        for j, c in enumerate(inverse[i])]
-            axes.append((i, np.array(inverse[i]), columns, branch.lo[i], branch.hi[i]))
+            axes.append((i, np.array(inverse[i]), columns, lo[i], hi[i]))
         blocks.append((None if row.all() else row, axes))
     # levels are stored as (2, n, N): ends, axes, words; each ends-axis row is contiguous
-    domains = np.stack([np.stack([b.lo for b in model.branches], axis=1),
-                        np.stack([b.hi for b in model.branches], axis=1)])
+    domains = np.stack([model.lo.T, model.hi.T])
     whole_domains = domains[:, whole]
     first, parent, level = symbols, None, domains
     while True:
@@ -234,10 +233,7 @@ class CylinderWalk:
                 self._links.append((first, parent))
                 if len(self._links) in (1, k):
                     self._rects[len(self._links)] = rects
-        rects = self._rects[k]
-        if len(rects) == 0:
-            raise ValueError(f"no admissible depth-{k} word has geometric mass")
-        return rects
+        return _with_mass(self._rects[k], k)
 
     def cylinders(self, k: int):
         """(words, rects) of depth k, rects C-ordered; words are read back from the parent rows, deepest level first."""
@@ -247,6 +243,21 @@ class CylinderWalk:
             columns.append(first.take(row))
             row = parent.take(row)
         return np.stack(columns + [row], axis=1), np.ascontiguousarray(rects)
+
+
+def _with_mass(rects: np.ndarray, k: int) -> np.ndarray:
+    """The depth-k level `rects`, refused when none of its words has geometric mass."""
+    if len(rects) == 0:
+        raise ValueError(f"no admissible depth-{k} word has geometric mass")
+    return rects
+
+
+def cylinder_rects(model: ModelSystem):
+    """The rectangles of depth 1, 2, ... in turn, checked as `CylinderWalk.rects` checks them; it keeps none."""
+    levels = cylinder_levels(model)
+    for k in itertools.count(1):
+        check_word_cap(model, k)
+        yield _with_mass(next(levels)[2], k)
 
 
 def cylinders(model: ModelSystem, k: int):
@@ -428,10 +439,7 @@ def _group_exponents(values: np.ndarray, tol: float = 1e-9):
 
 
 def _measure_stats(model: ModelSystem, pot: Potential, pi: np.ndarray, entropy: float):
-    log_sv = np.stack(
-        [np.log(np.linalg.svd(b.linear, compute_uv=False)) for b in model.branches]
-    )
-    exponents = _group_exponents(pi @ log_sv)
+    exponents = _group_exponents(pi @ np.log(np.linalg.svd(model.linear, compute_uv=False)))
     integral = float(pi @ np.asarray(pot.values))
     return MarkovMeasureStats(
         entropy=entropy, exponents=exponents, potential_integral=integral
@@ -494,13 +502,11 @@ def power_model(model: ModelSystem, m: int) -> ModelSystem:
     if m == 1:
         return model
     words, rects = cylinders(model, m)
-    linears = np.stack([b.linear for b in model.branches])
-    offsets = np.stack([b.offset for b in model.branches])
     linear = np.broadcast_to(np.eye(model.n), (len(words), model.n, model.n))
     offset = np.zeros((len(words), model.n))
     for symbols in words.T:
-        offset = (linears[symbols] @ offset[:, :, None])[:, :, 0] + offsets[symbols]
-        linear = linears[symbols] @ linear
+        offset = (model.linear[symbols] @ offset[:, :, None])[:, :, 0] + model.offset[symbols]
+        linear = model.linear[symbols] @ linear
     branches = tuple(
         AffineBranch(sym, lo=rect[0], hi=rect[1], linear=lin, offset=off)
         for sym, (rect, lin, off) in enumerate(zip(rects, linear, offset))

@@ -411,6 +411,12 @@ class TestExitCodes:
         assert not target.exists()
         assert not list(tmp_path.glob("**/*.tmp"))
 
+    def test_a_failed_write_removes_its_temporary_file(self, tmp_path):
+        target = tmp_path / "out.json"
+        with pytest.raises(UnicodeEncodeError):
+            cli.atomic_write(str(target), "a lone surrogate \udc80 cannot be encoded")
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestModelFiles:
     def test_model_file_round_trip(self, capsys, tmp_path):

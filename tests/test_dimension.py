@@ -288,6 +288,7 @@ class TestDimensionBound:
 
     def test_zero_pressure_gives_ambient_dimension(self):
         assert dimension_bound(3, 0.0, 1.7) == 3.0
+        assert dimension_bound(2, -math.inf, 1.7) == -math.inf  # an empty invariant set
         assert dimension_bound(3, 1e-12, 1.7) == 3.0
 
     def test_cantor_bound_matches_its_dimension(self):

@@ -1,6 +1,7 @@
 """Model construction, evaluation and the exact per-branch data."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,10 @@ from hypdim.errors import (
     ParameterOutOfRangeError,
 )
 from hypdim.models import (
+    AffineBranch,
+    AmbientSpace,
     ModelSystem,
+    Potential,
     build_cantor_repeller,
     build_cat_map,
     build_doubling_map,
@@ -34,6 +38,66 @@ def all_builtins():
         build_golden_mean(),
         build_cat_map(),
     ]
+
+
+def horseshoe_with(**change) -> ModelSystem:
+    """`ModelSystem` of the (3, 0.25) horseshoe's fields, with `change` applied."""
+    m = build_linear_horseshoe(3.0, 0.25)
+    fields = dict(space=m.space, branches=m.branches, kind=m.kind, unstable_dim=1, stable_dim=1,
+                  transition=m.transition, lambda_u=m.lambda_u, lambda_s=m.lambda_s)
+    return ModelSystem(**{**fields, **change})
+
+
+_HORSESHOE = build_linear_horseshoe(3.0, 0.25)
+_SINGULAR = tuple(
+    AffineBranch(b.symbol, b.lo, b.hi, linear=[[3.0, 0.0], [0.0, 0.0]], offset=b.offset)
+    for b in _HORSESHOE.branches
+)
+REFUSALS = {
+    "ambient dimension": (lambda: AmbientSpace(0), ParameterOutOfRangeError, "ambient dimension must be >= 1"),
+    "geometry": (lambda: AmbientSpace(2, "sphere"), ParameterOutOfRangeError,
+                 "geometry must be one of ('cube', 'torus')"),
+    "branch shapes": (lambda: AffineBranch(0, lo=[0.0, 0.0], hi=[1.0], linear=[[2.0]], offset=[0.0]),
+                      ParameterOutOfRangeError, "branch arrays have inconsistent shapes"),
+    "empty domain": (lambda: AffineBranch(0, lo=[0.5], hi=[0.25], linear=[[2.0]], offset=[0.0]),
+                     ParameterOutOfRangeError, "branch domain rectangle is empty"),
+    "kind": (lambda: horseshoe_with(kind="flow"), ParameterOutOfRangeError,
+             "kind must be one of ('diffeo', 'expanding')"),
+    "expanding dims": (lambda: horseshoe_with(kind="expanding"), ParameterOutOfRangeError,
+                       "expanding models have d_u = n, d_s = 0"),
+    "diffeo dims": (lambda: horseshoe_with(unstable_dim=2), ParameterOutOfRangeError,
+                    "diffeo models need d_u + d_s = n"),
+    "transition size": (lambda: horseshoe_with(transition=np.ones((3, 3))), ParameterOutOfRangeError,
+                        "transition matrix size must equal branch count"),
+    "transition zeros": (lambda: horseshoe_with(transition=[[1, 1], [0, 0]]), ParameterOutOfRangeError,
+                         "transition matrix needs a 1 in every row and column"),
+    "symbol order": (lambda: horseshoe_with(branches=_HORSESHOE.branches[::-1]), ParameterOutOfRangeError,
+                     "branch symbols must be 0..m-1 in order"),
+    "lambda_u length": (lambda: horseshoe_with(lambda_u=[3.0]), ParameterOutOfRangeError,
+                        "lambda_u must have one entry per branch"),
+    "lambda_u size": (lambda: horseshoe_with(lambda_u=[3.0, 1.0]), ParameterOutOfRangeError,
+                      "lambda_u entries must exceed 1"),
+    "lambda_s missing": (lambda: horseshoe_with(lambda_s=None), ParameterOutOfRangeError,
+                         "diffeo models need lambda_s entries in (0, 1)"),
+    "lambda_s size": (lambda: horseshoe_with(lambda_s=[0.25, 1.0]), ParameterOutOfRangeError,
+                      "diffeo models need lambda_s entries in (0, 1)"),
+    "singular branch": (lambda: horseshoe_with(branches=_SINGULAR), ParameterOutOfRangeError,
+                        "diffeo branches need invertible linear parts"),
+    "potential label": (lambda: Potential([0.0, 0.0], "psi"), IncompatibleLabelError,
+                        "label must be one of ('phi_u', 'phi_s', 'phi', 'custom')"),
+    "potential name": (lambda: potential(_HORSESHOE, "psi"), IncompatibleLabelError,
+                       "unknown potential label 'psi'"),
+    "doubling degree": (lambda: build_doubling_map(1), ParameterOutOfRangeError, "degree must be >= 2"),
+    "cantor slope": (lambda: build_cantor_repeller(2.5, (0,)), ParameterOutOfRangeError,
+                     "slope must be an integer >= 2"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_each_refusal_names_its_reason(case):
+    build, error, message = REFUSALS[case]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
 
 
 class TestEvaluate:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,11 +27,13 @@ from hypdim.pressure import (
     _death_steps,
     _sample_axis,
     bowen_ball_contains,
+    cover_distance,
     cover_rects,
     default_epsilon,
     pressure_from_partition_sums,
     pressure_from_volume_growth,
     sample_local_stable_set,
+    stable_resolution,
     volume_curve,
 )
 from hypdim.symbolic import cylinders, pressure_spectral
@@ -384,3 +387,31 @@ def test_default_epsilon_uses_half_gap():
     m = build_linear_horseshoe(3.0, 0.25)
     assert default_epsilon(m) == pytest.approx((1.0 - 2.0 / 3.0) / 2.0)
     assert default_epsilon(build_cat_map()) == 0.05
+
+
+def test_a_full_grid_stays_at_two_to_the_eleven_per_axis():
+    m = build_cat_map()
+    cover = cover_distance(m, default_epsilon(m))
+    assert not cover.tracks_one_axis
+    assert stable_resolution(m, 12, cover) == 1 << 11
+
+
+@pytest.mark.parametrize(
+    "model,epsilon,depth,rects,mib",
+    [
+        (build_cantor_repeller(3, (0, 2)), 1e-8, 19, 1 << 19, 36),
+        (build_linear_horseshoe(2.2, 0.25), 1e-6, 20, 1 << 20, 120),
+    ],
+    ids=["cantor", "horseshoe"],
+)
+def test_a_deep_cover_search_holds_depth_one_and_the_level_in_hand(model, epsilon, depth, rects, mib):
+    # keeping every level it passes took the peaks to 46.5 and 150 MiB
+    tracemalloc.start()
+    try:
+        got_depth, got = cover_rects(model, epsilon)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got_depth, len(got)) == (depth, rects)
+    assert peak <= mib * 2**20
+    assert got.tobytes() == cylinders(model, depth)[1].tobytes()

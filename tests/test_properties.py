@@ -54,6 +54,7 @@ from hypdim.models import (
     build_doubling_map,
     build_golden_mean,
     build_linear_horseshoe,
+    first_branch,
     potential,
 )
 from hypdim.pressure import (
@@ -462,6 +463,112 @@ def test_leaves_whole_equals_the_per_branch_loop(model):
     assert np.array_equal(model.whole_axes, spans & per_branch_leaves_whole(model, spans))
 
 
+# -- the model's stacked branch arrays ----------------------------------------------
+
+
+def free_mask_branch_of(pts: np.ndarray, branches, axes) -> np.ndarray:
+    """The free-mask loop that `first_branch` replaced: each branch, in symbol order, takes the
+    (N, len(axes)) points that no lower symbol took and that lie in its domain on `axes`."""
+    idx = np.full(pts.shape[0], -1, dtype=np.int64)
+    for b in branches:
+        free = idx < 0
+        if not free.any():
+            break
+        hit = np.all((pts[free] >= b.lo[axes]) & (pts[free] <= b.hi[axes]), axis=1)
+        idx[np.flatnonzero(free)[hit]] = b.symbol
+    return idx
+
+
+def pair_loop_branch_separation(model: ModelSystem) -> float:
+    """The double loop over branch pairs that `ModelSystem.branch_separation` replaced."""
+    if any(np.any(b.linear != np.diag(np.diag(b.linear))) for b in model.branches):
+        return 0.0
+    best = math.inf
+    for i in range(model.nsym):
+        for j in range(i + 1, model.nsym):
+            a, b = model.branches[i], model.branches[j]
+            da, db = np.diag(a.linear), np.diag(b.linear)
+            contracting = (np.abs(1.0 / da) <= 1.0) & (np.abs(1.0 / db) <= 1.0)
+            if not contracting.any():
+                best = 0.0
+                continue
+            coef = 1.0 / da - 1.0 / db
+            const = b.offset / db - a.offset / da
+            at_zero, at_one = np.abs(const), np.abs(coef + const)
+            lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(at_zero, at_one))
+            best = min(best, float(lower[contracting].max()))
+    return 0.0 if not math.isfinite(best) else best
+
+
+def _domain_points(model: ModelSystem, seed: int) -> np.ndarray:
+    """Uniform points around the unit cube, then points whose every coordinate is some domain end."""
+    rng = np.random.default_rng(seed)
+    ends = np.concatenate([model.lo, model.hi])  # (2m, n): every domain end, per axis
+    corners = ends[rng.integers(0, len(ends), size=(256, model.n)), np.arange(model.n)]
+    return np.concatenate([rng.uniform(-0.2, 1.2, size=(256, model.n)), ends, corners])
+
+
+@PROPERTY_SETTINGS
+@given(model=split_models() | diagonal_models() | factored_models(), seed=st.integers(0, 1000))
+def test_first_branch_equals_the_free_mask_loop(model, seed):
+    pts = _domain_points(model, seed)
+    all_axes = np.arange(model.n)
+    expected = free_mask_branch_of(model.wrap(pts), model.branches, all_axes)
+    assert np.array_equal(model.branch_of(pts), expected)
+    assert np.array_equal(first_branch(pts, model.lo, model.hi), free_mask_branch_of(pts, model.branches, all_axes))
+    for axis in range(model.n):
+        x = pts[:, axis]
+        got = first_branch(x, model.lo[:, axis], model.hi[:, axis])
+        assert got.dtype == np.int64
+        assert np.array_equal(got, free_mask_branch_of(x[:, None], model.branches, [axis]))
+
+
+def _no_contracting_pair():
+    """Three 1-D branches; the pair (0, 1) has a contracting axis and the pair (0, 2) has none."""
+    slopes, offsets = [3.0, -2.5, 0.5], [0.0, 2.5, 0.3]
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": s, "domain": {"lo": [s / 3], "hi": [(s + 1) / 3]}, "linear": [[slope]], "offset": [off]}
+            for s, (slope, off) in enumerate(zip(slopes, offsets))
+        ],
+        "transition": np.ones((3, 3), dtype=int).tolist(),
+        "unstable_dim": 1,
+    })
+
+
+@PROPERTY_SETTINGS
+@given(model=split_models() | diagonal_models() | factored_models() | markov_models())
+@example(model=build_cat_map())  # a linear part that is not diagonal
+@example(model=_no_contracting_pair())
+def test_branch_separation_equals_the_pair_loop(model):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        assert model.branch_separation == pair_loop_branch_separation(model)
+
+
+def test_branch_separation_is_zero_where_the_argument_fails():
+    assert build_cat_map().branch_separation == 0.0  # coupled linear parts
+    model = _no_contracting_pair()
+    assert model.branch_separation == 0.0
+    # without branch 2 the one pair left has a contracting axis and a positive bound
+    doc = {**model.to_json_dict(), "transition": [[1, 1], [1, 1]]}
+    doc["branches"] = doc["branches"][:2]
+    assert ModelSystem.from_json_dict(doc).branch_separation == pytest.approx(0.8 / 3)
+
+
+@PROPERTY_SETTINGS
+@given(model=split_models() | diagonal_models() | factored_models() | markov_models())
+@example(model=build_linear_horseshoe(3.0, 0.25))
+def test_stacked_branch_arrays_are_the_branch_fields_read_only(model):
+    for name in ("lo", "hi", "linear", "offset"):
+        stacked, expected = getattr(model, name), np.stack([getattr(b, name) for b in model.branches])
+        assert stacked.dtype == expected.dtype and stacked.shape == expected.shape
+        assert stacked.tobytes() == expected.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            stacked[0] = 0.0
+
+
 @pytest.mark.parametrize("resolution,seed", [(1, 0), (64, 3), (1024, 8), (65536, 7)])
 def test_sample_axis_is_a_read_only_copy_of_a_fresh_draw(resolution, seed):
     fresh = (np.arange(resolution) + np.random.default_rng(seed).random(resolution)) / resolution
@@ -712,6 +819,25 @@ def test_pullback_holds_every_survivor_at_its_rounding_edges_over_the_sweep(lamb
     epsilon = default_epsilon(model)
     dist = cover_distance(model, epsilon)
     _assert_pullback_holds_the_survivors_at_its_rounding_edges(model, dist, epsilon, depth)
+
+
+@pytest.mark.parametrize("geometry,samples", [("torus", 8), ("cube", 64)])
+def test_a_pullback_stopped_at_its_limit_keeps_the_cloud_of_the_whole_pullback(monkeypatch, geometry, samples):
+    # on the torus the shifted targets already cost more than the limit; on the cube a level does
+    doc = build_linear_horseshoe(3.0, 0.25).to_json_dict()
+    doc["space"]["geometry"] = geometry
+    model = ModelSystem.from_json_dict(doc)
+    epsilon, depth, seed = default_epsilon(model), 8, 3
+    dist = cover_distance(model, epsilon)
+    tol = _pullback_tol(model, dist.axis, epsilon)
+    limited = _tracking_superset(model, dist, epsilon, depth, tol, limit=samples)
+    whole = _tracking_superset(model, dist, epsilon, depth, tol)
+    assert len(limited[0]) < len(whole[0])  # the limited pullback stopped early
+    cloud = sample_local_stable_set(model, epsilon, depth, samples=samples, seed=seed)
+    monkeypatch.setattr(pressure, "_tracking_superset", lambda *args, limit: _tracking_superset(*args))
+    unlimited = sample_local_stable_set(model, epsilon, depth, samples=samples, seed=seed)
+    assert [f.tobytes() for f in cloud.factors] == [f.tobytes() for f in unlimited.factors]
+    _assert_sampler_keeps_the_death_loop_survivors(model, dist, epsilon, depth, samples, seed)
 
 
 # -- one walk of the cylinder levels ---------------------------------------------

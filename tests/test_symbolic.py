@@ -12,6 +12,7 @@ from hypdim.errors import (
     NotMixingError,
 )
 from hypdim.models import (
+    ModelSystem,
     Potential,
     build_cantor_repeller,
     build_cat_map,
@@ -393,3 +394,20 @@ class TestPowerModel:
         g = power_model(m, 2)
         p2 = pressure_spectral(g, potential(g, "phi_u"))
         assert p2 == pytest.approx(2 * p1, abs=1e-12)
+
+
+def test_equal_exponents_merge_into_one_with_their_multiplicity():
+    # Cantor x Cantor: four branches diag(3, 3), so both exponents of every measure are log 3
+    model = ModelSystem.from_json_dict({
+        "space": {"dim": 2, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [a / 3, b / 3], "hi": [(a + 1) / 3, (b + 1) / 3]},
+             "linear": [[3.0, 0.0], [0.0, 3.0]], "offset": [-float(a), -float(b)]}
+            for i, (a, b) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)])
+        ],
+        "transition": [[1] * 4] * 4,
+        "unstable_dim": 2,
+    })
+    (exponent, multiplicity), = markov_measure_stats(model, potential(model, "phi"), [0.25] * 4).exponents
+    assert exponent == pytest.approx(math.log(3.0), rel=1e-15) and multiplicity == 2
