@@ -64,7 +64,7 @@ class AmbientSpace:
 
 @dataclass(frozen=True)
 class AffineBranch:
-    """One affine branch x -> linear @ x + offset on a closed rectangle."""
+    """One affine branch x -> linear @ x + offset on a closed rectangle: a row of `ModelSystem`'s arrays."""
 
     symbol: int
     lo: np.ndarray
@@ -72,20 +72,17 @@ class AffineBranch:
     linear: np.ndarray
     offset: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "lo", _ro(self.lo))
-        object.__setattr__(self, "hi", _ro(self.hi))
-        object.__setattr__(self, "linear", _ro(np.atleast_2d(self.linear)))
-        object.__setattr__(self, "offset", _ro(self.offset))
-        n = self.lo.shape[0]
-        if self.hi.shape != (n,) or self.linear.shape != (n, n) or self.offset.shape != (n,):
-            raise ParameterOutOfRangeError("branch arrays have inconsistent shapes")
-        if (self.hi < self.lo).any():
-            raise ParameterOutOfRangeError("branch domain rectangle is empty")
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(points)
         return pts @ self.linear.T + self.offset
+
+
+def _stacked(rows) -> np.ndarray:
+    """One field of every branch as one float array, the symbol first; rows of unequal shape are refused."""
+    rows = [np.asarray(row, dtype=float) for row in rows]
+    if len({row.shape for row in rows}) > 1:
+        raise ParameterOutOfRangeError("branch arrays have inconsistent shapes")
+    return np.array(rows)
 
 
 def first_branch(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -119,17 +116,21 @@ def point_distance(space: AmbientSpace, a: np.ndarray, b: np.ndarray) -> np.ndar
 class ModelSystem:
     """A piecewise-affine map together with its symbolic coding.
 
-    `transition[i, j] = 1` iff symbol j may follow symbol i.  `lambda_u`
-    and `lambda_s` hold the per-branch unstable/stable Jacobian
-    magnitudes |det Df| restricted to the expanding/contracting
-    directions; for the built-in constructors these are exact.
-    `lo`, `hi`, `linear` and `offset` stack the branch fields of that
-    name, the symbol first, in read-only arrays: the one form that array
-    code reads.
+    Branch s maps x -> linear[s] @ x + offset[s] on the closed rectangle
+    [lo[s], hi[s]]: `lo`, `hi` and `offset` are (m, n) and `linear` is
+    (m, n, n), read-only, the symbol first.  `branches` views the same
+    data as `AffineBranch` rows.  `transition[i, j] = 1` iff symbol j
+    may follow symbol i.  `lambda_u` and `lambda_s` hold the per-branch
+    unstable/stable Jacobian magnitudes |det Df| restricted to the
+    expanding/contracting directions; for the built-in constructors
+    these are exact.
     """
 
     space: AmbientSpace
-    branches: tuple
+    lo: np.ndarray
+    hi: np.ndarray
+    linear: np.ndarray
+    offset: np.ndarray
     kind: str
     unstable_dim: int
     stable_dim: int
@@ -139,13 +140,19 @@ class ModelSystem:
     strict: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "branches", tuple(self.branches))
+        for name in ("lo", "hi", "linear", "offset"):
+            object.__setattr__(self, name, _ro(getattr(self, name)))
         object.__setattr__(self, "transition", _ro(self.transition, dtype=np.int8))
         object.__setattr__(self, "lambda_u", _ro(self.lambda_u))
         if self.lambda_s is not None:
             object.__setattr__(self, "lambda_s", _ro(self.lambda_s))
-        m = len(self.branches)
         n = self.space.dim
+        rows = self.lo.shape[:1] + (n,)
+        if not self.lo.shape == self.hi.shape == self.offset.shape == rows or self.linear.shape != rows + (n,):
+            raise ParameterOutOfRangeError("branch arrays have inconsistent shapes")
+        if (self.hi < self.lo).any():
+            raise ParameterOutOfRangeError("branch domain rectangle is empty")
+        m = len(self.lo)
         if self.kind not in KINDS:
             raise ParameterOutOfRangeError(f"kind must be one of {KINDS}")
         if self.kind == "expanding":
@@ -158,12 +165,8 @@ class ModelSystem:
             raise ParameterOutOfRangeError("transition matrix size must equal branch count")
         if (self.transition.sum(axis=0) == 0).any() or (self.transition.sum(axis=1) == 0).any():
             raise ParameterOutOfRangeError("transition matrix needs a 1 in every row and column")
-        if [b.symbol for b in self.branches] != list(range(m)):
-            raise ParameterOutOfRangeError("branch symbols must be 0..m-1 in order")
         if self.lambda_u.shape != (m,):
             raise ParameterOutOfRangeError("lambda_u must have one entry per branch")
-        for name in ("lo", "hi", "linear", "offset"):
-            object.__setattr__(self, name, _ro(np.stack([getattr(b, name) for b in self.branches])))
         if self.strict:
             # adapted-metric convention: one-step expansion/contraction, c = 1
             if (self.lambda_u <= 1.0).any():
@@ -182,7 +185,12 @@ class ModelSystem:
 
     @property
     def nsym(self) -> int:
-        return len(self.branches)
+        return len(self.lo)
+
+    @cached_property
+    def branches(self) -> tuple:
+        """Branch s as `AffineBranch(s, lo[s], hi[s], linear[s], offset[s])`, rows of the read-only arrays."""
+        return tuple(map(AffineBranch, range(self.nsym), self.lo, self.hi, self.linear, self.offset))
 
     def wrap(self, points: np.ndarray) -> np.ndarray:
         return points % 1.0 if self.space.is_torus else points
@@ -202,10 +210,10 @@ class ModelSystem:
         pts = self.wrap(np.atleast_2d(np.asarray(points, dtype=float)))
         idx = self.branch_of(pts)
         out = pts.copy()
-        for b in self.branches:
-            sel = idx == b.symbol
+        for s in range(self.nsym):
+            sel = idx == s
             if sel.any():
-                out[sel] = self.wrap(b.apply(pts[sel]))
+                out[sel] = self.wrap(pts[sel] @ self.linear[s].T + self.offset[s])
         return out, idx
 
     @cached_property
@@ -319,26 +327,26 @@ class ModelSystem:
         """(model, singular values of each branch's linear part, descending)."""
         space = AmbientSpace(int(data["space"]["dim"]), data["space"]["geometry"])
         kind = data["kind"]
-        branches = tuple(
-            AffineBranch(
-                symbol=int(br["symbol"]),
-                lo=br["domain"]["lo"],
-                hi=br["domain"]["hi"],
-                linear=br["linear"],
-                offset=br["offset"],
+        rows = sorted(data["branches"], key=lambda br: int(br["symbol"]))
+        if [int(br["symbol"]) for br in rows] != list(range(len(rows))):
+            raise ParameterOutOfRangeError("branch symbols must be 0..m-1 in order")
+        arrays = {
+            "lo": _stacked([br["domain"]["lo"] for br in rows]),
+            "hi": _stacked([br["domain"]["hi"] for br in rows]),
+            "linear": _stacked([np.atleast_2d(np.asarray(br["linear"], dtype=float)) for br in rows]),
+            "offset": _stacked([br["offset"] for br in rows]),
+        }
+        if not all(np.isfinite(values).all() for values in arrays.values()):  # past the float range parses as inf
+            s, name = next(
+                (s, name) for s in range(len(rows)) for name in arrays if not np.isfinite(arrays[name][s]).all()
             )
-            for br in sorted(data["branches"], key=lambda br: int(br["symbol"]))
-        )
-        for b in branches:  # a number past the float range parses as inf
-            for name in ("lo", "hi", "linear", "offset"):
-                if not np.isfinite(values := getattr(b, name)).all():
-                    raise ParameterOutOfRangeError(f"branch {b.symbol} has a non-finite {name}: {values.tolist()}")
+            raise ParameterOutOfRangeError(f"branch {s} has a non-finite {name}: {arrays[name][s].tolist()}")
         d_u = int(data["unstable_dim"])
         d_s = 0 if kind == "expanding" else space.dim - d_u
-        sv = np.linalg.svd(np.array([b.linear for b in branches]), compute_uv=False)
+        sv = np.linalg.svd(arrays["linear"], compute_uv=False)
         return cls(
             space=space,
-            branches=branches,
+            **arrays,
             kind=kind,
             unstable_dim=d_u,
             stable_dim=d_s,
@@ -352,9 +360,9 @@ class ModelSystem:
     def from_json(cls, text: str) -> "ModelSystem":
         """`from_json_dict` of a model file; refuses NaN, Infinity and a branch without a finite inverse."""
         model, sv = cls._from_dict(_MODEL_DECODER.decode(text))
-        for b, s in zip(model.branches, sv[:, -1].tolist()):
-            if not (s > 0.0 and 1.0 / s < math.inf):
-                raise ParameterOutOfRangeError(f"branch {b.symbol} has no finite inverse: {b.linear.tolist()}")
+        for s, least in enumerate(sv[:, -1].tolist()):
+            if not (least > 0.0 and 1.0 / least < math.inf):
+                raise ParameterOutOfRangeError(f"branch {s} has no finite inverse: {model.linear[s].tolist()}")
         return model
 
 
@@ -396,7 +404,7 @@ def jacobian(model: ModelSystem, point) -> np.ndarray:
     idx = model.branch_of(np.atleast_2d(np.asarray(point, dtype=float)))
     if idx[0] < 0:
         raise NoBranchError(f"point {point} lies in no branch domain")
-    return model.branches[idx[0]].linear
+    return model.linear[idx[0]]
 
 
 def potential(model: ModelSystem, label: str) -> Potential:
@@ -432,21 +440,13 @@ def build_linear_horseshoe(lambda_u: float, lambda_s: float) -> ModelSystem:
         raise ParameterOutOfRangeError("horseshoe needs lambda_u > 2")
     if not 0.0 < lambda_s < 0.5:
         raise ParameterOutOfRangeError("horseshoe needs lambda_s in (0, 1/2)")
-    linear = [[lambda_u, 0.0], [0.0, lambda_s]]
     w = 1.0 / lambda_u
-    branches = (
-        AffineBranch(0, lo=[0.0, 0.0], hi=[w, 1.0], linear=linear, offset=[0.0, 0.0]),
-        AffineBranch(
-            1,
-            lo=[1.0 - w, 0.0],
-            hi=[1.0, 1.0],
-            linear=linear,
-            offset=[-(lambda_u - 1.0), 1.0 - lambda_s],
-        ),
-    )
     return ModelSystem(
         space=AmbientSpace(2, "cube"),
-        branches=branches,
+        lo=[[0.0, 0.0], [1.0 - w, 0.0]],
+        hi=[[w, 1.0], [1.0, 1.0]],
+        linear=[[[lambda_u, 0.0], [0.0, lambda_s]]] * 2,
+        offset=[[0.0, 0.0], [-(lambda_u - 1.0), 1.0 - lambda_s]],
         kind="diffeo",
         unstable_dim=1,
         stable_dim=1,
@@ -460,19 +460,7 @@ def build_doubling_map(d: int = 2) -> ModelSystem:
     """Degree-d expanding circle map x -> d*x mod 1; the repeller is S^1."""
     if d < 2:
         raise ParameterOutOfRangeError("degree must be >= 2")
-    branches = tuple(
-        AffineBranch(i, lo=[i / d], hi=[(i + 1) / d], linear=[[float(d)]], offset=[-float(i)])
-        for i in range(d)
-    )
-    return ModelSystem(
-        space=AmbientSpace(1, "torus"),
-        branches=branches,
-        kind="expanding",
-        unstable_dim=1,
-        stable_dim=0,
-        transition=np.ones((d, d)),
-        lambda_u=np.full(d, float(d)),
-    )
+    return build_cantor_repeller(d, range(d))  # every digit kept
 
 
 def build_cantor_repeller(slope: int, kept_branches) -> ModelSystem:
@@ -488,20 +476,14 @@ def build_cantor_repeller(slope: int, kept_branches) -> ModelSystem:
     kept = sorted(set(int(b) for b in kept_branches))
     if not kept or any(b < 0 or b >= slope for b in kept):
         raise ParameterOutOfRangeError("kept_branches must be a nonempty subset of 0..slope-1")
-    branches = tuple(
-        AffineBranch(
-            sym,
-            lo=[digit / slope],
-            hi=[(digit + 1) / slope],
-            linear=[[float(slope)]],
-            offset=[-float(digit)],
-        )
-        for sym, digit in enumerate(kept)
-    )
+    digit = np.array(kept, dtype=float)[:, None]
     m = len(kept)
     return ModelSystem(
         space=AmbientSpace(1, "torus"),
-        branches=branches,
+        lo=digit / slope,
+        hi=(digit + 1) / slope,
+        linear=np.full((m, 1, 1), float(slope)),
+        offset=-digit,
         kind="expanding",
         unstable_dim=1,
         stable_dim=0,
@@ -517,13 +499,12 @@ def build_golden_mean() -> ModelSystem:
     [0, 1/2]; symbol 1 can only be followed by symbol 0, so the coding is
     the subshift with transition matrix [[1, 1], [1, 0]].
     """
-    branches = (
-        AffineBranch(0, lo=[0.0], hi=[0.5], linear=[[2.0]], offset=[0.0]),
-        AffineBranch(1, lo=[0.5], hi=[0.75], linear=[[2.0]], offset=[-1.0]),
-    )
     return ModelSystem(
         space=AmbientSpace(1, "cube"),
-        branches=branches,
+        lo=[[0.0], [0.5]],
+        hi=[[0.5], [0.75]],
+        linear=[[[2.0]], [[2.0]]],
+        offset=[[0.0], [-1.0]],
         kind="expanding",
         unstable_dim=1,
         stable_dim=0,
@@ -553,19 +534,14 @@ def build_cat_map() -> ModelSystem:
     """
     lam_u = (3.0 + math.sqrt(5.0)) / 2.0
     lam_s = (3.0 - math.sqrt(5.0)) / 2.0
-    linear = [[2.0, 1.0], [1.0, 1.0]]
     m = len(_CAT_TAILS)
-    branches = tuple(
-        AffineBranch(i, lo=[0.0, 0.0], hi=[1.0, 1.0], linear=linear, offset=[0.0, 0.0])
-        for i in range(m)
-    )
-    transition = np.zeros((m, m), dtype=int)
-    for i in range(m):
-        for j in range(m):
-            transition[i, j] = 1 if _CAT_HEADS[i] == _CAT_TAILS[j] else 0
+    transition = np.equal.outer(_CAT_HEADS, _CAT_TAILS)
     return ModelSystem(
         space=AmbientSpace(2, "torus"),
-        branches=branches,
+        lo=np.zeros((m, 2)),
+        hi=np.ones((m, 2)),
+        linear=[[[2.0, 1.0], [1.0, 1.0]]] * m,
+        offset=np.zeros((m, 2)),
         kind="diffeo",
         unstable_dim=1,
         stable_dim=1,

@@ -27,6 +27,8 @@ from .symbolic import cylinder_rects, partition_sums_through, pressure_spectral
 _FULL_TOL = 1e-9
 # no grid of more cells than this is built or stepped
 GRID_CAP = 1 << 26
+# death steps are int16: no more tracking steps than this are asked for
+STEP_CAP = int(np.iinfo(np.int16).max)
 
 
 def default_epsilon(model: ModelSystem) -> float:
@@ -327,6 +329,12 @@ def _axis_step(model: ModelSystem, axis: int):
     return step
 
 
+def _refuse_many_steps(what: str, steps: int) -> None:
+    """Refuse more than `STEP_CAP` tracking steps, the most a death step can count."""
+    if steps > STEP_CAP:
+        raise ValueError(f"{what} {steps} exceeds the limit of {STEP_CAP} tracking steps")
+
+
 def _death_steps(model, pts, epsilon, k_max, dist):
     """First step index at which tracking fails, k_max if it never does.
 
@@ -425,8 +433,8 @@ def volume_curve(
     of cells is stepped, along that axis; the integer counts are the
     ones the full grid gives.  A zero cover on the torus with a branch
     domain spanning it steps nothing (`_tracks_forever`): every cell
-    survives all k_max steps.  More than `GRID_CAP` stepped cells are
-    refused before the grid is built.
+    survives all k_max steps.  More than `GRID_CAP` stepped cells, or a
+    `k_max` above `STEP_CAP`, are refused before the grid is built.
 
     Results are independent of `threads`: the grid is chunked the same
     way regardless, and only integer cell counts are aggregated.
@@ -437,6 +445,7 @@ def volume_curve(
         raise GridTooCoarseError(
             f"grid cell {cell} exceeds epsilon/4 = {0.25 * epsilon}"
         )
+    _refuse_many_steps("k_max", k_max)
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
     _refuse_large_grid(dist, n, grid_resolution, "grid")
@@ -464,8 +473,8 @@ def volume_curve(
             near = padded[inner[:ax] + (side,) + inner[ax + 1 :]]
             lo, hi = np.minimum(lo, near), np.maximum(hi, near)
     # cell counts with lo < k minus those with hi < k
-    below = [np.bincount(ends.ravel() + 1, minlength=k_max + 2) for ends in (lo, hi)]
-    bands = np.cumsum(below[0] - below[1])[1 : k_max + 1] * rows * cellvol
+    below = [np.bincount(ends.ravel(), minlength=k_max + 1) for ends in (lo, hi)]
+    bands = np.cumsum(below[0] - below[1])[:k_max] * rows * cellvol
 
     return VolumeCurve(
         epsilon=float(epsilon),
@@ -622,7 +631,10 @@ def stable_resolution(model: ModelSystem, depth: int, cover: _CoverDistance) -> 
     """
     if model.n > 1 and not cover.tracks_one_axis:
         return 1 << 11
-    need = 4.0 * float(np.max(model.lambda_u)) ** depth
+    try:
+        need = 4.0 * float(np.max(model.lambda_u)) ** depth
+    except OverflowError:  # past the float range, so past the cap below
+        need = math.inf
     res = 1 << 11
     while res < need and res < (1 << 16):
         res <<= 1
@@ -710,11 +722,12 @@ def sample_local_stable_set(
     with the sampled axis on every coordinate.  Otherwise the
     full n-dimensional grid is stepped and the kept points are returned
     as an array.  `cover` is `cover_distance(model, epsilon)` when the
-    caller has it already.  More than `GRID_CAP` stepped cells are
-    refused before any sample is drawn.
+    caller has it already.  More than `GRID_CAP` stepped cells, or a
+    `depth` above `STEP_CAP`, are refused before any sample is drawn.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
+    _refuse_many_steps("depth", depth)
     dist = cover if cover is not None else cover_distance(model, epsilon)
     n = model.n
     _refuse_large_grid(dist, n, samples, "stable-set grid")

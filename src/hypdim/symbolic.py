@@ -20,7 +20,7 @@ from .errors import (
     IncompatibleStochasticsError,
     NotMixingError,
 )
-from .models import AffineBranch, ModelSystem, Potential
+from .models import ModelSystem, Potential
 
 # Enumeration stays desk-scale: no more than ~16.7M admissible words.
 WORD_CAP = 1 << 24
@@ -507,13 +507,12 @@ def power_model(model: ModelSystem, m: int) -> ModelSystem:
     for symbols in words.T:
         offset = (model.linear[symbols] @ offset[:, :, None])[:, :, 0] + model.offset[symbols]
         linear = model.linear[symbols] @ linear
-    branches = tuple(
-        AffineBranch(sym, lo=rect[0], hi=rect[1], linear=lin, offset=off)
-        for sym, (rect, lin, off) in enumerate(zip(rects, linear, offset))
-    )
     return ModelSystem(
         space=model.space,
-        branches=branches,
+        lo=rects[:, 0],
+        hi=rects[:, 1],
+        linear=linear,
+        offset=offset,
         kind=model.kind,
         unstable_dim=model.unstable_dim,
         stable_dim=model.stable_dim,

@@ -395,6 +395,27 @@ class TestExitCodes:
         assert out == ""
         assert "134217728" in err and "too large" in err
 
+    def test_a_volume_kmax_past_the_step_limit_exits_2(self, capsys):
+        # death steps are int16: 40000 was an OverflowError with a traceback
+        code, out, err = run(capsys, ["pressure", "--model", "horseshoe:3,0.25", "--method", "volume",
+                                      "--kmax", "40000"])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: k_max 40000 exceeds the limit of 32767 tracking steps\n"
+
+    @pytest.mark.parametrize("command", [["dimension", "--set", "stable"], ["report"]])
+    def test_a_stable_depth_whose_resolution_overflows_exits_2(self, capsys, command):
+        # 3.0 ** 700 overflowed a float with a traceback; the resolution takes its cap, as at depth 100
+        code, out, err = run(capsys, [*command, "--model", "horseshoe:3,0.25", "--depth", "700"])
+        assert (code, out) == (2, "")
+        assert err == run(capsys, [*command, "--model", "horseshoe:3,0.25", "--depth", "100"])[2]
+        assert err.startswith("hypdim: invalid configuration: ")
+
+    def test_a_stable_depth_past_the_step_limit_exits_2(self, capsys):
+        code, out, err = run(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable",
+                                      "--depth", "40000"])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: depth 40000 exceeds the limit of 32767 tracking steps\n"
+
     def test_non_finite_numbers_never_reach_the_document(self, capsys):
         args = argparse.Namespace(seed=0, threads=1)
         with pytest.raises(ValueError):
@@ -543,6 +564,19 @@ class TestModelFiles:
         code, out, err = run(capsys, [*argv, "--model-file", str(path)])
         assert (code, out) == (3, "")
         assert err == "hypdim: cap exceeded: 5.48e+33 admissible words of length 14 exceed the cap 16777216\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["bound"], ["dimension", "--set", "repeller"], ["pressure", "--method", "volume"], ["report"]],
+    )
+    def test_branches_below_the_space_dimension_are_refused(self, capsys, tmp_path, argv):
+        # 1-D branches in a 2-D space: the cylinder levels would read axis 1 from uninitialized memory
+        doc = {**_repeller_doc([4.0, 4.0], [[1, 1], [1, 1]]), "space": {"dim": 2, "geometry": "cube"}}
+        path = tmp_path / "short.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: branch arrays have inconsistent shapes\n"
 
     def test_stable_set_rejected_for_expanding_models(self, capsys):
         code, _, err = run(capsys, ["dimension", "--model", "doubling:2", "--set", "stable"])

@@ -29,7 +29,6 @@ from hypdim.errors import (
     ParameterOutOfRangeError,
 )
 from hypdim.models import (
-    AffineBranch,
     AmbientSpace,
     ModelSystem,
     build_cantor_repeller,
@@ -86,35 +85,19 @@ class TestExpansionRate:
 
     def test_enumeration_agrees_with_shortcut(self):
         m = build_linear_horseshoe(3.0, 0.25)
-        forced = ModelSystem(
-            space=m.space,
-            branches=(
-                m.branches[0],
-                AffineBranch(1, m.branches[1].lo, m.branches[1].hi,
-                            [[3.0, 0.0], [0.0, 0.25 + 1e-12]], m.branches[1].offset),
-            ),
-            kind="diffeo",
-            unstable_dim=1,
-            stable_dim=1,
-            transition=m.transition,
-            lambda_u=m.lambda_u,
-            lambda_s=m.lambda_s,
-            strict=False,
-        )
+        forced = dataclasses.replace(m, linear=[m.linear[0], [[3.0, 0.0], [0.0, 0.25 + 1e-12]]], strict=False)
         rate = expansion_rate(forced, k_max=5)
         assert not rate.exact
         assert rate.value == pytest.approx(math.log(3), abs=1e-9)
 
 
 def noncommuting_model():
-    space = AmbientSpace(2, "cube")
-    branches = (
-        AffineBranch(0, [0.0, 0.0], [1.0, 1.0], [[2.0, 1.0], [0.0, 0.4]], [0.0, 0.0]),
-        AffineBranch(1, [0.0, 0.0], [1.0, 1.0], [[2.0, 0.0], [1.0, 0.4]], [0.0, 0.0]),
-    )
     return ModelSystem(
-        space=space,
-        branches=branches,
+        space=AmbientSpace(2, "cube"),
+        lo=np.zeros((2, 2)),
+        hi=np.ones((2, 2)),
+        linear=[[[2.0, 1.0], [0.0, 0.4]], [[2.0, 0.0], [1.0, 0.4]]],
+        offset=np.zeros((2, 2)),
         kind="diffeo",
         unstable_dim=1,
         stable_dim=1,
@@ -466,9 +449,7 @@ class TestFactoredInvariantSample:
         # which is a product of one grid axis per coordinate
         m = build_linear_horseshoe(3.0, 0.25)
         shear = [[3.0, 0.1], [0.0, 0.25]]
-        sheared = dataclasses.replace(
-            m, branches=tuple(dataclasses.replace(b, linear=shear) for b in m.branches)
-        )
+        sheared = dataclasses.replace(m, linear=[shear] * m.nsym)
         axis = (np.arange(64) + 0.5) / 64
         grid = np.stack([g.ravel() for g in np.meshgrid(axis, axis, indexing="ij")], axis=1)
         for model in (sheared, build_cat_map()):

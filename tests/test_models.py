@@ -1,5 +1,6 @@
 """Model construction, evaluation and the exact per-branch data."""
 
+import dataclasses
 import math
 import re
 
@@ -12,7 +13,6 @@ from hypdim.errors import (
     ParameterOutOfRangeError,
 )
 from hypdim.models import (
-    AffineBranch,
     AmbientSpace,
     ModelSystem,
     Potential,
@@ -40,27 +40,36 @@ def all_builtins():
     ]
 
 
+_HORSESHOE = build_linear_horseshoe(3.0, 0.25)
+
+
 def horseshoe_with(**change) -> ModelSystem:
     """`ModelSystem` of the (3, 0.25) horseshoe's fields, with `change` applied."""
-    m = build_linear_horseshoe(3.0, 0.25)
-    fields = dict(space=m.space, branches=m.branches, kind=m.kind, unstable_dim=1, stable_dim=1,
-                  transition=m.transition, lambda_u=m.lambda_u, lambda_s=m.lambda_s)
-    return ModelSystem(**{**fields, **change})
+    return dataclasses.replace(_HORSESHOE, **change)
 
 
-_HORSESHOE = build_linear_horseshoe(3.0, 0.25)
-_SINGULAR = tuple(
-    AffineBranch(b.symbol, b.lo, b.hi, linear=[[3.0, 0.0], [0.0, 0.0]], offset=b.offset)
-    for b in _HORSESHOE.branches
-)
+def horseshoe_document(*changes) -> dict:
+    """The (3, 0.25) horseshoe's model file as a dict; branch i takes the keys of `changes[i]`."""
+    doc = _HORSESHOE.to_json_dict()
+    return {**doc, "branches": [{**br, **change} for br, change in zip(doc["branches"], changes, strict=True)]}
+
+
+_ONE_D_BRANCH = {"domain": {"lo": [0.5], "hi": [1.0]}, "linear": [[2.0]], "offset": [-1.0]}
+
+
 REFUSALS = {
     "ambient dimension": (lambda: AmbientSpace(0), ParameterOutOfRangeError, "ambient dimension must be >= 1"),
     "geometry": (lambda: AmbientSpace(2, "sphere"), ParameterOutOfRangeError,
                  "geometry must be one of ('cube', 'torus')"),
-    "branch shapes": (lambda: AffineBranch(0, lo=[0.0, 0.0], hi=[1.0], linear=[[2.0]], offset=[0.0]),
-                      ParameterOutOfRangeError, "branch arrays have inconsistent shapes"),
-    "empty domain": (lambda: AffineBranch(0, lo=[0.5], hi=[0.25], linear=[[2.0]], offset=[0.0]),
-                     ParameterOutOfRangeError, "branch domain rectangle is empty"),
+    "branch shapes": (lambda: horseshoe_with(hi=[[1.0], [1.0]]), ParameterOutOfRangeError,
+                      "branch arrays have inconsistent shapes"),
+    "branches below the space's dimension": (
+        lambda: horseshoe_with(lo=[[0.0], [0.5]], hi=[[0.5], [1.0]], linear=[[[2.0]]] * 2, offset=[[0.0], [-1.0]]),
+        ParameterOutOfRangeError, "branch arrays have inconsistent shapes"),
+    "ragged branches in a file": (lambda: ModelSystem.from_json_dict(horseshoe_document({}, _ONE_D_BRANCH)),
+                                  ParameterOutOfRangeError, "branch arrays have inconsistent shapes"),
+    "empty domain": (lambda: horseshoe_with(lo=_HORSESHOE.hi, hi=_HORSESHOE.lo), ParameterOutOfRangeError,
+                     "branch domain rectangle is empty"),
     "kind": (lambda: horseshoe_with(kind="flow"), ParameterOutOfRangeError,
              "kind must be one of ('diffeo', 'expanding')"),
     "expanding dims": (lambda: horseshoe_with(kind="expanding"), ParameterOutOfRangeError,
@@ -71,8 +80,8 @@ REFUSALS = {
                         "transition matrix size must equal branch count"),
     "transition zeros": (lambda: horseshoe_with(transition=[[1, 1], [0, 0]]), ParameterOutOfRangeError,
                          "transition matrix needs a 1 in every row and column"),
-    "symbol order": (lambda: horseshoe_with(branches=_HORSESHOE.branches[::-1]), ParameterOutOfRangeError,
-                     "branch symbols must be 0..m-1 in order"),
+    "symbol order": (lambda: ModelSystem.from_json_dict(horseshoe_document({}, {"symbol": 0})),
+                     ParameterOutOfRangeError, "branch symbols must be 0..m-1 in order"),
     "lambda_u length": (lambda: horseshoe_with(lambda_u=[3.0]), ParameterOutOfRangeError,
                         "lambda_u must have one entry per branch"),
     "lambda_u size": (lambda: horseshoe_with(lambda_u=[3.0, 1.0]), ParameterOutOfRangeError,
@@ -81,7 +90,7 @@ REFUSALS = {
                          "diffeo models need lambda_s entries in (0, 1)"),
     "lambda_s size": (lambda: horseshoe_with(lambda_s=[0.25, 1.0]), ParameterOutOfRangeError,
                       "diffeo models need lambda_s entries in (0, 1)"),
-    "singular branch": (lambda: horseshoe_with(branches=_SINGULAR), ParameterOutOfRangeError,
+    "singular branch": (lambda: horseshoe_with(linear=[[[3.0, 0.0], [0.0, 0.0]]] * 2), ParameterOutOfRangeError,
                         "diffeo branches need invertible linear parts"),
     "potential label": (lambda: Potential([0.0, 0.0], "psi"), IncompatibleLabelError,
                         "label must be one of ('phi_u', 'phi_s', 'phi', 'custom')"),

@@ -20,6 +20,7 @@ from hypdim.models import (
     potential,
 )
 from hypdim.pressure import (
+    STEP_CAP,
     BowenBallSpec,
     ProductCloud,
     VolumeCurve,
@@ -102,6 +103,15 @@ class TestVolumeCurves:
         curve = volume_curve(m, 0.1, 6, 1024)
         assert np.all(curve.volumes == 1.0)
         assert np.all(curve.bands == 0.0)
+
+    def test_every_cell_may_survive_the_step_limit(self):
+        # the cat map's cells all survive STEP_CAP steps; STEP_CAP + 1 wrapped round in int16
+        curve = volume_curve(build_cat_map(), 0.05, STEP_CAP, 128)
+        assert len(curve.volumes) == STEP_CAP
+        assert np.all(curve.volumes == 1.0)
+        assert np.all(curve.bands == 0.0)
+        with pytest.raises(ValueError, match=f"^k_max {STEP_CAP + 1} exceeds the limit of {STEP_CAP} tracking steps$"):
+            volume_curve(build_cat_map(), 0.05, STEP_CAP + 1, 128)
 
     def test_nesting_in_k_and_epsilon(self):
         m = build_cantor_repeller(3, (0, 2))
@@ -394,6 +404,16 @@ def test_a_full_grid_stays_at_two_to_the_eleven_per_axis():
     cover = cover_distance(m, default_epsilon(m))
     assert not cover.tracks_one_axis
     assert stable_resolution(m, 12, cover) == 1 << 11
+
+
+@pytest.mark.parametrize("depth,resolution", [(1, 1 << 11), (6, 1 << 12), (7, 1 << 14), (9, 1 << 16),
+                                              (646, 1 << 16), (647, 1 << 16), (32767, 1 << 16)])
+def test_a_tracking_resolution_is_four_lambda_to_the_depth_capped_at_two_to_the_sixteen(depth, resolution):
+    # 3.0 ** 647 raises OverflowError: it takes the cap, like every depth from 9 on
+    m = build_linear_horseshoe(3.0, 0.25)
+    cover = cover_distance(m, default_epsilon(m))
+    assert cover.tracks_one_axis
+    assert stable_resolution(m, depth, cover) == resolution
 
 
 @pytest.mark.parametrize(

@@ -17,8 +17,9 @@ as the oracle for the 1-D expansion rate, separate calls that each
 solve their own Perron problems as the oracle for the bound report,
 the k-d tree as the oracle for the Minkowski curve of product clouds,
 the Perron loop with its bracket on numpy arrays as the oracle for the
-scalar bracket, and integer word counts as the oracle for the word-cap
-check by bound.
+scalar bracket, integer word counts as the oracle for the word-cap
+check by bound, and the per-branch `AffineBranch.apply` loop as the
+oracle for `ModelSystem.step`.
 """
 
 import math
@@ -557,16 +558,62 @@ def test_branch_separation_is_zero_where_the_argument_fails():
     assert ModelSystem.from_json_dict(doc).branch_separation == pytest.approx(0.8 / 3)
 
 
+_BUILTINS = (
+    build_linear_horseshoe(3.0, 0.25), build_doubling_map(3), build_cantor_repeller(3, (0, 2)),
+    build_golden_mean(), build_cat_map(),
+)
+
+
+def _with_builtins(**arguments):
+    """Add each built-in model as an `example`, with the other `arguments`."""
+
+    def decorate(test):
+        for model in _BUILTINS:
+            test = example(model=model, **arguments)(test)
+        return test
+
+    return decorate
+
+
 @PROPERTY_SETTINGS
 @given(model=split_models() | diagonal_models() | factored_models() | markov_models())
-@example(model=build_linear_horseshoe(3.0, 0.25))
+@_with_builtins()
 def test_stacked_branch_arrays_are_the_branch_fields_read_only(model):
+    assert len(model.branches) == model.nsym
+    for s, branch in enumerate(model.branches):
+        assert branch.symbol == s
+        for name in ("lo", "hi", "linear", "offset"):
+            field, row = getattr(branch, name), getattr(model, name)[s]
+            assert field.dtype == row.dtype and field.shape == row.shape
+            assert field.tobytes() == row.tobytes()
+            with pytest.raises(ValueError, match="read-only"):
+                field[0] = 0.0
     for name in ("lo", "hi", "linear", "offset"):
-        stacked, expected = getattr(model, name), np.stack([getattr(b, name) for b in model.branches])
-        assert stacked.dtype == expected.dtype and stacked.shape == expected.shape
-        assert stacked.tobytes() == expected.tobytes()
         with pytest.raises(ValueError, match="read-only"):
-            stacked[0] = 0.0
+            getattr(model, name)[0] = 0.0
+
+
+def branch_loop_step(model: ModelSystem, points: np.ndarray):
+    """The per-branch `AffineBranch.apply` loop that `ModelSystem.step` replaced."""
+    pts = model.wrap(np.atleast_2d(np.asarray(points, dtype=float)))
+    idx = model.branch_of(pts)
+    out = pts.copy()
+    for b in model.branches:
+        sel = idx == b.symbol
+        if sel.any():
+            out[sel] = model.wrap(b.apply(pts[sel]))
+    return out, idx
+
+
+@PROPERTY_SETTINGS
+@given(model=split_models() | diagonal_models() | factored_models() | markov_models(), seed=st.integers(0, 1000))
+@_with_builtins(seed=0)
+def test_step_equals_the_per_branch_apply_loop(model, seed):
+    pts = _domain_points(model, seed)  # escaped points and domain ends included
+    out, idx = model.step(pts)
+    expected_out, expected_idx = branch_loop_step(model, pts)
+    assert np.array_equal(idx, expected_idx)
+    assert out.tobytes() == expected_out.tobytes()
 
 
 @pytest.mark.parametrize("resolution,seed", [(1, 0), (64, 3), (1024, 8), (65536, 7)])

@@ -1,5 +1,6 @@
 """Symbolic machinery against brute-force oracles and closed forms."""
 
+import dataclasses
 import itertools
 import math
 
@@ -199,15 +200,7 @@ class TestSpectralPressure:
 
     def test_not_mixing_raises(self):
         m = build_golden_mean()
-        periodic = m.__class__(
-            space=m.space,
-            branches=m.branches,
-            kind=m.kind,
-            unstable_dim=1,
-            stable_dim=0,
-            transition=np.array([[0, 1], [1, 0]]),
-            lambda_u=m.lambda_u,
-        )
+        periodic = dataclasses.replace(m, transition=np.array([[0, 1], [1, 0]]))
         with pytest.raises(NotMixingError):
             pressure_spectral(periodic, Potential.zero(2))
 
