@@ -343,6 +343,9 @@ def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 
         cover = cover_distance(model, eps)  # the cloud and its resolution per axis read off one cover
         res = args.grid or stable_resolution(model, depth, cover)
         points = sample_local_stable_set(model, eps, depth, samples=res, seed=args.seed, cover=cover)
+        if len(points) == 0:
+            msg = f"no stable sample tracks {depth} steps at {res} samples per axis"
+            raise GridTooCoarseError(msg + "; lower --depth or raise --grid")
         meta = {"set": set_name, "depth": depth, "eps": eps, "resolution": res}
     else:
         raise ValueError(f"unknown point set {set_name!r}")

@@ -328,6 +328,8 @@ class ModelSystem:
         space = AmbientSpace(int(data["space"]["dim"]), data["space"]["geometry"])
         kind = data["kind"]
         rows = sorted(data["branches"], key=lambda br: int(br["symbol"]))
+        if not rows:
+            raise ParameterOutOfRangeError("the model has no branch: its branches list is empty")
         if [int(br["symbol"]) for br in rows] != list(range(len(rows))):
             raise ParameterOutOfRangeError("branch symbols must be 0..m-1 in order")
         arrays = {

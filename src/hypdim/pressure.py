@@ -153,75 +153,70 @@ def _intersect(a_lo, a_hi, b_lo, b_hi):
     return np.maximum(a_lo[ia], b_lo[ib]), np.minimum(a_hi[ia], b_hi[ib])
 
 
-class _CoverDistance:
-    """Sup-norm distance to a union of rectangles, with fast paths.
+def _is_product(rects: np.ndarray, varying) -> bool:
+    """True when the rectangles are every combination of their (lo, hi) pairs along the axes `varying`."""
+    index = np.stack([np.unique(rects[:, :, a], axis=0, return_inverse=True)[1].ravel() for a in varying], axis=1)
+    return len(np.unique(index, axis=0)) == math.prod(index.max(axis=0) + 1)
 
-    Rectangle axes that span the whole unit interval contribute zero
-    distance, so covers that vary along a single axis reduce to sorted
-    interval lookups; fully degenerate covers (the whole space) reduce
-    to the constant zero.  `tracks_one_axis` says that tracking reads
-    the coordinate along `axis` alone: the cover varies along that axis
-    only, and the model is 1-D or factors (see `factored_axes`).
+
+class _CoverDistance:
+    """Sup-norm distance to a union of rectangles.
+
+    Axes that every rectangle spans contribute zero distance.  When the
+    rectangles are every combination of their intervals along the axes
+    `axes` they vary on, the distance is the largest of the distances to
+    each such axis's merged intervals, one sorted lookup per axis.  Any
+    other cover has `axes` None and is measured rectangle by rectangle
+    (`_brute`).  On the torus each axis takes its nearest copy.
+    `tracks_one_axis` says that tracking reads the coordinate along
+    `axis` alone: the cover varies along that axis only, and the model
+    is 1-D or factors (see `factored_axes`).
     """
 
     def __init__(self, model: ModelSystem, rects: np.ndarray):
         self.torus = model.space.is_torus
         self.rects = rects
+        # the copies of the cover on the torus: each axis takes its own shift
+        self.shifts = (-1.0, 0.0, 1.0) if self.torus else (0.0,)
         varying, self.factors = factored_axes(model, rects)
-        if len(varying) == 0:
-            self.mode = "zero"
-        elif len(varying) == 1:
-            self.mode = "intervals"
-            self.axis = int(varying[0])
-            self.lo, self.hi = self._merged_intervals(
-                rects[:, 0, self.axis], rects[:, 1, self.axis]
-            )
-            # lo[j] and hi[j - 1] for every j that searchsorted returns
-            self._lo_next = np.append(self.lo, np.inf)
-            self._hi_prev = np.insert(self.hi, 0, -np.inf)
-        else:
-            self.mode = "rects"
-        self.tracks_one_axis = self.mode == "intervals" and (model.n == 1 or self.factors)
+        self.axes = [int(a) for a in varying] if len(varying) < 2 or _is_product(rects, varying) else None
+        merged = [self._merged_intervals(a) for a in self.axes or ()]
+        if len(varying) == 1:
+            self.axis, (self.lo, self.hi) = self.axes[0], merged[0]
+        # per axis, the merged starts, then lo[j] and hi[j - 1] for every j that searchsorted returns
+        self._ends = [(lo, np.append(lo, np.inf), np.insert(hi, 0, -np.inf)) for lo, hi in merged]
+        self.tracks_one_axis = len(varying) == 1 and (model.n == 1 or self.factors)
 
-    def _merged_intervals(self, lo, hi):
-        mlo, mhi = _union(lo, hi, 1e-15)
-        if self.torus:
-            mlo = np.concatenate([mlo - 1.0, mlo, mlo + 1.0])
-            mhi = np.concatenate([mhi - 1.0, mhi, mhi + 1.0])
-        return mlo, mhi
+    def _merged_intervals(self, axis: int):
+        mlo, mhi = _union(self.rects[:, 0, axis], self.rects[:, 1, axis], 1e-15)
+        return np.concatenate([mlo + s for s in self.shifts]), np.concatenate([mhi + s for s in self.shifts])
 
     def __call__(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
-        if self.mode == "zero":
-            return np.zeros(pts.shape[0])
-        if self.mode == "intervals":
-            return self.along_axis(pts[:, self.axis])
-        return self._brute(pts)
+        if self.axes is None:
+            return self._brute(pts)
+        per_axis = (self.along_axis(pts[:, a], i) for i, a in enumerate(self.axes))
+        return functools.reduce(np.maximum, per_axis, np.zeros(pts.shape[0]))
 
-    def along_axis(self, x: np.ndarray) -> np.ndarray:
-        """Distance from coordinates `x` along `axis` to the merged intervals.
+    def along_axis(self, x: np.ndarray, i: int = 0) -> np.ndarray:
+        """Distance from coordinates `x` along `axes[i]` to its merged intervals.
 
         With lo[j - 1] < x <= lo[j], only the gap past the end of interval
         j - 1 and the gap before the start of interval j can be positive,
         and the smaller one is the distance.
         """
-        j = np.searchsorted(self.lo, x)
-        return np.maximum(np.minimum(x - self._hi_prev[j], self._lo_next[j] - x), 0.0)
+        lo, lo_next, hi_prev = self._ends[i]
+        j = np.searchsorted(lo, x)
+        return np.maximum(np.minimum(x - hi_prev[j], lo_next[j] - x), 0.0)
 
     def _brute(self, pts: np.ndarray) -> np.ndarray:
-        out = np.empty(pts.shape[0])
         chunk = max(1, int(4e6 / max(1, self.rects.shape[0])))
-        shifts = (-1.0, 0.0, 1.0) if self.torus else (0.0,)
+        lo, hi = self.rects[None, :, 0, :], self.rects[None, :, 1, :]
+        out = np.empty(pts.shape[0])
         for start in range(0, pts.shape[0], chunk):
-            block = pts[start : start + chunk]  # (B, n)
-            best = np.full(block.shape[0], np.inf)
-            lo = self.rects[None, :, 0, :]
-            hi = self.rects[None, :, 1, :]
-            for s in shifts:
-                q = block[:, None, :] + s
-                gap = np.maximum(np.maximum(lo - q, q - hi), 0.0)  # (B, R, n)
-                best = np.minimum(best, gap.max(axis=2).min(axis=1))
-            out[start : start + chunk] = best
+            q = pts[start : start + chunk, None, :]  # (B, 1, n)
+            gaps = (np.maximum(np.maximum(lo + s - q, q - (hi + s)), 0.0) for s in self.shifts)
+            out[start : start + chunk] = functools.reduce(np.minimum, gaps).max(axis=2).min(axis=1)
         return out
 
 
@@ -381,7 +376,7 @@ def _tracks_forever(model: ModelSystem, dist: _CoverDistance, epsilon: float) ->
     its steps, so its result is known without stepping.
     """
     return (
-        dist.mode == "zero"
+        dist.axes == []
         and dist.torus
         and epsilon > 0
         and np.all((model.lo <= 0.0) & (model.hi >= 1.0), axis=1).any()

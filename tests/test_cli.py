@@ -404,11 +404,13 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [["dimension", "--set", "stable"], ["report"]])
     def test_a_stable_depth_whose_resolution_overflows_exits_2(self, capsys, command):
-        # 3.0 ** 700 overflowed a float with a traceback; the resolution takes its cap, as at depth 100
-        code, out, err = run(capsys, [*command, "--model", "horseshoe:3,0.25", "--depth", "700"])
-        assert (code, out) == (2, "")
-        assert err == run(capsys, [*command, "--model", "horseshoe:3,0.25", "--depth", "100"])[2]
-        assert err.startswith("hypdim: invalid configuration: ")
+        # 3.0 ** 700 overflowed a float with a traceback; the resolution takes its cap, as at depth 100,
+        # and at either depth no sample survives: the refusal names the depth and the resolution
+        for depth in ("700", "100"):
+            code, out, err = run(capsys, [*command, "--model", "horseshoe:3,0.25", "--depth", depth])
+            assert (code, out) == (2, "")
+            assert err == (f"hypdim: invalid configuration: no stable sample tracks {depth} steps at 65536 samples"
+                           " per axis; lower --depth or raise --grid\n")
 
     def test_a_stable_depth_past_the_step_limit_exits_2(self, capsys):
         code, out, err = run(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable",
@@ -577,6 +579,15 @@ class TestModelFiles:
         code, out, err = run(capsys, [*argv, "--model-file", str(path)])
         assert (code, out) == (2, "")
         assert err == "hypdim: invalid configuration: branch arrays have inconsistent shapes\n"
+
+    @pytest.mark.parametrize("command", ["bound", "pressure"])
+    def test_a_model_file_without_branches_is_refused(self, capsys, tmp_path, command):
+        # numpy's SVD refused the empty stack with "1-dimensional array given"
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps({**_repeller_doc([4.0], [[1]]), "branches": [], "transition": []}))
+        code, out, err = run(capsys, [command, "--model-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: the model has no branch: its branches list is empty\n"
 
     def test_stable_set_rejected_for_expanding_models(self, capsys):
         code, _, err = run(capsys, ["dimension", "--model", "doubling:2", "--set", "stable"])

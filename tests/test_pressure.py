@@ -201,35 +201,69 @@ def full_grid_reference(m, eps, k_max, grid):
     return counts, boundaries
 
 
-def cantor_square_doc(geometry: str) -> dict:
-    """Cantor x Cantor: four branches diag(3, 3), one per digit pair in {0, 2}^2, as a JSON model."""
-    digits = [(a, b) for a in (0, 2) for b in (0, 2)]
+CANTOR_PAIRS = ((0, 0), (0, 2), (2, 0), (2, 2))
+
+
+def cantor_square_doc(geometry: str, slope: int = 3, pairs=CANTOR_PAIRS) -> dict:
+    """Branches diag(slope, slope), one per digit pair, as a JSON model; by default Cantor x Cantor."""
     return {
         "space": {"dim": 2, "geometry": geometry},
         "kind": "expanding",
         "branches": [
-            {"symbol": i, "domain": {"lo": [a / 3, b / 3], "hi": [(a + 1) / 3, (b + 1) / 3]},
-             "linear": [[3.0, 0.0], [0.0, 3.0]], "offset": [-float(a), -float(b)]}
-            for i, (a, b) in enumerate(digits)
+            {"symbol": i, "domain": {"lo": [a / slope, b / slope], "hi": [(a + 1) / slope, (b + 1) / slope]},
+             "linear": [[float(slope), 0.0], [0.0, float(slope)]], "offset": [-float(a), -float(b)]}
+            for i, (a, b) in enumerate(pairs)
         ],
-        "transition": [[1] * 4] * 4,
+        "transition": [[1] * len(pairs)] * len(pairs),
         "unstable_dim": 2,
     }
 
 
-def cantor_square(geometry: str) -> ModelSystem:
-    return ModelSystem.from_json(json.dumps(cantor_square_doc(geometry)))
+def cantor_square(geometry: str, slope: int = 3, pairs=CANTOR_PAIRS) -> ModelSystem:
+    return ModelSystem.from_json(json.dumps(cantor_square_doc(geometry, slope, pairs)))
+
+
+def cantor_line(geometry: str, slope: int, digits) -> ModelSystem:
+    """The 1-D factor of `cantor_square`: x -> slope x - a on [a / slope, (a + 1) / slope] for each digit a."""
+    return ModelSystem.from_json(json.dumps({
+        "space": {"dim": 1, "geometry": geometry},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [a / slope], "hi": [(a + 1) / slope]}, "linear": [[float(slope)]],
+             "offset": [-float(a)]}
+            for i, a in enumerate(digits)
+        ],
+        "transition": [[1] * len(digits)] * len(digits),
+        "unstable_dim": 1,
+    }))
+
+
+def per_rectangle_distance(rects, pts, torus):
+    """Sup-norm distance to the rectangles, one rectangle and one axis at a time.
+
+    On the torus each axis of each rectangle takes its nearest copy on its own.
+    """
+    shifts = (-1.0, 0.0, 1.0) if torus else (0.0,)
+    best = np.full(len(pts), np.inf)
+    for lo, hi in rects:
+        gaps = [
+            np.min([np.maximum(np.maximum(lo[ax] + s - pts[:, ax], pts[:, ax] - (hi[ax] + s)), 0.0) for s in shifts],
+                   axis=0)
+            for ax in range(pts.shape[1])
+        ]
+        best = np.minimum(best, np.max(gaps, axis=0))
+    return best
 
 
 class TestRectsCover:
-    """A cover that varies along two axes: the `rects` mode and its brute-force distance."""
+    """Covers that vary along two axes: a product is measured axis by axis, any other cover by `_brute`."""
 
     @pytest.mark.parametrize("geometry", ["cube", "torus"])
     def test_distance_is_the_largest_per_axis_distance(self, geometry):
         m = cantor_square(geometry)
         rects = cover_rects(m, 0.2)[1]
         dist = _CoverDistance(m, rects)
-        assert dist.mode == "rects" and not dist.tracks_one_axis
+        assert dist.axes == [0, 1] and not dist.tracks_one_axis
         pts = np.random.default_rng(5).random((2000, 2))
         # the cover is a product of interval unions, so the sup-norm distance
         # to it is the largest of the distances along each axis
@@ -239,7 +273,29 @@ class TestRectsCover:
             x = pts[:, ax, None]
             per_axis.append(np.maximum(np.maximum(lo - x, x - hi), 0.0).min(axis=1))
         assert dist(pts).tolist() == np.maximum(*per_axis).tolist()
+        assert dist(pts).tolist() == dist._brute(pts).tolist()
         assert dist(pts).max() > 0.1
+
+    @pytest.mark.parametrize("geometry", ["cube", "torus"])
+    def test_a_product_repeller_has_the_squared_volumes_of_its_factor(self, geometry):
+        # the {0, 2}/4 square; on the torus, shifting every axis of the cover by
+        # the same integer missed the copies shifted along one axis only
+        square = volume_curve(cantor_square(geometry, 4), 0.1, 6, 256).volumes
+        line = volume_curve(cantor_line(geometry, 4, (0, 2)), 0.1, 6, 256).volumes
+        assert square.tolist() == (line * line).tolist()
+
+    def test_a_cover_that_is_no_product_is_measured_rectangle_by_rectangle(self):
+        # an L of three digit pairs on the torus: no product of interval unions
+        m = cantor_square("torus", 3, [(0, 0), (0, 2), (2, 0)])
+        rects = cover_rects(m, 0.15)[1]
+        dist = _CoverDistance(m, rects)
+        assert dist.axes is None
+        pts = np.random.default_rng(7).uniform(-0.25, 1.25, (2000, 2))
+        reference = per_rectangle_distance(rects, pts, torus=True)
+        assert dist(pts).tolist() == dist._brute(pts).tolist() == reference.tolist()
+        # some points are nearer a copy shifted along one axis than any copy shifted along both
+        joint = np.min([per_rectangle_distance(rects, pts + s, torus=False) for s in (-1.0, 0.0, 1.0)], axis=0)
+        assert (reference < joint).any()
 
     def test_volume_pressure_of_the_cube_model(self, tmp_path, capsys):
         path = tmp_path / "cantor_square.json"

@@ -18,10 +18,12 @@ solve their own Perron problems as the oracle for the bound report,
 the k-d tree as the oracle for the Minkowski curve of product clouds,
 the Perron loop with its bracket on numpy arrays as the oracle for the
 scalar bracket, integer word counts as the oracle for the word-cap
-check by bound, and the per-branch `AffineBranch.apply` loop as the
-oracle for `ModelSystem.step`.
+check by bound, the per-branch `AffineBranch.apply` loop as the
+oracle for `ModelSystem.step`, and the rectangle-by-rectangle `_brute`
+as the oracle for the axis-by-axis distance to product covers.
 """
 
+import itertools
 import math
 import re
 import struct
@@ -390,7 +392,7 @@ def test_whole_axes_factor_only_when_they_stay_inside_every_domain(field, index,
     model = ModelSystem.from_json_dict(doc)
     epsilon = default_epsilon(model)
     dist = _CoverDistance(model, cover_rects(model, epsilon)[1])
-    assert dist.mode == "intervals" and not dist.factors and not dist.tracks_one_axis
+    assert dist.axes == [0] and not dist.factors and not dist.tracks_one_axis
     along = _sample_axis(4096, 1)
     pts = np.column_stack([along, np.ones_like(along)])
     assert not np.array_equal(
@@ -691,7 +693,7 @@ def _stepped(function, *args, **kwargs):
 )
 def test_a_zero_cover_on_the_torus_with_a_spanning_branch_kills_no_point(model, epsilon, k_max, seed):
     dist = cover_distance(model, epsilon)
-    assert dist.mode == "zero" and pressure._tracks_forever(model, dist, epsilon)
+    assert dist.axes == [] and pressure._tracks_forever(model, dist, epsilon)
     rng = np.random.default_rng(seed)
     edges = np.array([0.0, 1.0, 1e-10, 1.0 - 1e-11, np.nextafter(1.0, 0.0), -5e-324])
     corners = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
@@ -709,7 +711,7 @@ def test_a_zero_cover_on_the_torus_with_a_spanning_branch_kills_no_point(model, 
 @given(model=zero_cover_torus_models(spanning=False), epsilon=_floats(0.2, 1.0), k_max=st.integers(2, 6))
 def test_a_zero_cover_without_a_spanning_branch_still_steps(model, epsilon, k_max):
     dist = cover_distance(model, epsilon)
-    assert dist.mode == "zero" and not pressure._tracks_forever(model, dist, epsilon)
+    assert dist.axes == [] and not pressure._tracks_forever(model, dist, epsilon)
     # the torus point (1 - 1e-11, 1/2) lies in no branch domain: it dies at the first step
     death = _death_steps(model, np.array([[1.0 - 1e-11, 0.5], [0.5, 0.5]]), epsilon, k_max, dist)
     assert death[0] == 1 and death[1] == k_max
@@ -782,7 +784,7 @@ def test_interval_lookup_is_bit_identical_to_the_clipped_lookup(geometry, ends, 
     })
     rects = np.stack([lo, hi], axis=1)[:, :, None]
     dist = _CoverDistance(model, rects)
-    assume(dist.mode == "intervals")
+    assume(dist.axes == [0])
     mlo, mhi = loop_merged_intervals(lo, hi)
     if geometry == "torus":
         mlo, mhi = np.concatenate([mlo - 1, mlo, mlo + 1]), np.concatenate([mhi - 1, mhi, mhi + 1])
@@ -793,6 +795,45 @@ def test_interval_lookup_is_bit_identical_to_the_clipped_lookup(geometry, ends, 
         np.random.default_rng(seed).uniform(-0.5, 1.5, 256),
     ])
     assert np.array_equal(dist.along_axis(x), clipped_along_axis(dist.lo, dist.hi, x))
+
+
+def _unit_model(geometry: str, n: int) -> ModelSystem:
+    """One branch x -> 2x on the whole unit cube or torus of dimension n."""
+    return ModelSystem.from_json_dict({
+        "space": {"dim": n, "geometry": geometry},
+        "kind": "expanding",
+        "branches": [{"symbol": 0, "domain": {"lo": [0.0] * n, "hi": [1.0] * n},
+                      "linear": (2.0 * np.eye(n)).tolist(), "offset": [0.0] * n}],
+        "transition": [[1]],
+        "unstable_dim": n,
+    })
+
+
+@PROPERTY_SETTINGS
+@given(
+    geometry=st.sampled_from(["cube", "torus"]),
+    intervals=st.lists(
+        # ends on a 1/1024 lattice, so neighbours touch, overlap or lie at least 1/1024 apart
+        st.lists(st.tuples(st.integers(0, 1024), st.integers(0, 600)), min_size=1, max_size=4),
+        min_size=2, max_size=3,
+    ),
+    seed=st.integers(0, 1000),
+)
+def test_a_product_cover_is_measured_axis_by_axis_as_brute_force_measures_it(geometry, intervals, seed):
+    n = len(intervals)
+    per_axis = [[(a / 1024, min(a + w, 1024) / 1024) for a, w in axis] for axis in intervals]
+    rects = np.array([np.array(combo).T for combo in itertools.product(*per_axis)])  # (R, 2, n)
+    model = _unit_model(geometry, n)
+    dist = _CoverDistance(model, rects)
+    assert dist.axes == list(range(n))
+    rng = np.random.default_rng(seed)
+    ends = np.unique(rects)
+    pts = np.concatenate([rng.uniform(-0.5, 1.5, (256, n)), rng.choice(_near(ends), (256, n))])
+    assert np.array_equal(dist(pts), dist._brute(pts))
+    # without every combination of the intervals the cover is no product
+    if sum(len(set(axis)) > 1 for axis in per_axis) >= 2:
+        dropped = rects[(rects != rects[rng.integers(len(rects))]).any(axis=(1, 2))]
+        assert _CoverDistance(model, dropped).axes is None
 
 
 def _one_axis_cover(model, epsilon):
