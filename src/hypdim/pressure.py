@@ -153,10 +153,16 @@ def _intersect(a_lo, a_hi, b_lo, b_hi):
     return np.maximum(a_lo[ia], b_lo[ib]), np.minimum(a_hi[ia], b_hi[ib])
 
 
-def _is_product(rects: np.ndarray, varying) -> bool:
-    """True when the rectangles are every combination of their (lo, hi) pairs along the axes `varying`."""
-    index = np.stack([np.unique(rects[:, :, a], axis=0, return_inverse=True)[1].ravel() for a in varying], axis=1)
-    return len(np.unique(index, axis=0)) == math.prod(index.max(axis=0) + 1)
+def _is_product(rows: np.ndarray, axes, ordered: bool = False) -> bool:
+    """True when the (m, r, n) `rows` are every combination of their values along `axes`; with `ordered`, in order."""
+    index = []
+    for a in axes:  # ranks by first appearance; in order: each combination once, lexicographic, first axis slowest
+        _, first, inverse = np.unique(rows[:, :, a], axis=0, return_index=True, return_inverse=True)
+        index.append(np.argsort(np.argsort(first))[inverse.ravel()])
+    shape = np.max(index, axis=1) + 1
+    if ordered:
+        return len(rows) == math.prod(shape) and np.array_equal(index, np.indices(shape).reshape(len(axes), -1))
+    return np.unique(index, axis=1).shape[1] == math.prod(shape)
 
 
 class _CoverDistance:
@@ -165,12 +171,10 @@ class _CoverDistance:
     Axes that every rectangle spans contribute zero distance.  When the
     rectangles are every combination of their intervals along the axes
     `axes` they vary on, the distance is the largest of the distances to
-    each such axis's merged intervals, one sorted lookup per axis.  Any
-    other cover has `axes` None and is measured rectangle by rectangle
-    (`_brute`).  On the torus each axis takes its nearest copy.
-    `tracks_one_axis` says that tracking reads the coordinate along
-    `axis` alone: the cover varies along that axis only, and the model
-    is 1-D or factors (see `factored_axes`).
+    each such axis's intervals, merged in `merged`, one sorted lookup per
+    axis.  Any other cover has `axes` None and is measured rectangle by
+    rectangle (`_brute`).  On the torus each axis takes its nearest copy.
+    `tracked` is `axes` when tracking steps each alone, else None.
     """
 
     def __init__(self, model: ModelSystem, rects: np.ndarray):
@@ -180,12 +184,16 @@ class _CoverDistance:
         self.shifts = (-1.0, 0.0, 1.0) if self.torus else (0.0,)
         varying, self.factors = factored_axes(model, rects)
         self.axes = [int(a) for a in varying] if len(varying) < 2 or _is_product(rects, varying) else None
-        merged = [self._merged_intervals(a) for a in self.axes or ()]
-        if len(varying) == 1:
-            self.axis, (self.lo, self.hi) = self.axes[0], merged[0]
+        self.merged = [self._merged_intervals(a) for a in self.axes or ()]
         # per axis, the merged starts, then lo[j] and hi[j - 1] for every j that searchsorted returns
-        self._ends = [(lo, np.append(lo, np.inf), np.insert(hi, 0, -np.inf)) for lo, hi in merged]
-        self.tracks_one_axis = len(varying) == 1 and (model.n == 1 or self.factors)
+        self._ends = [(lo, np.append(lo, np.inf), np.insert(hi, 0, -np.inf)) for lo, hi in self.merged]
+        split = self.axes and (self.factors or len(varying) == model.n)  # whole axes split off, or there are none
+        if split and len(varying) > 1:
+            # they separate when no linear part couples two and the branches' rows along them are in
+            # lexicographic order: the lowest symbol holding a point has each axis's own pick (`first_branch`)
+            coupled = model.linear[:, varying][:, :, varying][:, ~np.eye(len(varying), dtype=bool)].any()
+            split = not coupled and _is_product(_axis_branches(model), varying, ordered=True)
+        self.tracked = self.axes if split else None
 
     def _merged_intervals(self, axis: int):
         mlo, mhi = _union(self.rects[:, 0, axis], self.rects[:, 1, axis], 1e-15)
@@ -295,17 +303,17 @@ def _sample_axis(resolution: int, seed: int = 0) -> np.ndarray:
 
 
 def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
-    """Refuse more than `GRID_CAP` cells to step: one row when tracking reads one axis."""
-    stepped = resolution if dist.tracks_one_axis else resolution**n
+    """Refuse more than `GRID_CAP` cells to step: one row per tracked axis, else the full grid."""
+    stepped = resolution**n if dist.tracked is None else resolution * len(dist.tracked)
     if stepped > GRID_CAP:
         raise GridTooCoarseError(
             f"{what} too large at {resolution} per axis: {stepped} cells to step exceed {GRID_CAP}"
         )
 
 
-def _axis_branches(model: ModelSystem, axis: int):
-    """lo, hi, slope, offset: every branch's domain and affine part along `axis`."""
-    return model.lo[:, axis], model.hi[:, axis], model.linear[:, axis, axis], model.offset[:, axis]
+def _axis_branches(model: ModelSystem, axis=slice(None)):
+    """Per branch, its lo, hi, slope and offset: its domain and affine part along `axis`, by default along each."""
+    return np.stack([model.lo, model.hi, np.diagonal(model.linear, axis1=1, axis2=2), model.offset], axis=1)[..., axis]
 
 
 def _axis_step(model: ModelSystem, axis: int):
@@ -313,7 +321,7 @@ def _axis_step(model: ModelSystem, axis: int):
 
     Branches are chosen by `first_branch`, as in `ModelSystem.branch_of`.
     """
-    lo, hi, slope, offset = _axis_branches(model, axis)
+    lo, hi, slope, offset = _axis_branches(model, axis).T
 
     def step(x):
         x = model.wrap(x)
@@ -330,22 +338,17 @@ def _refuse_many_steps(what: str, steps: int) -> None:
         raise ValueError(f"{what} {steps} exceeds the limit of {STEP_CAP} tracking steps")
 
 
-def _death_steps(model, pts, epsilon, k_max, dist):
+def _death_steps(model, pts, epsilon, k_max, dist, i=0):
     """First step index at which tracking fails, k_max if it never does.
 
-    `pts` is either an (N, n) array, stepped with `model.step`, or, when
-    `dist.tracks_one_axis`, the N coordinates along `dist.axis`, stepped
-    on that axis alone.  Both give the same deaths: the cover distance
-    reads that coordinate only, block-diagonal linear parts keep its
-    image free of the others, and `factored_axes` admits a model only
-    when every branch domain spans the whole axes and every branch maps
-    them into the unit interval, so the unstepped coordinates would
-    never fail a branch check.  Only the points still alive are
-    carried, as coordinates with their indices into `pts`, and they are
-    compacted only in a step where some point dies.
+    `pts` is either an (N, n) array, stepped with `model.step`, or the N
+    coordinates along `dist.axes[i]`, an axis of `dist.tracked`, stepped
+    alone; a point dies at the least death of its tracked coordinates.
+    Only the points still alive are carried, as coordinates with their
+    indices into `pts`, and compacted only in a step where some die.
     """
     if pts.ndim == 1:
-        measure, step = dist.along_axis, _axis_step(model, dist.axis)
+        measure, step = functools.partial(dist.along_axis, i=i), _axis_step(model, dist.axes[i])
     else:
         measure, step = dist, model.step
     death = np.full(len(pts), k_max, dtype=np.int16)
@@ -383,12 +386,9 @@ def _tracks_forever(model: ModelSystem, dist: _CoverDistance, epsilon: float) ->
     )
 
 
-def _grid_deaths(model, dist, epsilon, k_max, axis, threads):
-    """`_death_steps` of the grid with the values `axis` on every axis, in chunks.
-
-    Only the row along `dist.axis` is stepped when `dist.tracks_one_axis`.
-    """
-    pts = axis if dist.tracks_one_axis else np.asarray(ProductCloud.grid([axis] * model.n))
+def _grid_deaths(model, dist, epsilon, k_max, values, threads, i=None):
+    """`_death_steps`, in chunks, of the grid with `values` on every axis, or of their row along `dist.axes[i]`."""
+    pts = values if i is not None else np.asarray(ProductCloud.grid([values] * model.n))
     total = len(pts)
     death = np.empty(total, dtype=np.int16)
     n_chunks = max(1, min(64, total // 4096))
@@ -396,7 +396,7 @@ def _grid_deaths(model, dist, epsilon, k_max, axis, threads):
 
     def work(ci):
         a, b = bounds[ci], bounds[ci + 1]
-        death[a:b] = _death_steps(model, pts[a:b], epsilon, k_max, dist)
+        death[a:b] = _death_steps(model, pts[a:b], epsilon, k_max, dist, i)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # deferred: only threaded grids use it
@@ -406,7 +406,7 @@ def _grid_deaths(model, dist, epsilon, k_max, axis, threads):
     else:
         for ci in range(n_chunks):
             work(ci)
-    return death
+    return death.reshape((len(values),) * (model.n if i is None else 1))
 
 
 def volume_curve(
@@ -423,12 +423,11 @@ def volume_curve(
     cylinder cover (orbit escape fails membership).  The uncertainty
     band per k is the total volume of cells sitting on the membership
     boundary; halving the cell edge changes the estimate by at most the
-    band.  When tracking reads one axis alone (`n == 1`, or the model
-    factors along one varying axis; see `factored_axes`), only one row
-    of cells is stepped, along that axis; the integer counts are the
-    ones the full grid gives.  A zero cover on the torus with a branch
-    domain spanning it steps nothing (`_tracks_forever`): every cell
-    survives all k_max steps.  More than `GRID_CAP` stepped cells, or a
+    band.  Cells are counted, as exact integers, as products of counts
+    per factor: a row of cells along each tracked axis, or the full
+    grid; axes that no factor holds multiply by the grid size.  A zero
+    cover on the torus with a branch domain spanning it has no factor
+    (`_tracks_forever`).  More than `GRID_CAP` stepped cells, or a
     `k_max` above `STEP_CAP`, are refused before the grid is built.
 
     Results are independent of `threads`: the grid is chunked the same
@@ -444,32 +443,34 @@ def volume_curve(
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
     _refuse_large_grid(dist, n, grid_resolution, "grid")
-    # when deaths depend on one coordinate alone, one row of cells is
-    # stepped and counted for each of the grid**(n-1) identical rows
-    shape = (grid_resolution,) if dist.tracks_one_axis else (grid_resolution,) * n
-    rows = grid_resolution ** (n - 1) if dist.tracks_one_axis else 1
+    # the factors: one row per tracked axis, else the full grid
     if _tracks_forever(model, dist, epsilon):
-        death = np.full(shape, k_max, dtype=np.int16)
+        factors = []
     else:
-        death = _grid_deaths(model, dist, epsilon, k_max, grid_axis(grid_resolution), threads).reshape(shape)
+        factors = [None] if dist.tracked is None else range(len(dist.tracked))
+    deaths = [_grid_deaths(model, dist, epsilon, k_max, grid_axis(grid_resolution), threads, i) for i in factors]
 
-    # membership at k holds iff tracking survived steps 0..k-1
-    counts = (death.size - np.cumsum(np.bincount(death.ravel(), minlength=k_max + 1))[:k_max]) * rows
+    # a cell dies at the least death of its factors; so do lo and hi, the least
+    # and largest death over the cell and its 2n neighbours, read per factor
+    alive, low, high = [], [], []
+    for death in deaths:
+        padded = np.pad(death, 1, mode="wrap" if model.space.is_torus else "edge")
+        inner = (slice(1, -1),) * death.ndim
+        lo = hi = death
+        for ax in range(death.ndim):
+            for side in (slice(None, -2), slice(2, None)):
+                near = padded[inner[:ax] + (side,) + inner[ax + 1 :]]
+                lo, hi = np.minimum(lo, near), np.maximum(hi, near)
+        for tally, ends in ((alive, death), (low, lo), (high, hi)):  # per k, the exact count of ends >= k
+            tally.append((ends.size - np.cumsum(np.bincount(ends.ravel(), minlength=k_max + 1))[:k_max]).astype(object))
+    unheld = np.full(k_max, grid_resolution ** (n - sum(d.ndim for d in deaths)), dtype=object)
+    counts = math.prod(alive, start=unheld)
+    # hi >= k: all factors alive, or one not but with a live neighbour (a neighbour differs in one factor)
+    reach = sum(((h - a) * math.prod(alive[:f] + alive[f + 1 :], start=unheld)
+                 for f, (a, h) in enumerate(zip(alive, high))), start=counts)
     cellvol = cell**n
-    volumes = counts * cellvol
-
-    # a cell is on the boundary of {death >= k} iff lo < k <= hi, lo and hi
-    # the least and largest death over the cell and its 2n neighbours
-    padded = np.pad(death, 1, mode="wrap" if model.space.is_torus else "edge")
-    inner = (slice(1, -1),) * death.ndim
-    lo = hi = death
-    for ax in range(death.ndim):
-        for side in (slice(None, -2), slice(2, None)):
-            near = padded[inner[:ax] + (side,) + inner[ax + 1 :]]
-            lo, hi = np.minimum(lo, near), np.maximum(hi, near)
-    # cell counts with lo < k minus those with hi < k
-    below = [np.bincount(ends.ravel(), minlength=k_max + 1) for ends in (lo, hi)]
-    bands = np.cumsum(below[0] - below[1])[:k_max] * rows * cellvol
+    volumes = (counts * cellvol).astype(float)
+    bands = ((reach - math.prod(low, start=unheld)) * cellvol).astype(float)  # cells with lo < k <= hi
 
     return VolumeCurve(
         epsilon=float(epsilon),
@@ -620,11 +621,11 @@ def cover_distance(model: ModelSystem, epsilon: float) -> _CoverDistance:
 def stable_resolution(model: ModelSystem, depth: int, cover: _CoverDistance) -> int:
     """Samples per axis that resolve the structure of a `depth`-step stable sample.
 
-    Tracking along one axis (or a 1-D model) takes 4 lambda_u^depth, as
-    a power of two from 2^11 to 2^16; a full n-dimensional grid stays
-    at 2^11 per axis to keep it affordable.
+    Tracking axis by axis (`cover.tracked`, or a 1-D model) takes
+    4 lambda_u^depth, as a power of two from 2^11 to 2^16; a full
+    n-dimensional grid stays at 2^11 per axis to keep it affordable.
     """
-    if model.n > 1 and not cover.tracks_one_axis:
+    if model.n > 1 and cover.tracked is None:
         return 1 << 11
     try:
         need = 4.0 * float(np.max(model.lambda_u)) ** depth
@@ -645,16 +646,16 @@ def _pullback_tol(model: ModelSystem, axis: int, epsilon: float) -> float:
     largest magnitude in play, |slope| |x| + |offset| or 1 + epsilon;
     2^-30 times that magnitude exceeds their total about 2^20-fold.
     """
-    lo, hi, slope, offset = _axis_branches(model, axis)
+    lo, hi, slope, offset = _axis_branches(model, axis).T
     reach = np.abs(slope) * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))) + np.abs(offset)
     return 2.0**-30 * max(1.0 + epsilon, float(reach.max()))
 
 
-def _tracking_superset(model, cover, epsilon, depth, tol, limit=math.inf):
-    """Sorted disjoint closed intervals holding every coordinate that tracks `depth` steps.
+def _tracking_superset(model, cover, epsilon, depth, tol, i=0, limit=math.inf):
+    """Sorted disjoint closed intervals holding every coordinate along `cover.axes[i]` that tracks `depth` steps.
 
-    Needs `cover.tracks_one_axis`.  The last level is the epsilon-
-    neighbourhood of the merged cover intervals; each earlier level is
+    Needs `cover.tracked`.  The last level is the epsilon-neighbourhood
+    of the axis's merged cover intervals; each earlier level is
     that neighbourhood intersected with the union of the pullbacks of
     the next level through every branch, cut to the branch domain.
     Every neighbourhood, domain and pulled-back target is widened by
@@ -666,8 +667,9 @@ def _tracking_superset(model, cover, epsilon, depth, tol, limit=math.inf):
     leaving a larger superset, once a level would cost more than
     `limit` interval images.
     """
-    lo, hi, slope, offset = _axis_branches(model, cover.axis)
-    near = _union(cover.lo - (epsilon + tol), cover.hi + (epsilon + tol))
+    lo, hi, slope, offset = _axis_branches(model, cover.axes[i]).T
+    merged_lo, merged_hi = cover.merged[i]
+    near = _union(merged_lo - (epsilon + tol), merged_hi + (epsilon + tol))
     symbol, shift = np.arange(model.nsym), np.zeros(model.nsym)
     if cover.torus:
         near = _intersect(*near, np.array([-tol]), np.array([1.0 + tol]))
@@ -704,21 +706,18 @@ def sample_local_stable_set(
 
     A superset of the true local stable set sample that shrinks as depth
     grows.  Points come from a stratified grid (one seeded draw per
-    cell), so the cloud is deterministic in the seed.  When tracking
-    reads one axis alone (full strips along the contracting axes, as in
-    the horseshoe family), only that axis is sampled, at `samples`
-    resolution, and the cloud is a `ProductCloud` of the kept values
-    with a grid on each remaining axis.  Only the samples inside
-    `_tracking_superset` are stepped: each step rounds by less than its
-    margin `tol`, so every sample the death loop keeps lies inside, and
-    the loop alone still decides which of them survive.  When no point
-    can fail tracking (`_tracks_forever`: a zero cover on the torus with
-    a spanning branch domain) the whole grid is kept, as a `ProductCloud`
-    with the sampled axis on every coordinate.  Otherwise the
-    full n-dimensional grid is stepped and the kept points are returned
-    as an array.  `cover` is `cover_distance(model, epsilon)` when the
-    caller has it already.  More than `GRID_CAP` stepped cells, or a
-    `depth` above `STEP_CAP`, are refused before any sample is drawn.
+    cell), so the cloud is deterministic in the seed.  With tracked axes
+    (`cover.tracked`, as in the horseshoe family) the cloud is a
+    `ProductCloud`: on each tracked axis the `samples` values that
+    survive, on every other axis a grid.  Only the values inside the
+    axis's `_tracking_superset` are stepped; its margin `tol` exceeds
+    the rounding of a step, so the death loop alone decides which
+    survive.  When no point can fail tracking (`_tracks_forever`) the
+    whole grid is kept, as a `ProductCloud`; otherwise the full
+    n-dimensional grid is stepped and its survivors returned as an
+    array.  `cover` is `cover_distance(model, epsilon)` when the caller
+    has it already.  More than `GRID_CAP` stepped cells, or a `depth`
+    above `STEP_CAP`, are refused before any sample is drawn.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
@@ -729,13 +728,14 @@ def sample_local_stable_set(
     axis_vals = _sample_axis(samples, seed)
     if _tracks_forever(model, dist, epsilon):
         return ProductCloud.grid([axis_vals] * n)
-    if dist.tracks_one_axis:
-        tol = _pullback_tol(model, dist.axis, epsilon)
-        lo, hi = _tracking_superset(model, dist, epsilon, depth, tol, limit=samples)
-        first = np.searchsorted(axis_vals, lo)  # the samples are sorted
-        inside = _ranges(first, np.searchsorted(axis_vals, hi, "right") - first)
-        alive = inside[_death_steps(model, axis_vals[inside], epsilon, depth, dist) >= depth]
-        other_axis = _sample_axis(min(samples, cross_resolution), seed + 1)
-        return ProductCloud.grid([axis_vals[alive] if a == dist.axis else other_axis for a in range(n)])
+    if dist.tracked is not None:
+        columns = [_sample_axis(min(samples, cross_resolution), seed + 1)] * n
+        for i, axis in enumerate(dist.tracked):
+            tol = _pullback_tol(model, axis, epsilon)
+            lo, hi = _tracking_superset(model, dist, epsilon, depth, tol, i, limit=samples)
+            first = np.searchsorted(axis_vals, lo)  # the samples are sorted
+            inside = _ranges(first, np.searchsorted(axis_vals, hi, "right") - first)
+            columns[axis] = axis_vals[inside[_death_steps(model, axis_vals[inside], epsilon, depth, dist, i) >= depth]]
+        return ProductCloud.grid(columns)
     pts = np.asarray(ProductCloud.grid([axis_vals] * n))
     return pts[_death_steps(model, pts, epsilon, depth, dist) >= depth]

@@ -131,7 +131,7 @@ class TestDimensionCommand:
         # the cover's y extent drifted below 1 - 1e-9 from depth 9 on, so the
         # model stopped factoring and the sampler stepped a 2048^2 grid
         model = build_linear_horseshoe(2.5, 0.1)
-        assert cover_distance(model, 0.0005).tracks_one_axis
+        assert cover_distance(model, 0.0005).tracked == [0]
         start = time.perf_counter()
         run_json(capsys, ["dimension", "--model", "horseshoe:2.5,0.1", "--set", "stable",
                           "--eps", "0.0005", "--depth", "6"])

@@ -1,11 +1,14 @@
 """Bowen balls, tracking volumes and the pressure estimators."""
 
+import itertools
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypdim.cli import main
 from hypdim.errors import DegenerateCurveError, GridTooCoarseError, IncompatibleLabelError
@@ -26,6 +29,7 @@ from hypdim.pressure import (
     VolumeCurve,
     _CoverDistance,
     _death_steps,
+    _is_product,
     _sample_axis,
     bowen_ball_contains,
     cover_distance,
@@ -135,11 +139,24 @@ class TestVolumeCurves:
         assert np.all(finer.bands <= fine.bands + 1e-12)
 
     def test_thread_count_does_not_change_results(self):
-        m = build_cantor_repeller(3, (0, 2))
-        one = volume_curve(m, 0.05, 8, 2048, threads=1)
-        four = volume_curve(m, 0.05, 8, 2048, threads=4)
-        assert np.array_equal(one.volumes, four.volumes)
-        assert np.array_equal(one.bands, four.bands)
+        for m, eps, grid, threads in [(build_cantor_repeller(3, (0, 2)), 0.05, 2048, 4),
+                                      (cantor_square("torus"), 0.2, 128, 2)]:
+            one = volume_curve(m, eps, 8, grid, threads=1)
+            many = volume_curve(m, eps, 8, grid, threads=threads)
+            assert np.array_equal(one.volumes, many.volumes)
+            assert np.array_equal(one.bands, many.bands)
+
+    def test_counts_past_int64_stay_exact(self):
+        # 65536 cells per axis on four axes are 2^64 cells: int64 counts wrapped round
+        # and the volumes stopped falling in k
+        m = cantor_with_whole_axes(4)
+        line = build_cantor_repeller(3, (0, 2))
+        assert default_epsilon(m) == default_epsilon(line)
+        curve = volume_curve(m, default_epsilon(m), 6, 65536)
+        factor = volume_curve(line, default_epsilon(line), 6, 65536)
+        assert curve.volumes.tolist() == factor.volumes.tolist()
+        assert curve.bands.tolist() == factor.bands.tolist()
+        assert factor.volumes[-1] < 0.2 and factor.bands.max() > 0
 
     @pytest.mark.parametrize("lambda_u", [2.5, 4.0])
     @pytest.mark.parametrize("grid", [512, 1000])
@@ -238,6 +255,32 @@ def cantor_line(geometry: str, slope: int, digits) -> ModelSystem:
     }))
 
 
+def cantor_with_whole_axes(n: int) -> ModelSystem:
+    """x -> 3x - a on [a / 3, (a + 1) / 3] for a in {0, 2}, with n - 1 whole axes contracted by 1/2 into one half each."""
+    return ModelSystem.from_json_dict({
+        "space": {"dim": n, "geometry": "cube"},
+        "kind": "diffeo",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [a / 3] + [0.0] * (n - 1), "hi": [(a + 1) / 3] + [1.0] * (n - 1)},
+             "linear": np.diag([3.0] + [0.5] * (n - 1)).tolist(), "offset": [-float(a)] + [0.5 * i] * (n - 1)}
+            for i, a in enumerate((0, 2))
+        ],
+        "transition": [[1, 1], [1, 1]],
+        "unstable_dim": 1,
+    })
+
+
+def two_axis_horseshoe() -> ModelSystem:
+    """Cantor x Cantor on the two unstable axes, and a third axis contracted by 1/4 into one quarter per branch."""
+    doc = cantor_square_doc("cube")
+    for i, branch in enumerate(doc["branches"]):
+        branch["domain"]["lo"].append(0.0)
+        branch["domain"]["hi"].append(1.0)
+        branch["linear"] = np.diag([3.0, 3.0, 0.25]).tolist()
+        branch["offset"].append(0.25 * i)
+    return ModelSystem.from_json_dict({**doc, "space": {"dim": 3, "geometry": "cube"}, "kind": "diffeo"})
+
+
 def per_rectangle_distance(rects, pts, torus):
     """Sup-norm distance to the rectangles, one rectangle and one axis at a time.
 
@@ -263,7 +306,7 @@ class TestRectsCover:
         m = cantor_square(geometry)
         rects = cover_rects(m, 0.2)[1]
         dist = _CoverDistance(m, rects)
-        assert dist.axes == [0, 1] and not dist.tracks_one_axis
+        assert dist.axes == dist.tracked == [0, 1]
         pts = np.random.default_rng(5).random((2000, 2))
         # the cover is a product of interval unions, so the sup-norm distance
         # to it is the largest of the distances along each axis
@@ -297,6 +340,25 @@ class TestRectsCover:
         joint = np.min([per_rectangle_distance(rects, pts + s, torus=False) for s in (-1.0, 0.0, 1.0)], axis=0)
         assert (reference < joint).any()
 
+    @pytest.mark.parametrize("geometry, offsets", [("cube", "swapped"), ("torus", "swapped"), ("torus", "zero")])
+    def test_a_product_whose_linear_parts_swap_the_axes_steps_the_full_grid(self, geometry, offsets):
+        # x -> 3y - b, y -> 3x - a: the cover is a product, yet no axis can be stepped alone;
+        # on the torus the offsets may be 0, and the per-axis branch rows are then a product too
+        doc = cantor_square_doc(geometry)
+        for branch in doc["branches"]:
+            branch["linear"] = [[0.0, 3.0], [3.0, 0.0]]
+            branch["offset"] = branch["offset"][::-1] if offsets == "swapped" else [0.0, 0.0]
+        m = ModelSystem.from_json_dict(doc)
+        dist = _CoverDistance(m, cover_rects(m, 0.2)[1])
+        assert dist.axes == [0, 1] and dist.tracked is None
+        rows = np.stack([m.lo, m.hi, np.diagonal(m.linear, axis1=1, axis2=2), m.offset], axis=1)
+        assert _is_product(rows, [0, 1], ordered=True) == (offsets == "zero")
+        counts, boundaries = full_grid_reference(m, 0.2, 6, 64)
+        curve = volume_curve(m, 0.2, 6, 64)
+        assert curve.volumes.tolist() == [c / 64**2 for c in counts]
+        assert curve.bands.tolist() == [b / 64**2 for b in boundaries]
+        assert counts[-1] < counts[1] < counts[0]
+
     def test_volume_pressure_of_the_cube_model(self, tmp_path, capsys):
         path = tmp_path / "cantor_square.json"
         path.write_text(json.dumps(cantor_square_doc("cube")))
@@ -305,6 +367,57 @@ class TestRectsCover:
         assert main(argv) == 0
         value = json.loads(capsys.readouterr().out)["result"]["pressure"]["value"]
         assert value == pytest.approx(math.log(4.0 / 9.0), abs=1e-3)
+
+
+@st.composite
+def separable_products(draw):
+    """(model, lexicographic): x -> slope x - digit on 2 or 3 axes, one branch per combination of digits.
+
+    Each axis keeps 1 to 4 of its slope's digits, never all of them, so every axis varies.  Half
+    the draws shuffle the branches; `lexicographic` says whether their order is still
+    lexicographic, the first axis slowest, each axis's digits in their order of first appearance.
+    """
+    slopes = draw(st.lists(st.integers(3, 5), min_size=2, max_size=3))
+    digits = [draw(st.lists(st.integers(0, s - 1), min_size=1, max_size=min(4, s - 1), unique=True)) for s in slopes]
+    words = list(itertools.product(*digits))
+    if draw(st.booleans()):
+        words = draw(st.permutations(words))
+    firsts = [list(dict.fromkeys(word[a] for word in words)) for a in range(len(slopes))]
+    model = ModelSystem.from_json_dict({
+        "space": {"dim": len(slopes), "geometry": draw(st.sampled_from(["cube", "torus"]))},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [d / s for d, s in zip(word, slopes)],
+                                     "hi": [(d + 1) / s for d, s in zip(word, slopes)]},
+             "linear": np.diag(np.array(slopes, dtype=float)).tolist(), "offset": [-float(d) for d in word]}
+            for i, word in enumerate(words)
+        ],
+        "transition": [[1] * len(words)] * len(words),
+        "unstable_dim": len(slopes),
+    })
+    return model, words == list(itertools.product(*firsts))
+
+
+@settings(max_examples=60, deadline=None)
+@given(product=separable_products(), eps=st.floats(0.13, 0.45), k_max=st.integers(2, 5))
+def test_a_separable_product_counts_the_cells_of_the_full_grid(product, eps, k_max):
+    m, lexicographic = product
+    grid = 64 if m.n == 2 else 32
+    dist = _CoverDistance(m, cover_rects(m, eps)[1])
+    # out of lexicographic order, a point on a shared domain edge may take another branch
+    assert dist.tracked == (list(range(m.n)) if lexicographic else None)
+    counts, boundaries = full_grid_reference(m, eps, k_max, grid)
+    cellvol = (1.0 / grid) ** m.n
+    curve = volume_curve(m, eps, k_max, grid)
+    assert curve.volumes.tolist() == [c * cellvol for c in counts]
+    assert curve.bands.tolist() == [b * cellvol for b in boundaries]
+
+
+def test_the_ordered_product_check_ranks_values_by_first_appearance():
+    rows = np.array([[2, 1], [2, 0], [0, 1], [0, 0]], dtype=float)[:, None, :]  # (m, 1, 2)
+    assert _is_product(rows, [0, 1]) and _is_product(rows, [0, 1], ordered=True)
+    assert _is_product(rows[[0, 2, 1, 3]], [0, 1]) and not _is_product(rows[[0, 2, 1, 3]], [0, 1], ordered=True)
+    assert not _is_product(rows[[0, 1, 2, 3, 3]], [0, 1], ordered=True)
 
 
 class TestVolumeGrowthFit:
@@ -434,6 +547,28 @@ class TestStableSetSampling:
         b = sample_local_stable_set(m, 0.05, 6, samples=2048)
         assert np.array_equal(a, b)
 
+    def test_two_tracked_axes_keep_the_survivors_of_the_full_grid(self):
+        m = two_axis_horseshoe()
+        eps, depth, seed = default_epsilon(m), 3, 4
+        dist = cover_distance(m, eps)
+        assert dist.tracked == [0, 1] and dist.factors
+        cloud = sample_local_stable_set(m, eps, depth, samples=64, seed=seed)
+        assert isinstance(cloud, ProductCloud)
+        # reference: step every point of the 64^3 grid
+        axis = _sample_axis(64, seed)
+        pts = np.asarray(ProductCloud.grid([axis] * 3))
+        survivors = pts[_death_steps(m, pts, eps, depth, dist) >= depth]
+        for ax in (0, 1):
+            assert np.array_equal(cloud.factors[ax][:, 0], np.unique(survivors[:, ax]))
+        assert len(cloud) == len(survivors) > 0
+
+    def test_two_tracked_axes_take_the_tracking_resolution(self, tmp_path, capsys):
+        # the full grid was refused at 2^11 per axis: 2^33 cells to step
+        path = tmp_path / "horseshoe3.json"
+        path.write_text(json.dumps(two_axis_horseshoe().to_json_dict()))
+        assert main(["dimension", "--model-file", str(path), "--set", "stable"]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["sample"]["resolution"] == 1 << 16
+
     def test_factored_cloud_is_the_tracked_grid(self):
         # reference: track the full 2-D jittered grid, keep the survivors
         m = build_linear_horseshoe(3.0, 0.25)
@@ -458,7 +593,7 @@ def test_default_epsilon_uses_half_gap():
 def test_a_full_grid_stays_at_two_to_the_eleven_per_axis():
     m = build_cat_map()
     cover = cover_distance(m, default_epsilon(m))
-    assert not cover.tracks_one_axis
+    assert cover.tracked is None
     assert stable_resolution(m, 12, cover) == 1 << 11
 
 
@@ -468,7 +603,7 @@ def test_a_tracking_resolution_is_four_lambda_to_the_depth_capped_at_two_to_the_
     # 3.0 ** 647 raises OverflowError: it takes the cap, like every depth from 9 on
     m = build_linear_horseshoe(3.0, 0.25)
     cover = cover_distance(m, default_epsilon(m))
-    assert cover.tracks_one_axis
+    assert cover.tracked == [0]
     assert stable_resolution(m, depth, cover) == resolution
 
 

@@ -344,12 +344,12 @@ def factored_models(draw):
 
 def _assert_kernel_matches_stepping(model, dist, epsilon, k_max, seed):
     """The one-axis kernel's deaths equal those of stepping whole points."""
-    ends = [v for b in model.branches for v in (b.lo[dist.axis], b.hi[dist.axis])]
+    ends = [v for b in model.branches for v in (b.lo[dist.axes[0]], b.hi[dist.axes[0]])]
     along = np.concatenate([_sample_axis(512, seed), ends])
     rng = np.random.default_rng(seed)
     pts = np.empty((len(along), model.n))
     pts[:] = rng.choice([0.0, 1.0, rng.random()], size=pts.shape)  # whole coordinates
-    pts[:, dist.axis] = along
+    pts[:, dist.axes[0]] = along
     oracle = _death_steps(model, pts, epsilon, k_max, dist)
     kernel = _death_steps(model, along, epsilon, k_max, dist)
     assert kernel.dtype == oracle.dtype
@@ -369,7 +369,7 @@ def test_one_axis_kernel_equals_stepping_points(model, depth, epsilon, k_max, se
         dist = _CoverDistance(model, cylinders(model, depth)[1])
     except ValueError:
         assume(False)
-    assume(dist.tracks_one_axis)
+    assume(dist.tracked is not None and len(dist.tracked) == 1)
     _assert_kernel_matches_stepping(model, dist, epsilon, k_max, seed)
 
 
@@ -378,7 +378,7 @@ def test_one_axis_kernel_equals_stepping_points_on_the_horseshoe(lambda_u):
     model = build_linear_horseshoe(lambda_u, 0.25)
     epsilon = default_epsilon(model)
     dist = _CoverDistance(model, cover_rects(model, epsilon)[1])
-    assert dist.tracks_one_axis
+    assert dist.tracked == [0]
     _assert_kernel_matches_stepping(model, dist, epsilon, 12, 5)
 
 
@@ -392,7 +392,7 @@ def test_whole_axes_factor_only_when_they_stay_inside_every_domain(field, index,
     model = ModelSystem.from_json_dict(doc)
     epsilon = default_epsilon(model)
     dist = _CoverDistance(model, cover_rects(model, epsilon)[1])
-    assert dist.axes == [0] and not dist.factors and not dist.tracks_one_axis
+    assert dist.axes == [0] and not dist.factors and dist.tracked is None
     along = _sample_axis(4096, 1)
     pts = np.column_stack([along, np.ones_like(along)])
     assert not np.array_equal(
@@ -788,13 +788,13 @@ def test_interval_lookup_is_bit_identical_to_the_clipped_lookup(geometry, ends, 
     mlo, mhi = loop_merged_intervals(lo, hi)
     if geometry == "torus":
         mlo, mhi = np.concatenate([mlo - 1, mlo, mlo + 1]), np.concatenate([mhi - 1, mhi, mhi + 1])
-    assert np.array_equal(dist.lo, mlo) and np.array_equal(dist.hi, mhi)
+    assert all(map(np.array_equal, dist.merged[0], (mlo, mhi)))
     ends = np.concatenate([lo, hi])
     x = np.concatenate([
         _near(np.concatenate([ends, ends - 1.0, ends + 1.0])),
         np.random.default_rng(seed).uniform(-0.5, 1.5, 256),
     ])
-    assert np.array_equal(dist.along_axis(x), clipped_along_axis(dist.lo, dist.hi, x))
+    assert np.array_equal(dist.along_axis(x), clipped_along_axis(*dist.merged[0], x))
 
 
 def _unit_model(geometry: str, n: int) -> ModelSystem:
@@ -841,7 +841,7 @@ def _one_axis_cover(model, epsilon):
         dist = cover_distance(model, epsilon)
     except (ValueError, HypdimError):  # no geometric mass, or too many words
         assume(False)
-    assume(dist.tracks_one_axis)
+    assume(dist.tracked is not None and len(dist.tracked) == 1)
     return dist
 
 
@@ -853,7 +853,7 @@ def _assert_sampler_keeps_the_death_loop_survivors(model, dist, epsilon, depth, 
     cloud = sample_local_stable_set(model, epsilon, depth, samples=samples, seed=seed)
     assert isinstance(cloud, ProductCloud)
     x = _sample_axis(samples, seed)
-    assert np.array_equal(cloud.factors[dist.axis][:, 0], x[_death_steps(model, x, epsilon, depth, dist) >= depth])
+    assert np.array_equal(cloud.factors[dist.axes[0]][:, 0], x[_death_steps(model, x, epsilon, depth, dist) >= depth])
 
 
 @PROPERTY_SETTINGS
@@ -873,7 +873,7 @@ def test_stable_sampler_keeps_exactly_the_death_loop_survivors_over_the_sweep(la
     model = build_linear_horseshoe(lambda_u, 0.25)
     epsilon = default_epsilon(model)
     dist = cover_distance(model, epsilon)
-    assert dist.tracks_one_axis
+    assert dist.tracked == [0]
     samples = stable_resolution(model, 8, dist)
     _assert_sampler_keeps_the_death_loop_survivors(model, dist, epsilon, 8, samples, 7)
 
@@ -884,7 +884,7 @@ def _assert_pullback_holds_the_survivors_at_its_rounding_edges(model, dist, epsi
     x = _near(np.concatenate([exact_lo, exact_hi]))
     x = np.sort(x[(x >= 0.0) & (x < 1.0)])
     kept = x[_death_steps(model, x, epsilon, depth, dist) >= depth]
-    lo, hi = _tracking_superset(model, dist, epsilon, depth, _pullback_tol(model, dist.axis, epsilon))
+    lo, hi = _tracking_superset(model, dist, epsilon, depth, _pullback_tol(model, dist.axes[0], epsilon))
     j = np.searchsorted(lo, kept, "right") - 1
     assert np.all((j >= 0) & (kept <= hi[np.maximum(j, 0)]))
 
@@ -917,7 +917,7 @@ def test_a_pullback_stopped_at_its_limit_keeps_the_cloud_of_the_whole_pullback(m
     model = ModelSystem.from_json_dict(doc)
     epsilon, depth, seed = default_epsilon(model), 8, 3
     dist = cover_distance(model, epsilon)
-    tol = _pullback_tol(model, dist.axis, epsilon)
+    tol = _pullback_tol(model, dist.axes[0], epsilon)
     limited = _tracking_superset(model, dist, epsilon, depth, tol, limit=samples)
     whole = _tracking_superset(model, dist, epsilon, depth, tol)
     assert len(limited[0]) < len(whole[0])  # the limited pullback stopped early
