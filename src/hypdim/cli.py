@@ -54,11 +54,11 @@ from .pressure import (
     ProductCloud,
     cover_distance,
     default_epsilon,
-    factored_axes,
     grid_axis,
     pressure_from_partition_sums,
     pressure_from_volume_growth,
     sample_local_stable_set,
+    spanned_axes,
     spectral_estimate,
     stable_resolution,
     volume_curve,
@@ -316,7 +316,7 @@ def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 
         # one walk: depth 2 decides the fallback, then goes on to the sample's depth
         walk = CylinderWalk(model)
         # cylinders that never shrink mean the invariant set is everything
-        if len(factored_axes(model, walk.rects(2))[0]) == 0:
+        if spanned_axes(walk.rects(2)).all():
             # grid sample of the full space; scales must stay above the
             # grid yet span the two decades the dimension fit requires
             res = args.grid or 1024

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
 from .pressure import (
-    GRID_CAP, PressureEstimate, ProductCloud, factored_axes, grid_axis, ols_line, spectral_estimate,
+    GRID_CAP, PressureEstimate, ProductCloud, grid_axis, ols_line, spanned_axes, spectral_estimate,
 )
 from .symbolic import CylinderWalk, check_word_cap, equilibrium_state
 
@@ -485,24 +485,24 @@ def invariant_set_sample(model: ModelSystem, depth: int, resolution: int = 256, 
     """Point sample of the invariant set at a given symbolic depth.
 
     Expanding models: centers of the depth-k cylinders (the repeller).
-    Diffeomorphisms that factor (see `factored_axes`): a `ProductCloud`
+    Diffeomorphisms whose cylinders span axes (`spanned_axes`) that the
+    model's `Factorization.splits_off` while others vary: a `ProductCloud`
     of the cylinder centers on the varying axes with the centers of the
-    depth-k word images of the unit cube on the whole axes.  Any other
-    diffeomorphism (the invariant set fills the space, or its branches
-    couple the two groups) gets the `resolution` grid (`ProductCloud.grid`).
-    The cylinders come from `walk`, a `CylinderWalk` of the model that
-    other depths may share, or from a walk of its own.
+    depth-k word images of the unit cube on the spanned ones.  Any other
+    diffeomorphism gets the `resolution` grid (`ProductCloud.grid`).  The
+    cylinders come from `walk`, a `CylinderWalk` of the model that other
+    depths may share, or from a walk of its own.
     """
     walk = walk or CylinderWalk(model)
     if model.kind == "expanding":
         rects = walk.rects(depth)  # a view of the walk's ends-first level: points leave C-ordered
         return np.ascontiguousarray(0.5 * (rects[:, 0, :] + rects[:, 1, :]))
     words, rects = walk.cylinders(depth)
-    varying, factors = factored_axes(model, rects)
-    if not factors:
+    spanned = spanned_axes(rects)
+    if spanned.all() or not model.factorization.splits_off(spanned):
         return ProductCloud.grid([grid_axis(resolution)] * model.n)
     # forward cylinders pin the varying axes; word images pin the whole ones
-    whole = np.setdiff1d(np.arange(model.n), varying)
+    varying, whole = np.flatnonzero(~spanned), np.flatnonzero(spanned)
     linears, offsets = model.linear[:, whole[:, None], whole], model.offset[:, whole]
     lo = np.zeros((len(words), whole.size))
     hi = np.ones((len(words), whole.size))

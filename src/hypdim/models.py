@@ -98,6 +98,52 @@ def first_branch(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return branch
 
 
+class Factorization:
+    """Which axes of a model split apart as product factors; `ModelSystem.factorization` builds it once.
+
+    `rows[a]` is axis a's lo, hi, slope and offset, one entry per symbol.
+    `block[a]` is the lowest axis of a's coupling block, a connected
+    component of the axes that nonzero off-diagonal entries of the
+    linear parts link.  `spans[a]`: every branch domain spans [0, 1]
+    along a; `inside[a]`: every branch maps the unit cube into [0, 1]
+    along a (always, on the torus).  No check carries rounding slack, so
+    a coordinate on axes that split off stays inside every domain for
+    good.  `whole` is the spanning axes if they split off together.
+    """
+
+    def __init__(self, lo, hi, linear, offset, torus: bool):
+        n = lo.shape[1]
+        self.rows = np.stack([lo.T, hi.T, np.diagonal(linear, axis1=1, axis2=2).T, offset.T], axis=1)
+        link = (linear != 0).any(axis=0) | np.eye(n, dtype=bool)
+        self.block = np.linalg.matrix_power(link | link.T, n).argmax(axis=1)  # reach along up to n links
+        image = np.stack([np.minimum(linear, 0.0), np.maximum(linear, 0.0)]).sum(axis=3) + offset
+        self.inside = np.full(n, True) if torus else (image[0] >= 0.0).all(axis=0) & (image[1] <= 1.0).all(axis=0)
+        self.spans = ((lo <= 0.0) & (hi >= 1.0)).all(axis=0)
+        self.whole = self.spans & self.splits_off(self.spans)
+        for arr in (self.rows, self.block, self.inside, self.spans, self.whole):
+            arr.setflags(write=False)
+
+    def splits_off(self, mask) -> bool:
+        """True iff the axes of the boolean `mask`, at least one, are whole blocks that span and stay inside."""
+        mask = np.asarray(mask, dtype=bool)
+        return bool(mask.any() and np.array_equal(mask, mask[self.block]) and (self.spans & self.inside)[mask].all())
+
+    def in_order(self, axes) -> bool:
+        """True iff the rows along `axes` are every combination of their distinct rows, once each and in
+        lexicographic order: the first axis slowest, each axis's rows ranked by first appearance."""
+        index = []
+        for a in axes:
+            _, first, inverse = np.unique(self.rows[a].T, axis=0, return_index=True, return_inverse=True)
+            index.append(np.argsort(np.argsort(first))[inverse.ravel()])
+        shape, m = (np.max(index, axis=1) + 1).tolist(), self.rows.shape[2]
+        return m == math.prod(shape) and np.array_equal(np.ravel_multi_index(tuple(index), shape), np.arange(m))
+
+    def separates(self, axes) -> bool:
+        """True iff each axis of `axes` is a block of its own and, for two or more, they are `in_order`: the lowest
+        symbol holding a point then has each axis's own pick (`first_branch`), so each axis steps alone."""
+        return bool((np.bincount(self.block)[self.block[axes]] == 1).all()) and (len(axes) < 2 or self.in_order(axes))
+
+
 def torus_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Per-coordinate distance on the unit torus."""
     d = np.abs(a - b) % 1.0
@@ -217,40 +263,9 @@ class ModelSystem:
         return out, idx
 
     @cached_property
-    def _leaves_whole_memo(self) -> dict:
-        return {}
-
-    def leaves_whole(self, whole: np.ndarray) -> bool:
-        """True iff the axes in the boolean mask `whole` split off as a product factor.
-
-        They do when every branch domain spans them, every linear part is
-        block-diagonal between them and the other axes, and on the cube
-        every branch maps them into the unit interval.  The checks carry
-        no rounding slack, so a whole coordinate that starts in the unit
-        cube stays inside every branch domain for good and never decides
-        a branch.  Each mask is worked out once per model.
-        """
-        whole = np.asarray(whole, dtype=bool)
-        key = whole.tobytes()
-        if key not in self._leaves_whole_memo:
-            self._leaves_whole_memo[key] = bool(whole.any()) and self._splits_off(whole)
-        return self._leaves_whole_memo[key]
-
-    def _splits_off(self, whole: np.ndarray) -> bool:
-        rows = self.linear[:, whole]
-        block = rows[:, :, whole]
-        image_lo = np.minimum(block, 0.0).sum(axis=2) + self.offset[:, whole]
-        image_hi = np.maximum(block, 0.0).sum(axis=2) + self.offset[:, whole]
-        spans = np.all(self.lo[:, whole] <= 0.0) and np.all(self.hi[:, whole] >= 1.0)
-        coupled = np.any(rows[:, :, ~whole]) or np.any(self.linear[:, ~whole][:, :, whole])
-        inside = self.space.is_torus or (image_lo.min() >= 0.0 and image_hi.max() <= 1.0)
-        return bool(spans and not coupled and inside)
-
-    @cached_property
-    def whole_axes(self) -> np.ndarray:
-        """Boolean mask of the axes every branch domain spans, if they split off exactly."""
-        spans = np.all((self.lo <= 0.0) & (self.hi >= 1.0), axis=0)
-        return _ro(spans & self.leaves_whole(spans), dtype=bool)
+    def factorization(self) -> Factorization:
+        """The model's `Factorization`, built once, on first use, from the four branch arrays."""
+        return Factorization(self.lo, self.hi, self.linear, self.offset, self.space.is_torus)
 
     @property
     def uniform_linear(self) -> np.ndarray | None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,19 +111,9 @@ class ProductCloud:
         return out
 
 
-def factored_axes(model: ModelSystem, rects: np.ndarray):
-    """Split the axes into those a cover varies along and those it leaves whole.
-
-    Returns (varying, factors): the axes along which some rectangle of
-    `rects` falls short of the unit interval, and whether the whole axes
-    split off as an exact product factor (`ModelSystem.leaves_whole`)
-    while some axis varies; tracking, stable sets and invariant sets
-    then depend on the varying coordinates alone.  The cover gets
-    rounding slack; the branch checks get none.
-    """
-    whole = (rects[:, 0, :] <= _FULL_TOL).all(axis=0) & (rects[:, 1, :] >= 1 - _FULL_TOL).all(axis=0)
-    varying = np.flatnonzero(~whole)
-    return varying, bool(varying.size) and model.leaves_whole(whole)
+def spanned_axes(rects: np.ndarray) -> np.ndarray:
+    """Per axis, whether every rectangle of the (N, 2, n) `rects` spans the unit interval, up to `_FULL_TOL`."""
+    return (rects[:, 0, :] <= _FULL_TOL).all(axis=0) & (rects[:, 1, :] >= 1 - _FULL_TOL).all(axis=0)
 
 
 def _ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -153,28 +144,24 @@ def _intersect(a_lo, a_hi, b_lo, b_hi):
     return np.maximum(a_lo[ia], b_lo[ib]), np.minimum(a_hi[ia], b_hi[ib])
 
 
-def _is_product(rows: np.ndarray, axes, ordered: bool = False) -> bool:
-    """True when the (m, r, n) `rows` are every combination of their values along `axes`; with `ordered`, in order."""
-    index = []
-    for a in axes:  # ranks by first appearance; in order: each combination once, lexicographic, first axis slowest
-        _, first, inverse = np.unique(rows[:, :, a], axis=0, return_index=True, return_inverse=True)
-        index.append(np.argsort(np.argsort(first))[inverse.ravel()])
-    shape = np.max(index, axis=1) + 1
-    if ordered:
-        return len(rows) == math.prod(shape) and np.array_equal(index, np.indices(shape).reshape(len(axes), -1))
-    return np.unique(index, axis=1).shape[1] == math.prod(shape)
+def _is_product(rects: np.ndarray, axes) -> bool:
+    """True when the (m, 2, n) `rects` are every combination of their intervals along `axes`."""
+    index = [np.unique(rects[:, :, a], axis=0, return_inverse=True)[1].ravel() for a in axes]
+    return np.unique(index, axis=1).shape[1] == math.prod(np.max(index, axis=1) + 1)
 
 
 class _CoverDistance:
     """Sup-norm distance to a union of rectangles.
 
-    Axes that every rectangle spans contribute zero distance.  When the
-    rectangles are every combination of their intervals along the axes
-    `axes` they vary on, the distance is the largest of the distances to
-    each such axis's intervals, merged in `merged`, one sorted lookup per
-    axis.  Any other cover has `axes` None and is measured rectangle by
-    rectangle (`_brute`).  On the torus each axis takes its nearest copy.
-    `tracked` is `axes` when tracking steps each alone, else None.
+    Axes that every rectangle spans (`spanned_axes`) contribute zero
+    distance.  When the rectangles are every combination of their
+    intervals along the axes `axes` they vary on, the distance is the
+    largest of the distances to each such axis's intervals, merged in
+    `merged`, one sorted lookup per axis.  Any other cover has `axes`
+    None and is measured rectangle by rectangle (`_brute`).  On the
+    torus each axis takes its nearest copy.  By the model's
+    `Factorization`, `factors` says the spanned axes split off while
+    some axis varies, and `tracked` is `axes` if they can step alone.
     """
 
     def __init__(self, model: ModelSystem, rects: np.ndarray):
@@ -182,17 +169,14 @@ class _CoverDistance:
         self.rects = rects
         # the copies of the cover on the torus: each axis takes its own shift
         self.shifts = (-1.0, 0.0, 1.0) if self.torus else (0.0,)
-        varying, self.factors = factored_axes(model, rects)
-        self.axes = [int(a) for a in varying] if len(varying) < 2 or _is_product(rects, varying) else None
+        whole = spanned_axes(rects)
+        varying = np.flatnonzero(~whole).tolist()
+        self.factors = bool(varying) and model.factorization.splits_off(whole)
+        self.axes = varying if len(varying) < 2 or _is_product(rects, varying) else None
         self.merged = [self._merged_intervals(a) for a in self.axes or ()]
         # per axis, the merged starts, then lo[j] and hi[j - 1] for every j that searchsorted returns
         self._ends = [(lo, np.append(lo, np.inf), np.insert(hi, 0, -np.inf)) for lo, hi in self.merged]
-        split = self.axes and (self.factors or len(varying) == model.n)  # whole axes split off, or there are none
-        if split and len(varying) > 1:
-            # they separate when no linear part couples two and the branches' rows along them are in
-            # lexicographic order: the lowest symbol holding a point has each axis's own pick (`first_branch`)
-            coupled = model.linear[:, varying][:, :, varying][:, ~np.eye(len(varying), dtype=bool)].any()
-            split = not coupled and _is_product(_axis_branches(model), varying, ordered=True)
+        split = self.axes and (self.factors or not whole.any()) and model.factorization.separates(self.axes)
         self.tracked = self.axes if split else None
 
     def _merged_intervals(self, axis: int):
@@ -311,17 +295,12 @@ def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
         )
 
 
-def _axis_branches(model: ModelSystem, axis=slice(None)):
-    """Per branch, its lo, hi, slope and offset: its domain and affine part along `axis`, by default along each."""
-    return np.stack([model.lo, model.hi, np.diagonal(model.linear, axis1=1, axis2=2), model.offset], axis=1)[..., axis]
-
-
 def _axis_step(model: ModelSystem, axis: int):
     """`model.step` for the coordinates along `axis` alone; branch -1 means escaped.
 
     Branches are chosen by `first_branch`, as in `ModelSystem.branch_of`.
     """
-    lo, hi, slope, offset = _axis_branches(model, axis).T
+    lo, hi, slope, offset = model.factorization.rows[axis]
 
     def step(x):
         x = model.wrap(x)
@@ -427,8 +406,8 @@ def volume_curve(
     per factor: a row of cells along each tracked axis, or the full
     grid; axes that no factor holds multiply by the grid size.  A zero
     cover on the torus with a branch domain spanning it has no factor
-    (`_tracks_forever`).  More than `GRID_CAP` stepped cells, or a
-    `k_max` above `STEP_CAP`, are refused before the grid is built.
+    (`_tracks_forever`).  More than `GRID_CAP` stepped cells, or in all
+    than a float holds, or a `k_max` above `STEP_CAP` are refused first.
 
     Results are independent of `threads`: the grid is chunked the same
     way regardless, and only integer cell counts are aggregated.
@@ -440,6 +419,9 @@ def volume_curve(
             f"grid cell {cell} exceeds epsilon/4 = {0.25 * epsilon}"
         )
     _refuse_many_steps("k_max", k_max)
+    if grid_resolution**n > sys.float_info.max:  # a count of cells might not convert to a float
+        raise GridTooCoarseError(f"grid too large at {grid_resolution} per axis in {n} dimensions: "
+                                 f"its {grid_resolution}^{n} cells pass the float range")
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
     _refuse_large_grid(dist, n, grid_resolution, "grid")
@@ -646,7 +628,7 @@ def _pullback_tol(model: ModelSystem, axis: int, epsilon: float) -> float:
     largest magnitude in play, |slope| |x| + |offset| or 1 + epsilon;
     2^-30 times that magnitude exceeds their total about 2^20-fold.
     """
-    lo, hi, slope, offset = _axis_branches(model, axis).T
+    lo, hi, slope, offset = model.factorization.rows[axis]
     reach = np.abs(slope) * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi))) + np.abs(offset)
     return 2.0**-30 * max(1.0 + epsilon, float(reach.max()))
 
@@ -667,7 +649,7 @@ def _tracking_superset(model, cover, epsilon, depth, tol, i=0, limit=math.inf):
     leaving a larger superset, once a level would cost more than
     `limit` interval images.
     """
-    lo, hi, slope, offset = _axis_branches(model, cover.axes[i]).T
+    lo, hi, slope, offset = model.factorization.rows[cover.axes[i]]
     merged_lo, merged_hi = cover.merged[i]
     near = _union(merged_lo - (epsilon + tol), merged_hi + (epsilon + tol))
     symbol, shift = np.arange(model.nsym), np.zeros(model.nsym)

@@ -152,15 +152,15 @@ def cylinder_levels(model: ModelSystem):
     that keeps cylinder covers supersets of the invariant set.  Words
     whose rectangle empties have no geometric mass and are dropped, with
     every word that extends them; a level may come out empty.  The axes
-    the model leaves whole (`ModelSystem.whole_axes`) keep the first
-    symbol's domain: no step leaves them, and pulling back would only
-    compound the rounding of the offsets, by 1/lambda_s per level on a
-    contracting axis.  The generator checks no word cap; callers check
-    the cap of a depth before they ask for it.
+    of the model's `Factorization.whole` keep the first symbol's domain:
+    every branch domain spans them and no step leaves them, and pulling
+    back would only compound the rounding of the offsets, by 1/lambda_s
+    per level on a contracting axis.  The generator checks no word cap;
+    callers check the cap of a depth before they ask for it.
     """
     n, symbols = model.n, np.arange(model.nsym)
-    whole = np.flatnonzero(model.whole_axes)
-    varying = np.flatnonzero(~model.whole_axes).tolist()
+    whole = np.flatnonzero(model.factorization.whole)
+    varying = np.flatnonzero(~model.factorization.whole).tolist()
     inverses = np.linalg.inv(model.linear).tolist()
     blocks = []  # per symbol: its transition row (None if all ones) and, per varying axis, its pullback
     for row, inverse, offset, lo, hi in zip(model.transition != 0, inverses, model.offset, model.lo, model.hi):

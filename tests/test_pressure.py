@@ -1,5 +1,7 @@
 """Bowen balls, tracking volumes and the pressure estimators."""
 
+import argparse
+import dataclasses
 import itertools
 import json
 import math
@@ -10,9 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hypdim.cli import main
+from hypdim import pressure
+from hypdim.cli import main, sample_for_set
+from hypdim.dimension import invariant_set_sample
 from hypdim.errors import DegenerateCurveError, GridTooCoarseError, IncompatibleLabelError
 from hypdim.models import (
+    Factorization,
     ModelSystem,
     Potential,
     build_cantor_repeller,
@@ -31,6 +36,7 @@ from hypdim.pressure import (
     _death_steps,
     _is_product,
     _sample_axis,
+    _tracks_forever,
     bowen_ball_contains,
     cover_distance,
     cover_rects,
@@ -157,6 +163,15 @@ class TestVolumeCurves:
         assert curve.volumes.tolist() == factor.volumes.tolist()
         assert curve.bands.tolist() == factor.bands.tolist()
         assert factor.volumes[-1] < 0.2 and factor.bands.max() > 0
+
+    def test_a_grid_past_the_float_range_is_refused_before_stepping(self, tmp_path, capsys, monkeypatch):
+        # 65536^70 cells: converting their counts to volumes raised OverflowError, exit 1
+        path = tmp_path / "cantor70.json"
+        path.write_text(cantor_with_whole_axes(70).to_json())
+        monkeypatch.setattr(pressure, "_grid_deaths", lambda *args: pytest.fail("the grid was stepped"))
+        argv = ["pressure", "--model-file", str(path), "--method", "volume", "--kmax", "6", "--grid", "65536"]
+        assert main(argv) == 2
+        assert "65536 per axis in 70 dimensions" in capsys.readouterr().err
 
     @pytest.mark.parametrize("lambda_u", [2.5, 4.0])
     @pytest.mark.parametrize("grid", [512, 1000])
@@ -344,15 +359,11 @@ class TestRectsCover:
     def test_a_product_whose_linear_parts_swap_the_axes_steps_the_full_grid(self, geometry, offsets):
         # x -> 3y - b, y -> 3x - a: the cover is a product, yet no axis can be stepped alone;
         # on the torus the offsets may be 0, and the per-axis branch rows are then a product too
-        doc = cantor_square_doc(geometry)
-        for branch in doc["branches"]:
-            branch["linear"] = [[0.0, 3.0], [3.0, 0.0]]
-            branch["offset"] = branch["offset"][::-1] if offsets == "swapped" else [0.0, 0.0]
-        m = ModelSystem.from_json_dict(doc)
+        m = swapped_square(geometry, zero_offsets=offsets == "zero")
         dist = _CoverDistance(m, cover_rects(m, 0.2)[1])
         assert dist.axes == [0, 1] and dist.tracked is None
-        rows = np.stack([m.lo, m.hi, np.diagonal(m.linear, axis1=1, axis2=2), m.offset], axis=1)
-        assert _is_product(rows, [0, 1], ordered=True) == (offsets == "zero")
+        assert m.factorization.block.tolist() == [0, 0] and not m.factorization.separates([0, 1])
+        assert m.factorization.in_order([0, 1]) == (offsets == "zero")
         counts, boundaries = full_grid_reference(m, 0.2, 6, 64)
         curve = volume_curve(m, 0.2, 6, 64)
         assert curve.volumes.tolist() == [c / 64**2 for c in counts]
@@ -369,9 +380,85 @@ class TestRectsCover:
         assert value == pytest.approx(math.log(4.0 / 9.0), abs=1e-3)
 
 
+def digit_product(slopes, words, geometry: str) -> ModelSystem:
+    """x -> slope x - digit on each axis, one branch per word of digits, in the order of `words`."""
+    return ModelSystem.from_json_dict({
+        "space": {"dim": len(slopes), "geometry": geometry},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [d / s for d, s in zip(word, slopes)],
+                                     "hi": [(d + 1) / s for d, s in zip(word, slopes)]},
+             "linear": np.diag(np.array(slopes, dtype=float)).tolist(), "offset": [-float(d) for d in word]}
+            for i, word in enumerate(words)
+        ],
+        "transition": [[1] * len(words)] * len(words),
+        "unstable_dim": len(slopes),
+    })
+
+
+def coupled_stack() -> ModelSystem:
+    """x -> 3x - a on {0, 2}/3, a contracting y that splits off, and a spanning z that reads 0.1 x."""
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 3, "geometry": "cube"},
+        "kind": "diffeo",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [a / 3, 0.0, 0.0], "hi": [(a + 1) / 3, 1.0, 1.0]},
+             "linear": [[3.0, 0.0, 0.0], [0.0, 0.25, 0.0], [0.1, 0.0, 0.25]], "offset": [-float(a), 0.5 * i, 0.5 * i]}
+            for i, a in enumerate((0, 2))
+        ],
+        "transition": [[1, 1], [1, 1]],
+        "unstable_dim": 1,
+    })
+
+
+def swapped_square(geometry: str, zero_offsets: bool = False) -> ModelSystem:
+    """x -> 3y - b, y -> 3x - a on the Cantor x Cantor digit squares; with `zero_offsets`, x -> 3y, y -> 3x."""
+    doc = cantor_square_doc(geometry)
+    for branch in doc["branches"]:
+        branch["linear"] = [[0.0, 3.0], [3.0, 0.0]]
+        branch["offset"] = [0.0, 0.0] if zero_offsets else branch["offset"][::-1]
+    return ModelSystem.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("model, axes, tracked, forever, full_space", [
+    (build_cat_map(), [], None, True, True),
+    (cantor_square("torus", 2, list(itertools.product((0, 1), repeat=2))), [0, 1], [0, 1], False, False),
+    (swapped_square("cube"), [0, 1], None, False, False),
+    (swapped_square("torus"), [0, 1], None, False, False),
+    (cantor_square("torus", 3, [(0, 0), (0, 2), (2, 0)]), None, None, False, False),
+    (dataclasses.replace(build_linear_horseshoe(3.0, 0.25), linear=[[[3.0, 0.1], [0.0, 0.25]]] * 2),
+     [0], None, False, False),
+    (coupled_stack(), [0], None, False, False),
+], ids=["catmap", "doubling-torus", "swapped-cube", "swapped-torus", "L-torus", "sheared", "coupled-stack"])
+def test_the_depth_two_cover_of_a_coupled_or_zero_cover_model(model, axes, tracked, forever, full_space):
+    # pinned answers of the coupled and zero-cover class: only the cat map falls back to the full-space grid
+    dist = _CoverDistance(model, cylinders(model, 2)[1])
+    assert (dist.axes, dist.tracked, bool(_tracks_forever(model, dist, 0.2))) == (axes, tracked, forever)
+    args = argparse.Namespace(grid=None, scales=None, depth=3, eps=None, seed=0)
+    assert ("resolution" in sample_for_set(model, "invariant", args)[2]) is full_space
+
+
+def test_a_coupled_spanning_axis_keeps_every_axis_out_of_whole():
+    # y splits off on its own, but whole is all or nothing over the spanning y and z, and z reads x
+    factorization = coupled_stack().factorization
+    assert factorization.splits_off([False, True, False]) and not factorization.splits_off([False, True, True])
+    assert factorization.spans.tolist() == [False, True, True] and not factorization.whole.any()
+
+
+def test_a_model_builds_its_factorization_once(monkeypatch):
+    built = []
+    init = Factorization.__init__
+    monkeypatch.setattr(Factorization, "__init__", lambda self, *args: built.append(init(self, *args)))
+    m = two_axis_horseshoe()
+    volume_curve(m, 0.2, 4, 64)
+    sample_local_stable_set(m, 0.2, 3, samples=64)
+    invariant_set_sample(m, 3)
+    assert len(built) == 1 and m.factorization is m.factorization
+
+
 @st.composite
 def separable_products(draw):
-    """(model, lexicographic): x -> slope x - digit on 2 or 3 axes, one branch per combination of digits.
+    """(model, lexicographic): a `digit_product` on 2 or 3 axes, one branch per combination of digits.
 
     Each axis keeps 1 to 4 of its slope's digits, never all of them, so every axis varies.  Half
     the draws shuffle the branches; `lexicographic` says whether their order is still
@@ -383,18 +470,7 @@ def separable_products(draw):
     if draw(st.booleans()):
         words = draw(st.permutations(words))
     firsts = [list(dict.fromkeys(word[a] for word in words)) for a in range(len(slopes))]
-    model = ModelSystem.from_json_dict({
-        "space": {"dim": len(slopes), "geometry": draw(st.sampled_from(["cube", "torus"]))},
-        "kind": "expanding",
-        "branches": [
-            {"symbol": i, "domain": {"lo": [d / s for d, s in zip(word, slopes)],
-                                     "hi": [(d + 1) / s for d, s in zip(word, slopes)]},
-             "linear": np.diag(np.array(slopes, dtype=float)).tolist(), "offset": [-float(d) for d in word]}
-            for i, word in enumerate(words)
-        ],
-        "transition": [[1] * len(words)] * len(words),
-        "unstable_dim": len(slopes),
-    })
+    model = digit_product(slopes, words, draw(st.sampled_from(["cube", "torus"])))
     return model, words == list(itertools.product(*firsts))
 
 
@@ -414,10 +490,13 @@ def test_a_separable_product_counts_the_cells_of_the_full_grid(product, eps, k_m
 
 
 def test_the_ordered_product_check_ranks_values_by_first_appearance():
-    rows = np.array([[2, 1], [2, 0], [0, 1], [0, 0]], dtype=float)[:, None, :]  # (m, 1, 2)
-    assert _is_product(rows, [0, 1]) and _is_product(rows, [0, 1], ordered=True)
-    assert _is_product(rows[[0, 2, 1, 3]], [0, 1]) and not _is_product(rows[[0, 2, 1, 3]], [0, 1], ordered=True)
-    assert not _is_product(rows[[0, 1, 2, 3, 3]], [0, 1], ordered=True)
+    words = np.array([[2, 1], [2, 0], [0, 1], [0, 0]])
+    rects = words.astype(float)[:, None, :]  # (m, 1, 2)
+    ordered = [digit_product([3, 3], words[order].tolist(), "torus").factorization
+               for order in ([0, 1, 2, 3], [0, 2, 1, 3], [0, 1, 2, 3, 3])]
+    assert _is_product(rects, [0, 1]) and ordered[0].in_order([0, 1])
+    assert _is_product(rects[[0, 2, 1, 3]], [0, 1]) and not ordered[1].in_order([0, 1])
+    assert not ordered[2].in_order([0, 1])
 
 
 class TestVolumeGrowthFit:

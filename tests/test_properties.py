@@ -11,7 +11,10 @@ sampler's pullback prefilter, the per-word pullback loop and the
 per-depth cover search as the oracles for the cylinder levels (their
 rectangles and their first and parent rows), the `np.unique` count as
 the oracle for step-counted and multi-scale box counts, the per-branch
-`np.ix_` loop as the oracle for the product split, stepping every point
+`np.ix_` loop as the oracle for the product split, the `itertools.product`
+of each axis's distinct branch rows as the oracle for the order check,
+reachability over nonzero off-diagonal entries as the oracle for the
+coupling blocks, stepping every point
 as the oracle for the zero-cover shortcut, the SVD of every word's product
 as the oracle for the 1-D expansion rate, separate calls that each
 solve their own Perron problems as the oracle for the bound report,
@@ -455,15 +458,57 @@ def split_models(draw, dims=st.integers(1, 3)):
     })
 
 
+def enumerated_in_order(model: ModelSystem, axes) -> bool:
+    """The `itertools.product` of each axis's distinct branch rows, in order of first appearance, against the
+    branches' rows along `axes`, in symbol order."""
+    words = [tuple((b.lo[a], b.hi[a], b.linear[a, a], b.offset[a]) for a in axes) for b in model.branches]
+    firsts = [list(dict.fromkeys(word[i] for word in words)) for i in range(len(axes))]
+    return words == list(itertools.product(*firsts))
+
+
+def reachable_block(model: ModelSystem) -> list:
+    """Per axis, the lowest axis reachable from it over nonzero off-diagonal entries of any linear part."""
+    linked = [[i != j and any(b.linear[i, j] != 0 or b.linear[j, i] != 0 for b in model.branches)
+               for j in range(model.n)] for i in range(model.n)]
+    lowest = []
+    for start in range(model.n):
+        seen, todo = {start}, [start]
+        while todo:
+            i = todo.pop()
+            todo += [j for j in range(model.n) if linked[i][j] and j not in seen]
+            seen.update(todo)
+        lowest.append(min(seen))
+    return lowest
+
+
+def _assert_factorization_matches_the_loops(model: ModelSystem):
+    factorization, block = model.factorization, reachable_block(model)
+    assert model.factorization is factorization
+    assert factorization.block.tolist() == block
+    for bits in range(1 << model.n):
+        mask = np.array([(bits >> a) & 1 for a in range(model.n)], dtype=bool)
+        assert factorization.splits_off(mask) is per_branch_leaves_whole(model, mask)
+        axes = np.flatnonzero(mask).tolist()
+        if axes:
+            ordered = enumerated_in_order(model, axes)
+            assert len(axes) < 2 or factorization.in_order(axes) is ordered
+            alone = all(block.count(a) == 1 and block[a] == a for a in axes)
+            assert factorization.separates(axes) is (alone and (len(axes) < 2 or ordered))
+    spans = np.all([(b.lo <= 0.0) & (b.hi >= 1.0) for b in model.branches], axis=0)
+    assert np.array_equal(factorization.whole, spans & per_branch_leaves_whole(model, spans))
+
+
 @PROPERTY_SETTINGS
 @given(model=split_models() | diagonal_models() | factored_models())
 def test_leaves_whole_equals_the_per_branch_loop(model):
-    for bits in range(1 << model.n):
-        mask = np.array([(bits >> a) & 1 for a in range(model.n)], dtype=bool)
-        assert model.leaves_whole(mask) is per_branch_leaves_whole(model, mask)
-        assert model.leaves_whole(mask) is per_branch_leaves_whole(model, mask)  # memoised
-    spans = np.all([(b.lo <= 0.0) & (b.hi >= 1.0) for b in model.branches], axis=0)
-    assert np.array_equal(model.whole_axes, spans & per_branch_leaves_whole(model, spans))
+    _assert_factorization_matches_the_loops(model)
+
+
+@pytest.mark.parametrize("model", [build_linear_horseshoe(3.0, 0.25), build_doubling_map(2),
+                                   build_cantor_repeller(3, (0, 2)), build_cat_map(), build_golden_mean()],
+                         ids=["horseshoe", "doubling", "cantor", "catmap", "golden"])
+def test_the_factorization_of_a_built_in_equals_the_loops(model):
+    _assert_factorization_matches_the_loops(model)
 
 
 # -- the model's stacked branch arrays ----------------------------------------------
@@ -939,7 +984,7 @@ def per_word_cylinders(model: ModelSystem, k: int):
     offsets = np.stack([b.offset for b in branches])
     dom_lo = np.stack([b.lo for b in branches])
     dom_hi = np.stack([b.hi for b in branches])
-    whole = model.whole_axes
+    whole = model.factorization.whole
     lo, hi = dom_lo[words[:, -1]], dom_hi[words[:, -1]]
     keep = np.ones(len(words), dtype=bool)
     for symbols in words[:, -2::-1].T:
