@@ -12,8 +12,6 @@ from .models import (
     build_doubling_map,
     build_golden_mean,
     build_linear_horseshoe,
-    evaluate,
-    jacobian,
     potential,
 )
 from .symbolic import (
@@ -25,7 +23,6 @@ from .symbolic import (
     equilibrium_markov_chain,
     is_primitive,
     markov_measure_stats,
-    partition_sum,
     power_model,
     pressure_spectral,
     separated_set,

@@ -6,10 +6,11 @@ flags it reads (`_COMMANDS`).  One JSON document goes to stdout (or
 byte-identical for identical configuration and seed; files are written
 to a temp name and renamed, so failures leave no partials.
 
-Exit codes: 0 success, 2 invalid configuration (an unoffered flag, a
-`pressure` flag its --method never reads, or a non-positive count or
-epsilon among them), 3 enumeration cap exceeded, 4
-inconclusive classification when a verdict was demanded.
+Exit codes: 0 success, 1 a fault in the program (with its traceback), 2
+invalid configuration (an unoffered flag, a `pressure` flag its --method
+never reads, a non-positive count or epsilon, a malformed model file), 3
+enumeration cap exceeded, 4 inconclusive classification when a verdict
+was demanded.  A refused input always exits 2 or 3 (see `main`).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .dimension import (
     invariant_set_sample,
     measure_box_dimension,
 )
-from .errors import CapExceededError, GridTooCoarseError, HypdimError
+from .errors import CapExceededError, ConfigError, GridTooCoarseError, HypdimError
 from .models import (
     ModelSystem,
     Potential,
@@ -70,7 +71,7 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_INCONCLUSIVE = 4
 
-# a sweep row takes about 5 ms on a 2-CPU machine, so the longest sweep runs about 20 s
+# a sweep row takes about 3 ms on a 2-CPU machine, so the longest sweep runs about 12 s
 SWEEP_ROW_CAP = 4096
 
 
@@ -173,13 +174,29 @@ def _csv_cell(value) -> str:
 # -- argument parsing ----------------------------------------------------------
 
 
+def _refusing(parse):
+    """`parse`, with a number or a part of its text that does not read refused as a `ConfigError`, same message."""
+
+    @functools.wraps(parse)
+    def read(*args, **kwargs):
+        try:
+            return parse(*args, **kwargs)
+        except HypdimError:
+            raise
+        except (ArithmeticError, ValueError) as exc:  # float(), int(), unpacking, and a scale's power
+            raise ConfigError(str(exc)) from exc
+
+    return read
+
+
+@_refusing
 def parse_model(args) -> ModelSystem:
     if args.model_file:
         with open(args.model_file) as handle:
             return ModelSystem.from_json(handle.read())
     spec = args.model
     if not spec:
-        raise ValueError("need --model or --model-file")
+        raise ConfigError("need --model or --model-file")
     name, _, params = spec.partition(":")
     name = name.lower()
     if name == "horseshoe":
@@ -190,7 +207,7 @@ def parse_model(args) -> ModelSystem:
             return build_linear_horseshoe(lam_u, lam_s)
         if args.target_dim:
             return horseshoe_for_target_dimension(args.target_dim)
-        raise ValueError("horseshoe needs parameters, e.g. horseshoe:3,0.25, or --target-dim")
+        raise ConfigError("horseshoe needs parameters, e.g. horseshoe:3,0.25, or --target-dim")
     if name == "doubling":
         return build_doubling_map(int(params) if params else 2)
     if name == "cantor":
@@ -204,29 +221,28 @@ def parse_model(args) -> ModelSystem:
         return build_cat_map()
     if name in ("goldenmean", "golden"):
         return build_golden_mean()
-    raise ValueError(f"unknown model {spec!r}")
+    raise ConfigError(f"unknown model {spec!r}")
 
 
 _SCALE_RANGE = re.compile(r"^(\d+)\^(-?\d+)\.\.(?:(\d+)\^)?(-?\d+)$")
 
 
+@_refusing
 def parse_scales(text: str | None, finest: int = 9):
     """Scale grammar: ``3^-2..3^-9`` or a comma list of floats."""
     if not text:
         return [2.0**-e for e in range(2, finest + 1)]
     match = _SCALE_RANGE.match(text.strip())
     if match:
-        base = int(match.group(1))
-        first = int(match.group(2))
-        base2 = int(match.group(3)) if match.group(3) else base
-        last = int(match.group(4))
-        if base2 != base:
-            raise ValueError("scale range must keep one base")
+        base, first, last = (int(match.group(i)) for i in (1, 2, 4))
+        if int(match.group(3) or base) != base:
+            raise ConfigError("scale range must keep one base")
         step = 1 if last >= first else -1
         return [float(base) ** e for e in range(first, last + step, step)]
     return [float(p) for p in text.split(",")]
 
 
+@_refusing
 def parse_window(text: str | None):
     if not text:
         return None
@@ -264,7 +280,7 @@ def cmd_pressure(args) -> int:
     others = set().union(*_METHOD_FLAGS.values()) - _METHOD_FLAGS[args.method]
     unread = [f for f in _FLAGS if f in others and getattr(args, f[2:]) is not None]
     if unread:
-        raise ValueError(f"--method {args.method} does not read {', '.join(unread)}")
+        raise ConfigError(f"--method {args.method} does not read {', '.join(unread)}")
     model = parse_model(args)
     pot = _potential_for(model, args.potential)
     if args.method == "spectral":
@@ -280,7 +296,7 @@ def cmd_pressure(args) -> int:
             msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {kmax} steps"
             raise GridTooCoarseError(msg + "; raise --grid")
     else:
-        raise ValueError(f"unknown method {args.method!r}")
+        raise ConfigError(f"unknown method {args.method!r}")
     result = {"pressure": estimate.to_json_dict()}
     verdict = None
     if args.classify:
@@ -292,14 +308,11 @@ def cmd_pressure(args) -> int:
         rows = zip(*[estimate.curve[k] for k in keys])
         write_csv(args.csv, keys, rows)
     emit_document(args, make_config(args, "pressure"), result)
-    if verdict == "inconclusive":
-        return EXIT_INCONCLUSIVE
-    return EXIT_OK
+    return EXIT_INCONCLUSIVE if verdict == "inconclusive" else EXIT_OK
 
 
 def cmd_bound(args) -> int:
-    model = parse_model(args)
-    report = bound_report(model, k_max=args.kmax or 8, check_equivalences=args.check_srb)
+    report = bound_report(parse_model(args), k_max=args.kmax or 8, check_equivalences=args.check_srb)
     emit_document(args, make_config(args, "bound"), report.to_json_dict())
     return EXIT_OK
 
@@ -348,7 +361,7 @@ def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 
             raise GridTooCoarseError(msg + "; lower --depth or raise --grid")
         meta = {"set": set_name, "depth": depth, "eps": eps, "resolution": res}
     else:
-        raise ValueError(f"unknown point set {set_name!r}")
+        raise ConfigError(f"unknown point set {set_name!r}")
     return points, scales, meta
 
 
@@ -367,6 +380,7 @@ def cmd_dimension(args) -> int:
     return EXIT_OK
 
 
+@_refusing
 def _parse_sweep(text: str):
     """The values start, start + step, ... up to stop of `lambda_u=start:stop:step`.
 
@@ -379,11 +393,11 @@ def _parse_sweep(text: str):
     """
     name, _, rng = text.partition("=")
     if name.strip() != "lambda_u":
-        raise ValueError("only lambda_u sweeps are supported")
+        raise ConfigError("only lambda_u sweeps are supported")
     start_s, stop_s, step_s = rng.split(":")
     start, stop, step = float(start_s), float(stop_s), float(step_s)
     if not all(map(math.isfinite, (start, stop, step))) or step <= 0:
-        raise ValueError(f"sweep {rng!r} needs a finite start, stop and step, and a step above 0")
+        raise ConfigError(f"sweep {rng!r} needs a finite start, stop and step, and a step above 0")
     values = []
     v = start
     while v <= stop + 1e-12:
@@ -392,10 +406,10 @@ def _parse_sweep(text: str):
             raise CapExceededError(f"sweep {rng!r} asks for {rows:.0f} rows, above the cap {SWEEP_ROW_CAP}")
         values.append(round(v, 12))
         if v + step == v:
-            raise ValueError(f"sweep step {step} does not advance the value {v}")
+            raise ConfigError(f"sweep step {step} does not advance the value {v}")
         v += step
     if not values:
-        raise ValueError(f"sweep {rng!r} holds no value: start lies above stop")
+        raise ConfigError(f"sweep {rng!r} holds no value: start lies above stop")
     return values
 
 
@@ -421,8 +435,7 @@ def cmd_report(args) -> int:
     rows = []
     if args.sweep:
         for lam_u in _parse_sweep(args.sweep):
-            model = build_linear_horseshoe(lam_u, 0.25)
-            rows.append(_report_row(model, args, f"horseshoe:{lam_u},0.25"))
+            rows.append(_report_row(build_linear_horseshoe(lam_u, 0.25), args, f"horseshoe:{lam_u},0.25"))
     elif args.target_dim:
         model = horseshoe_for_target_dimension(args.target_dim)
         row = _report_row(model, args, f"target-dim:{args.target_dim}")
@@ -430,8 +443,7 @@ def cmd_report(args) -> int:
         row["synthesized_lambda_u"] = float(np.max(model.lambda_u))
         rows.append(row)
     else:
-        model = parse_model(args)
-        rows.append(_report_row(model, args, args.model or args.model_file))
+        rows.append(_report_row(parse_model(args), args, args.model or args.model_file))
 
     result = {"rows": rows}
     out_dir = args.out_dir or "."
@@ -440,21 +452,11 @@ def cmd_report(args) -> int:
     table_rows = [[r[h] for h in header] for r in rows]
     write_csv(os.path.join(out_dir, "report.csv"), header, table_rows)
     widths = [max(len(h), *(len(_csv_cell(row[i])) for row in table_rows)) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths))]
-    for row in table_rows:
-        lines.append("  ".join(_csv_cell(v).ljust(w) for v, w in zip(row, widths)))
+    lines = ["  ".join(_csv_cell(v).ljust(w) for v, w in zip(row, widths)) for row in [header, *table_rows]]
     atomic_write(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
     if args.plot_data:
-        write_csv(
-            os.path.join(out_dir, "bound_vs_lambda.csv"),
-            ["lambda_u_max", "bound"],
-            [(r["lambda_u_max"], r["bound"]) for r in rows],
-        )
-        write_csv(
-            os.path.join(out_dir, "dimension_vs_lambda.csv"),
-            ["lambda_u_max", "measured_dimension"],
-            [(r["lambda_u_max"], r["measured_dimension"]) for r in rows],
-        )
+        for name, key in (("bound_vs_lambda.csv", "bound"), ("dimension_vs_lambda.csv", "measured_dimension")):
+            write_csv(os.path.join(out_dir, name), ["lambda_u_max", key], [(r["lambda_u_max"], r[key]) for r in rows])
     emit_document(args, make_config(args, "report"), result)
     return EXIT_OK
 
@@ -540,7 +542,7 @@ def main(argv=None) -> int:
     except CapExceededError as exc:
         print(f"hypdim: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP
-    except (HypdimError, ValueError, OSError, KeyError, json.JSONDecodeError) as exc:
+    except (HypdimError, OSError) as exc:  # refused where the input was read; anything else is a fault
         print(f"hypdim: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -140,7 +140,7 @@ def box_counts(points, scales) -> list:
     """
     scales = [float(s) for s in scales]
     if not all(0.0 < s <= 1.0 for s in scales):
-        raise ValueError("scale must lie in (0, 1]")
+        raise DegenerateScalesError("scale must lie in (0, 1]")
     counts = [1] * len(scales)
     for factor in points.factors if isinstance(points, ProductCloud) else (points,):
         pts = np.asarray(factor, dtype=float)
@@ -333,7 +333,7 @@ def dimension_bound(n: int, pressure: float, s: float, tolerance: float = CLASSI
     if pressure == -math.inf:
         return -math.inf
     if pressure > tolerance:
-        raise ValueError(f"pressure {pressure} is positive beyond tolerance {tolerance}")
+        raise ParameterOutOfRangeError(f"pressure {pressure} is positive beyond tolerance {tolerance}")
     if abs(pressure) <= tolerance:
         return float(n)
     return min(float(n), n + pressure / s)

@@ -5,6 +5,10 @@ class HypdimError(Exception):
     """Base class for all package errors."""
 
 
+class ConfigError(HypdimError, ValueError):
+    """A command line or model file that cannot be read as a run."""
+
+
 class NoBranchError(HypdimError):
     """A point left the working region (no branch domain contains it)."""
 

@@ -20,8 +20,9 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
+    HypdimError,
     IncompatibleLabelError,
-    NoBranchError,
     ParameterOutOfRangeError,
 )
 
@@ -35,6 +36,14 @@ def _no_constant(token: str):
 
 
 _MODEL_DECODER = json.JSONDecoder(parse_constant=_no_constant)
+
+
+def _field(doc, key: str, branch: int | None = None):
+    """`doc[key]` of a model file, refused when the key is missing; `branch` is the branch's place in the file."""
+    if key not in doc:
+        where = "the model file" if branch is None else f"branch {branch} of the model file"
+        raise ConfigError(f"{where} has no {key!r}")
+    return doc[key]
 
 
 def _ro(values, dtype=float):
@@ -340,25 +349,25 @@ class ModelSystem:
     @classmethod
     def _from_dict(cls, data: dict):
         """(model, singular values of each branch's linear part, descending)."""
-        space = AmbientSpace(int(data["space"]["dim"]), data["space"]["geometry"])
-        kind = data["kind"]
-        rows = sorted(data["branches"], key=lambda br: int(br["symbol"]))
+        space = AmbientSpace(int(_field(_field(data, "space"), "dim")), _field(data["space"], "geometry"))
+        kind = _field(data, "kind")
+        rows = sorted(enumerate(_field(data, "branches")), key=lambda row: int(_field(row[1], "symbol", row[0])))
         if not rows:
             raise ParameterOutOfRangeError("the model has no branch: its branches list is empty")
-        if [int(br["symbol"]) for br in rows] != list(range(len(rows))):
+        if [int(br["symbol"]) for _, br in rows] != list(range(len(rows))):
             raise ParameterOutOfRangeError("branch symbols must be 0..m-1 in order")
         arrays = {
-            "lo": _stacked([br["domain"]["lo"] for br in rows]),
-            "hi": _stacked([br["domain"]["hi"] for br in rows]),
-            "linear": _stacked([np.atleast_2d(np.asarray(br["linear"], dtype=float)) for br in rows]),
-            "offset": _stacked([br["offset"] for br in rows]),
+            "lo": _stacked([_field(_field(br, "domain", i), "lo", i) for i, br in rows]),
+            "hi": _stacked([_field(_field(br, "domain", i), "hi", i) for i, br in rows]),
+            "linear": _stacked([np.atleast_2d(np.asarray(_field(br, "linear", i), dtype=float)) for i, br in rows]),
+            "offset": _stacked([_field(br, "offset", i) for i, br in rows]),
         }
         if not all(np.isfinite(values).all() for values in arrays.values()):  # past the float range parses as inf
             s, name = next(
                 (s, name) for s in range(len(rows)) for name in arrays if not np.isfinite(arrays[name][s]).all()
             )
             raise ParameterOutOfRangeError(f"branch {s} has a non-finite {name}: {arrays[name][s].tolist()}")
-        d_u = int(data["unstable_dim"])
+        d_u = int(_field(data, "unstable_dim"))
         d_s = 0 if kind == "expanding" else space.dim - d_u
         sv = np.linalg.svd(arrays["linear"], compute_uv=False)
         return cls(
@@ -367,7 +376,7 @@ class ModelSystem:
             kind=kind,
             unstable_dim=d_u,
             stable_dim=d_s,
-            transition=np.asarray(data["transition"]),
+            transition=np.asarray(_field(data, "transition")),
             lambda_u=sv[:, :d_u].prod(axis=1),
             lambda_s=sv[:, d_u:].prod(axis=1) if kind == "diffeo" else None,
             strict=False,
@@ -375,8 +384,14 @@ class ModelSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "ModelSystem":
-        """`from_json_dict` of a model file; refuses NaN, Infinity and a branch without a finite inverse."""
-        model, sv = cls._from_dict(_MODEL_DECODER.decode(text))
+        """`from_json_dict` of a model file; NaN, Infinity, a branch without a finite inverse and any text that
+        does not read as a model are refused with a `HypdimError`."""
+        try:
+            model, sv = cls._from_dict(_MODEL_DECODER.decode(text))
+        except HypdimError:
+            raise
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:  # bad JSON, a value of a wrong type
+            raise ConfigError(str(exc)) from exc
         for s, least in enumerate(sv[:, -1].tolist()):
             if not (least > 0.0 and 1.0 / least < math.inf):
                 raise ParameterOutOfRangeError(f"branch {s} has no finite inverse: {model.linear[s].tolist()}")
@@ -405,23 +420,6 @@ class Potential:
 
 
 # -- operations ----------------------------------------------------------
-
-
-def evaluate(model: ModelSystem, point) -> np.ndarray | None:
-    """Apply the map once; None signals the point escaped the branches."""
-    pts = np.atleast_2d(np.asarray(point, dtype=float))
-    image, idx = model.step(pts)
-    if idx[0] < 0:
-        return None
-    return image[0]
-
-
-def jacobian(model: ModelSystem, point) -> np.ndarray:
-    """Derivative at `point` (constant on each branch)."""
-    idx = model.branch_of(np.atleast_2d(np.asarray(point, dtype=float)))
-    if idx[0] < 0:
-        raise NoBranchError(f"point {point} lies in no branch domain")
-    return model.linear[idx[0]]
 
 
 def potential(model: ModelSystem, label: str) -> Potential:
@@ -453,7 +451,7 @@ def build_linear_horseshoe(lambda_u: float, lambda_s: float) -> ModelSystem:
     invariant set is the product of a lambda_u-Cantor set (horizontal)
     and a lambda_s-Cantor set (vertical).
     """
-    if not lambda_u > 2.0:
+    if not 2.0 < lambda_u < math.inf:
         raise ParameterOutOfRangeError("horseshoe needs lambda_u > 2")
     if not 0.0 < lambda_s < 0.5:
         raise ParameterOutOfRangeError("horseshoe needs lambda_s in (0, 1/2)")

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateCurveError,
     GridTooCoarseError,
     IncompatibleLabelError,
@@ -314,7 +315,7 @@ def _axis_step(model: ModelSystem, axis: int):
 def _refuse_many_steps(what: str, steps: int) -> None:
     """Refuse more than `STEP_CAP` tracking steps, the most a death step can count."""
     if steps > STEP_CAP:
-        raise ValueError(f"{what} {steps} exceeds the limit of {STEP_CAP} tracking steps")
+        raise ConfigError(f"{what} {steps} exceeds the limit of {STEP_CAP} tracking steps")
 
 
 def _death_steps(model, pts, epsilon, k_max, dist, i=0):
@@ -534,6 +535,8 @@ def pressure_from_volume_growth(curve: VolumeCurve, window: tuple | None = None)
         )
     fit_lo = _top_half(lo, hi)
     fit = ks_w >= fit_lo
+    if not fit.any():
+        raise DegenerateCurveError(f"the top half of the window {lo}:{hi} holds no curve point")
     slope, _, rms = ols_line(ks_w[fit], np.log(vols_w[fit]))
     slope_full, _, _ = ols_line(ks_w, np.log(vols_w))
     return PressureEstimate(
@@ -566,7 +569,7 @@ def pressure_from_partition_sums(model: ModelSystem, pot: Potential, k_max: int)
     extrapolated line over the top half of the range.
     """
     if k_max < 6:
-        raise ValueError("need k_max >= 6")
+        raise DegenerateCurveError("need k_max >= 6")
     z = partition_sums_through(model, pot, k_max)
     ks = np.arange(1, k_max + 1)
     logs = np.log(z)

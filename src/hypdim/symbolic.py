@@ -19,6 +19,7 @@ from .errors import (
     DeltaTooLargeError,
     IncompatibleStochasticsError,
     NotMixingError,
+    ParameterOutOfRangeError,
 )
 from .models import ModelSystem, Potential
 
@@ -248,7 +249,7 @@ class CylinderWalk:
 def _with_mass(rects: np.ndarray, k: int) -> np.ndarray:
     """The depth-k level `rects`, refused when none of its words has geometric mass."""
     if len(rects) == 0:
-        raise ValueError(f"no admissible depth-{k} word has geometric mass")
+        raise ParameterOutOfRangeError(f"no admissible depth-{k} word has geometric mass")
     return rects
 
 
@@ -311,11 +312,6 @@ def partition_sums_through(model: ModelSystem, pot: Potential, k_max: int) -> np
     """
     check_word_cap(model, k_max)
     return np.fromiter(_transfer_sums(*_weighted(model, pot)), float, k_max)
-
-
-def partition_sum(model: ModelSystem, pot: Potential, k: int) -> float:
-    """Z_k = sum over admissible k-words of exp(Birkhoff sum)."""
-    return float(partition_sums_through(model, pot, k)[-1])
 
 
 # -- spectral pressure oracle ----------------------------------------------

@@ -4,7 +4,12 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +18,26 @@ from hypothesis import strategies as st
 
 from hypdim import cli, symbolic
 from hypdim.cli import SWEEP_ROW_CAP, _parse_sweep, emit_document, main, make_config, parse_scales
-from hypdim.errors import CapExceededError
-from hypdim.models import build_linear_horseshoe
-from hypdim.pressure import cover_distance
+from hypdim.dimension import box_counts, box_dimension, dimension_bound
+from hypdim.errors import (
+    CapExceededError,
+    ConfigError,
+    DegenerateCurveError,
+    DegenerateScalesError,
+    HypdimError,
+    ParameterOutOfRangeError,
+)
+from hypdim.models import ModelSystem, Potential, build_linear_horseshoe, potential
+from hypdim.pressure import (
+    VolumeCurve,
+    cover_distance,
+    pressure_from_partition_sums,
+    pressure_from_volume_growth,
+    volume_curve,
+)
+from hypdim.symbolic import CylinderWalk, partition_sums_through
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, argv):
@@ -589,10 +611,147 @@ class TestModelFiles:
         assert (code, out) == (2, "")
         assert err == "hypdim: invalid configuration: the model has no branch: its branches list is empty\n"
 
+    @pytest.mark.parametrize(
+        "key", ["space", "kind", "unstable_dim", "transition", "branches", "symbol", "domain", "linear", "offset"]
+    )
+    def test_a_missing_key_is_named(self, capsys, tmp_path, key):
+        # the refusal read only the key's repr, as in "hypdim: invalid configuration: 'domain'"
+        doc = _repeller_doc([4.0, 4.0], [[1, 1], [1, 1]])
+        top = key in doc
+        del (doc if top else doc["branches"][0])[key]
+        path = tmp_path / "missing.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, ["bound", "--model-file", str(path)])
+        assert (code, out) == (2, "")
+        where = "the model file" if top else "branch 0 of the model file"
+        assert err == f"hypdim: invalid configuration: {where} has no {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"branches": 5}, {"transition": "x"}, {"branches": [5]}, {"space": []}, "a list"],
+        ids=["branches-5", "transition-x", "a-branch-5", "space-list", "top-level-list"],
+    )
+    def test_a_malformed_model_file_is_refused_in_one_line(self, capsys, tmp_path, change):
+        # each of these ended in a TypeError traceback (exit 1)
+        doc = _repeller_doc([4.0, 4.0], [[1, 1], [1, 1]])
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps([doc] if change == "a list" else {**doc, **change}))
+        code, out, err = run(capsys, ["pressure", "--model-file", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("hypdim: invalid configuration: ") and err.count("\n") == 1
+        if change == "a list":
+            assert err == "hypdim: invalid configuration: the model file has no 'space'\n"
+
     def test_stable_set_rejected_for_expanding_models(self, capsys):
         code, _, err = run(capsys, ["dimension", "--model", "doubling:2", "--set", "stable"])
         assert code == 2
         assert "diffeo" in err
+
+
+_HS = build_linear_horseshoe(3.0, 0.25)
+_MASSLESS = ModelSystem.from_json_dict({
+    **_repeller_doc([2.0, 2.0], [[1, 1], [1, 1]]),
+    "branches": [
+        {"symbol": 0, "domain": {"lo": [0.0], "hi": [0.1]}, "linear": [[2.0]], "offset": [0.4]},
+        {"symbol": 1, "domain": {"lo": [0.9], "hi": [1.0]}, "linear": [[2.0]], "offset": [-1.4]},
+    ],
+})
+
+
+def _walk_past(depth):
+    walk = CylinderWalk(_HS)
+    walk.rects(depth + 1)
+    return walk.rects(depth)
+
+
+class TestErrorBoundary:
+    """`main` maps a `HypdimError` or an `OSError` to an exit code; anything else is a fault and leaves it."""
+
+    @pytest.mark.parametrize("fault", [ValueError("tracking volumes must be non-increasing in k"), KeyError("k")])
+    def test_a_fault_leaves_main(self, capsys, monkeypatch, fault):
+        # both read "invalid configuration" (exit 2) while main caught every ValueError and KeyError
+        def raiser(*args, **kwargs):
+            raise fault
+
+        monkeypatch.setattr(cli, "volume_curve", raiser)
+        with pytest.raises(type(fault)) as raised:
+            main(["pressure", "--model", "horseshoe:3,0.25", "--method", "volume"])
+        assert raised.value is fault
+        assert capsys.readouterr() == ("", "")
+
+    def test_a_non_finite_document_is_a_fault(self, capsys, monkeypatch):
+        report = types.SimpleNamespace(to_json_dict=lambda: {"bound": math.nan})
+        monkeypatch.setattr(cli, "bound_report", lambda *args, **kwargs: report)
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            main(["bound", "--model", "horseshoe:3,0.25"])
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize(
+        "start",
+        [["-c", "import hypdim.cli; hypdim.cli.entry()"],
+         ["-c", "import runpy; runpy.run_module('hypdim', run_name='__main__')"]],
+        ids=["hypdim", "python-m-hypdim"],
+    )
+    def test_the_console_entries_exit_1_with_the_traceback(self, start):
+        inject = (
+            "import sys, hypdim.cli\n"
+            "def fault(*args, **kwargs):\n"
+            "    raise ValueError('injected fault')\n"
+            "hypdim.cli.volume_curve = fault\n"
+            "sys.argv = ['hypdim', 'pressure', '--model', 'horseshoe:3,0.25', '--method', 'volume']\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-c", inject + start[1]], capture_output=True, text=True,
+                              env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("Traceback") and done.stderr.endswith("ValueError: injected fault\n")
+
+    def test_python_m_hypdim_refuses_a_malformed_model_file_without_a_traceback(self, tmp_path):
+        path = tmp_path / "five.json"
+        path.write_text(json.dumps({**_repeller_doc([4.0, 4.0], [[1, 1], [1, 1]]), "branches": 5}))
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        done = subprocess.run([sys.executable, "-m", "hypdim", "bound", "--model-file", str(path)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (done.returncode, done.stdout) == (2, "")
+        assert done.stderr == "hypdim: invalid configuration: 'int' object is not iterable\n"
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (lambda: pressure_from_partition_sums(_HS, potential(_HS, "phi_u"), 5), DegenerateCurveError),
+            (lambda: box_counts(np.array([[0.5]]), [2.0]), DegenerateScalesError),
+            (lambda: dimension_bound(1, 0.5, 1.0), ParameterOutOfRangeError),
+            (lambda: CylinderWalk(_MASSLESS).rects(2), ParameterOutOfRangeError),
+            (lambda: volume_curve(_HS, 0.1, 40000, 64), ConfigError),
+            (lambda: pressure_from_volume_growth(volume_curve(_HS, 0.1, 6, 256), (1, 100)), DegenerateCurveError),
+            (lambda: cli.parse_scales("0^-2..0^-9"), ConfigError),
+            (lambda: cli.parse_window("1:x"), ConfigError),
+            (lambda: _parse_sweep("lambda_u=1:2"), ConfigError),
+        ],
+        ids=["partition-kmax", "scale-range", "positive-pressure", "massless", "step-cap", "window-top-half",
+             "scale-power", "window-int", "sweep-unpacking"],
+    )
+    def test_a_refusal_a_command_line_reaches_is_a_hypdim_error(self, call, error):
+        # a ValueError subclass still: library callers that catch ValueError see no change
+        with pytest.raises(error) as raised:
+            call()
+        assert isinstance(raised.value, ValueError)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: VolumeCurve(0.1, np.arange(1, 3), np.array([0.5, 1.0]), np.zeros(2), 64, 1),
+            lambda: box_dimension([1.0, 0.1, 0.01, 0.001], [1, 5, 3, 10]),
+            lambda: _walk_past(2),
+            lambda: partition_sums_through(_HS, Potential([0.0]), 3),
+            lambda: emit_document(argparse.Namespace(), {}, {"value": math.inf}),
+        ],
+        ids=["volumes-that-grow", "counts-that-fall", "walk-past-its-depth", "potential-length", "non-finite"],
+    )
+    def test_a_program_invariant_stays_a_plain_value_error(self, capsys, call):
+        with pytest.raises(ValueError) as raised:
+            call()
+        assert not isinstance(raised.value, HypdimError)
 
 
 class TestDeterminism:

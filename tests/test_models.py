@@ -9,7 +9,6 @@ import pytest
 
 from hypdim.errors import (
     IncompatibleLabelError,
-    NoBranchError,
     ParameterOutOfRangeError,
 )
 from hypdim.models import (
@@ -21,8 +20,6 @@ from hypdim.models import (
     build_doubling_map,
     build_golden_mean,
     build_linear_horseshoe,
-    evaluate,
-    jacobian,
     potential,
 )
 
@@ -111,16 +108,16 @@ def test_each_refusal_names_its_reason(case):
 
 class TestEvaluate:
     def test_doubling_first_branch(self):
-        m = build_doubling_map(2)
-        assert evaluate(m, [0.3]) == pytest.approx([0.6], abs=1e-15)
+        image, idx = build_doubling_map(2).step([[0.3]])
+        assert idx[0] == 0 and image[0] == pytest.approx([0.6], abs=1e-15)
 
     def test_cat_map_fixed_point(self):
-        m = build_cat_map()
-        assert evaluate(m, [0.0, 0.0]) == pytest.approx([0.0, 0.0], abs=1e-15)
+        image, idx = build_cat_map().step([[0.0, 0.0]])
+        assert idx[0] >= 0 and image[0] == pytest.approx([0.0, 0.0], abs=1e-15)
 
     def test_horseshoe_gap_escapes(self):
-        m = build_linear_horseshoe(3.0, 0.25)
-        assert evaluate(m, [0.5, 0.5]) is None
+        image, idx = build_linear_horseshoe(3.0, 0.25).step([[0.5, 0.5]])
+        assert idx[0] == -1 and image[0].tolist() == [0.5, 0.5]
 
     def test_boundary_resolves_to_lowest_symbol(self):
         m = build_doubling_map(2)
@@ -129,23 +126,24 @@ class TestEvaluate:
 
 
 class TestJacobian:
+    """The derivative at x is the linear part of x's branch, `model.linear[model.branch_of(x)]`."""
+
     def test_horseshoe_diagonal(self):
         m = build_linear_horseshoe(3.0, 0.25)
         for pt in ([0.1, 0.4], [0.9, 0.2]):
-            assert np.allclose(jacobian(m, pt), np.diag([3.0, 0.25]))
+            assert np.allclose(m.linear[m.branch_of([pt])[0]], np.diag([3.0, 0.25]))
 
     def test_doubling_constant(self):
         m = build_doubling_map(2)
-        assert np.allclose(jacobian(m, [0.7]), [[2.0]])
+        assert np.allclose(m.linear[m.branch_of([[0.7]])[0]], [[2.0]])
 
     def test_cat_matrix(self):
         m = build_cat_map()
-        assert np.array_equal(jacobian(m, [0.3, 0.8]), [[2.0, 1.0], [1.0, 1.0]])
+        assert np.array_equal(m.linear[m.branch_of([[0.3, 0.8]])[0]], [[2.0, 1.0], [1.0, 1.0]])
 
-    def test_no_branch_raises(self):
-        m = build_linear_horseshoe(3.0, 0.25)
-        with pytest.raises(NoBranchError):
-            jacobian(m, [0.5, 0.5])
+    def test_no_branch_reads_minus_one(self):
+        # the gap between the strips has no branch, so no linear part
+        assert build_linear_horseshoe(3.0, 0.25).branch_of([[0.5, 0.5]])[0] == -1
 
 
 class TestPotential:

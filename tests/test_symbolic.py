@@ -30,7 +30,6 @@ from hypdim.symbolic import (
     equilibrium_markov_chain,
     is_primitive,
     markov_measure_stats,
-    partition_sum,
     partition_sums_through,
     power_model,
     pressure_spectral,
@@ -116,13 +115,13 @@ class TestPartitionSums:
         m = build_linear_horseshoe(3.0, 0.25)
         pot = potential(m, "phi_u")
         for k in range(1, 13):
-            assert partition_sum(m, pot, k) == pytest.approx((2.0 / 3.0) ** k, rel=1e-12)
+            assert partition_sums_through(m, pot, k)[-1] == pytest.approx((2.0 / 3.0) ** k, rel=1e-12)
 
     def test_doubling_is_one(self):
         m = build_doubling_map(2)
         pot = potential(m, "phi")
         for k in (1, 5, 10):
-            assert partition_sum(m, pot, k) == pytest.approx(1.0, rel=1e-13)
+            assert partition_sums_through(m, pot, k)[-1] == pytest.approx(1.0, rel=1e-13)
 
     def test_golden_mean_counts_fibonacci(self):
         m = build_golden_mean()
@@ -130,7 +129,7 @@ class TestPartitionSums:
         for _ in range(20):
             fib.append(fib[-1] + fib[-2])
         for k in range(1, 15):
-            assert partition_sum(m, Potential.zero(2), k) == pytest.approx(float(fib[k + 1]))
+            assert partition_sums_through(m, Potential.zero(2), k)[-1] == pytest.approx(float(fib[k + 1]))
 
     def test_direct_enumeration_cross_check_k5(self):
         m = build_linear_horseshoe(3.0, 0.25)
@@ -139,7 +138,7 @@ class TestPartitionSums:
             math.exp(sum(pot.values[s] for s in w))
             for w in brute_words(m.transition, 5)
         )
-        assert partition_sum(m, pot, 5) == pytest.approx(expected, rel=1e-13)
+        assert partition_sums_through(m, pot, 5)[-1] == pytest.approx(expected, rel=1e-13)
 
     def test_full_shift_multiplicativity(self):
         m = build_linear_horseshoe(3.0, 0.25)
@@ -170,7 +169,7 @@ class TestPartitionSums:
             build_cat_map: build_cat_map,
         }[make]()
         pot = potential(model, "phi_u" if model.kind == "diffeo" else "phi")
-        z16 = partition_sum(model, pot, 16)
+        z16 = partition_sums_through(model, pot, 16)[-1]
         p = pressure_spectral(model, pot)
         assert abs(math.log(z16) / 16.0 - p) < 0.2
 
