@@ -34,6 +34,7 @@ from .dimension import (
     CLASSIFY_TOL_ESTIMATOR,
     CLASSIFY_TOL_EXACT,
     bound_report,
+    check_scales,
     classification_tolerance,
     classify,
     horseshoe_for_target_dimension,
@@ -290,8 +291,9 @@ def cmd_pressure(args) -> int:
     elif args.method == "volume":
         eps = args.eps if args.eps is not None else default_epsilon(model)
         kmax = args.kmax or 10
+        window = parse_window(args.window) or (1, kmax)  # read before the curve is computed
         curve = volume_curve(model, eps, kmax, args.grid or 4096, threads=args.threads or 1)
-        estimate = pressure_from_volume_growth(curve, parse_window(args.window) or (1, kmax))
+        estimate = pressure_from_volume_growth(curve, window)
         if estimate.value == -math.inf:
             msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {kmax} steps"
             raise GridTooCoarseError(msg + "; raise --grid")
@@ -350,12 +352,16 @@ def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 
         points = invariant_set_sample(model, depth, resolution=args.grid or 512, walk=walk)
         meta = {"set": set_name, "depth": depth}
     elif set_name == "stable":
-        scales = parse_scales(args.scales, finest=9)
+        scales = check_scales(parse_scales(args.scales, finest=9))
+        # samples per axis that resolve the finest scale: a power of two, at least 2 / scale and 1024
+        need = 1 << max(10, math.ceil(1.0 - math.log2(min(scales))))
         eps = args.eps if args.eps is not None else default_epsilon(model)
         depth = args.depth or stable_depth
         cover = cover_distance(model, eps)  # the cloud and its resolution per axis read off one cover
-        res = args.grid or stable_resolution(model, depth, cover)
-        points = sample_local_stable_set(model, eps, depth, samples=res, seed=args.seed, cover=cover)
+        # only tracked axes take more: the full grid, stepped or not, would take `need` on every axis
+        res = args.grid or max(stable_resolution(model, depth, cover), need if cover.tracked else 0)
+        points = sample_local_stable_set(model, eps, depth, samples=res, cross_resolution=need, seed=args.seed,
+                                         cover=cover)
         if len(points) == 0:
             msg = f"no stable sample tracks {depth} steps at {res} samples per axis"
             raise GridTooCoarseError(msg + "; lower --depth or raise --grid")

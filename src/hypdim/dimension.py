@@ -98,20 +98,22 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
     cap of k_max is checked first, so a k_max past the cap fails in any
     dimension, although in one the max-times recursion costs only
     k_max * nsym^2; in more dimensions every word's product is formed.
+    A product of slopes past the float range is refused, naming its k.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
     shared = model.uniform_linear
-    if shared is not None and _is_normal(shared):
-        rate = float(np.log(np.linalg.norm(shared, ord=2)))
-        return ExpansionRate(
-            value=rate, per_k=np.full(k_max, rate), k_max=k_max, exact=True
-        )
-    check_word_cap(model, k_max)
-    per_k = np.array(
-        [float(np.log(norms.max())) / k for k, norms in enumerate(_word_norms(model, k_max), 1)]
-    )
-    return ExpansionRate(value=float(per_k.min()), per_k=per_k, k_max=k_max, exact=False)
+    exact = shared is not None and _is_normal(shared)
+    with np.errstate(over="ignore", divide="ignore"):  # refused below
+        if exact:
+            per_k = np.full(k_max, float(np.log(np.linalg.norm(shared, ord=2))))
+        else:
+            check_word_cap(model, k_max)
+            per_k = np.array([float(np.log(norms.max())) / k for k, norms in enumerate(_word_norms(model, k_max), 1)])
+    bad = np.flatnonzero(~np.isfinite(per_k))
+    if bad.size:  # a product of k slopes left the float range
+        raise ParameterOutOfRangeError(f"a_k/k is {per_k[bad[0]]} at k = {bad[0] + 1}, out of the float range")
+    return ExpansionRate(value=float(per_k.min()), per_k=per_k, k_max=k_max, exact=exact)
 
 
 # -- box counting -------------------------------------------------------------
@@ -125,6 +127,14 @@ def box_count(points, scale: float) -> int:
     return box_counts(points, [scale])[0]
 
 
+def check_scales(scales) -> list:
+    """`scales` as floats, each refused unless it lies in (0, 1]."""
+    scales = [float(s) for s in scales]
+    if not all(0.0 < s <= 1.0 for s in scales):
+        raise DegenerateScalesError("scale must lie in (0, 1]")
+    return scales
+
+
 def box_counts(points, scales) -> list:
     """`box_count` at every scale of `scales`, in their order, from one pass per factor.
 
@@ -136,17 +146,18 @@ def box_counts(points, scales) -> list:
     factor is sorted (if it is not already) and keyed at the finest
     scale only; x -> floor(x / scale) is monotone in floats, so its keys
     come out sorted (`_line_counts`).  Wider factors are keyed, sorted
-    and counted scale by scale.
+    and counted scale by scale; scales too fine for 64-bit keys are refused.
     """
-    scales = [float(s) for s in scales]
-    if not all(0.0 < s <= 1.0 for s in scales):
-        raise DegenerateScalesError("scale must lie in (0, 1]")
+    scales = check_scales(scales)
     counts = [1] * len(scales)
     for factor in points.factors if isinstance(points, ProductCloud) else (points,):
         pts = np.asarray(factor, dtype=float)
         pts = pts.reshape(-1, 1) if pts.ndim < 2 else pts
         if pts.size == 0:
             return [0] * len(scales)
+        extent = math.ceil(min(1.0 / min(scales), 2.0**63)) + 2  # as `_key_count` packs a cell index per column
+        if extent ** pts.shape[1] > np.iinfo(np.int64).max:
+            raise DegenerateScalesError(f"scale {min(scales)} is too fine for 64-bit cell keys at width {pts.shape[1]}")
         if pts.shape[1] == 1:
             got = _line_counts(pts[:, 0], scales)
         else:

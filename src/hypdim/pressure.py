@@ -162,7 +162,11 @@ class _CoverDistance:
     None and is measured rectangle by rectangle (`_brute`).  On the
     torus each axis takes its nearest copy.  By the model's
     `Factorization`, `factors` says the spanned axes split off while
-    some axis varies, and `tracked` is `axes` if they can step alone.
+    some axis varies.  `tracked` is the tracking regime: `axes` if they
+    can step alone, one row each; `[]` if no finite point can fail, as
+    the cover spans every axis of the torus and so does some branch
+    domain, into which `model.step` wraps every finite point; None for
+    the full grid.
     """
 
     def __init__(self, model: ModelSystem, rects: np.ndarray):
@@ -177,7 +181,8 @@ class _CoverDistance:
         self.merged = [self._merged_intervals(a) for a in self.axes or ()]
         # per axis, the merged starts, then lo[j] and hi[j - 1] for every j that searchsorted returns
         self._ends = [(lo, np.append(lo, np.inf), np.insert(hi, 0, -np.inf)) for lo, hi in self.merged]
-        split = self.axes and (self.factors or not whole.any()) and model.factorization.separates(self.axes)
+        forever = not varying and self.torus and ((model.lo <= 0.0) & (model.hi >= 1.0)).all(axis=1).any()
+        split = forever or self.axes and (self.factors or not whole.any()) and model.factorization.separates(self.axes)
         self.tracked = self.axes if split else None
 
     def _merged_intervals(self, axis: int):
@@ -288,8 +293,8 @@ def _sample_axis(resolution: int, seed: int = 0) -> np.ndarray:
 
 
 def _refuse_large_grid(dist, n: int, resolution: int, what: str) -> None:
-    """Refuse more than `GRID_CAP` cells to step: one row per tracked axis, else the full grid."""
-    stepped = resolution**n if dist.tracked is None else resolution * len(dist.tracked)
+    """Refuse more than `GRID_CAP` cells to step: one row per tracked axis, else the full grid, even unstepped."""
+    stepped = resolution * len(dist.tracked) if dist.tracked else resolution**n
     if stepped > GRID_CAP:
         raise GridTooCoarseError(
             f"{what} too large at {resolution} per axis: {stepped} cells to step exceed {GRID_CAP}"
@@ -348,24 +353,6 @@ def _death_steps(model, pts, epsilon, k_max, dist, i=0):
     return death
 
 
-def _tracks_forever(model: ModelSystem, dist: _CoverDistance, epsilon: float) -> bool:
-    """True when no finite point ever fails tracking, so every death step is k_max.
-
-    That holds for a zero cover on the torus when some branch domain
-    spans the torus and epsilon > 0: the distance to the cover is 0 <
-    epsilon everywhere, and `model.step` wraps every finite point into
-    [0, 1]^n (a float x % 1.0 lies in [0, 1]), where the spanning domain
-    gives it a branch.  `_death_steps` would keep every point for all
-    its steps, so its result is known without stepping.
-    """
-    return (
-        dist.axes == []
-        and dist.torus
-        and epsilon > 0
-        and np.all((model.lo <= 0.0) & (model.hi >= 1.0), axis=1).any()
-    )
-
-
 def _grid_deaths(model, dist, epsilon, k_max, values, threads, i=None):
     """`_death_steps`, in chunks, of the grid with `values` on every axis, or of their row along `dist.axes[i]`."""
     pts = values if i is not None else np.asarray(ProductCloud.grid([values] * model.n))
@@ -405,10 +392,10 @@ def volume_curve(
     boundary; halving the cell edge changes the estimate by at most the
     band.  Cells are counted, as exact integers, as products of counts
     per factor: a row of cells along each tracked axis, or the full
-    grid; axes that no factor holds multiply by the grid size.  A zero
-    cover on the torus with a branch domain spanning it has no factor
-    (`_tracks_forever`).  More than `GRID_CAP` stepped cells, or in all
-    than a float holds, or a `k_max` above `STEP_CAP` are refused first.
+    grid; axes that no factor holds multiply by the grid size, all of
+    them when `tracked` is `[]`.  More than `GRID_CAP` stepped cells, or
+    in all than a float holds, or a `k_max` above `STEP_CAP` are refused
+    first.
 
     Results are independent of `threads`: the grid is chunked the same
     way regardless, and only integer cell counts are aggregated.
@@ -427,10 +414,7 @@ def volume_curve(
     dist = _CoverDistance(model, rects)
     _refuse_large_grid(dist, n, grid_resolution, "grid")
     # the factors: one row per tracked axis, else the full grid
-    if _tracks_forever(model, dist, epsilon):
-        factors = []
-    else:
-        factors = [None] if dist.tracked is None else range(len(dist.tracked))
+    factors = [None] if dist.tracked is None else range(len(dist.tracked))
     deaths = [_grid_deaths(model, dist, epsilon, k_max, grid_axis(grid_resolution), threads, i) for i in factors]
 
     # a cell dies at the least death of its factors; so do lo and hi, the least
@@ -566,11 +550,16 @@ def pressure_from_partition_sums(model: ModelSystem, pot: Potential, k_max: int)
     last three ratios removes the dominant transient and reproduces the
     spectral value to ~1e-10 already at k_max = 12 on two-symbol shifts.
     The published residual is the RMS deviation of log Z_k from the
-    extrapolated line over the top half of the range.
+    extrapolated line over the top half of the range.  A Z_k that is not
+    finite and positive is refused.
     """
     if k_max < 6:
         raise DegenerateCurveError("need k_max >= 6")
-    z = partition_sums_through(model, pot, k_max)
+    with np.errstate(over="ignore"):  # refused below
+        z = partition_sums_through(model, pot, k_max)
+    bad = np.flatnonzero(~(np.isfinite(z) & (z > 0)))
+    if bad.size:
+        raise DegenerateCurveError(f"partition sum Z_{bad[0] + 1} = {z[bad[0]]} leaves the positive float range")
     ks = np.arange(1, k_max + 1)
     logs = np.log(z)
     ratios = np.diff(logs)
@@ -608,9 +597,10 @@ def stable_resolution(model: ModelSystem, depth: int, cover: _CoverDistance) -> 
 
     Tracking axis by axis (`cover.tracked`, or a 1-D model) takes
     4 lambda_u^depth, as a power of two from 2^11 to 2^16; a full
-    n-dimensional grid stays at 2^11 per axis to keep it affordable.
+    n-dimensional grid, stepped or not, stays at 2^11 per axis to keep
+    it affordable.
     """
-    if model.n > 1 and cover.tracked is None:
+    if model.n > 1 and not cover.tracked:
         return 1 << 11
     try:
         need = 4.0 * float(np.max(model.lambda_u)) ** depth
@@ -697,24 +687,25 @@ def sample_local_stable_set(
     survive, on every other axis a grid.  Only the values inside the
     axis's `_tracking_superset` are stepped; its margin `tol` exceeds
     the rounding of a step, so the death loop alone decides which
-    survive.  When no point can fail tracking (`_tracks_forever`) the
-    whole grid is kept, as a `ProductCloud`; otherwise the full
-    n-dimensional grid is stepped and its survivors returned as an
-    array.  `cover` is `cover_distance(model, epsilon)` when the caller
-    has it already.  More than `GRID_CAP` stepped cells, or a `depth`
-    above `STEP_CAP`, are refused before any sample is drawn.
+    survive.  With no tracked axis (`tracked` is `[]`) no point can
+    fail, and the whole grid of `samples` per axis is kept; otherwise
+    the full n-dimensional grid is stepped and its survivors returned
+    as an array.  `cover` is `cover_distance(model, epsilon)` when the
+    caller has it already.  An `epsilon` not above 0, more than
+    `GRID_CAP` stepped cells, or a `depth` above `STEP_CAP`, are refused
+    before any sample is drawn.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon {epsilon} is not above 0")
     _refuse_many_steps("depth", depth)
     dist = cover if cover is not None else cover_distance(model, epsilon)
     n = model.n
     _refuse_large_grid(dist, n, samples, "stable-set grid")
     axis_vals = _sample_axis(samples, seed)
-    if _tracks_forever(model, dist, epsilon):
-        return ProductCloud.grid([axis_vals] * n)
     if dist.tracked is not None:
-        columns = [_sample_axis(min(samples, cross_resolution), seed + 1)] * n
+        columns = [_sample_axis(min(samples, cross_resolution), seed + 1) if dist.tracked else axis_vals] * n
         for i, axis in enumerate(dist.tracked):
             tol = _pullback_tol(model, axis, epsilon)
             lo, hi = _tracking_superset(model, dist, epsilon, depth, tol, i, limit=samples)

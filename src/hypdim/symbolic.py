@@ -42,16 +42,16 @@ def is_primitive(transition) -> bool:
     """True iff some power of the 0/1 matrix is entrywise positive.
 
     Wielandt's bound: for a primitive m x m matrix the power (m-1)^2 + 1
-    is already positive, so only that many powers need checking.
+    is already positive, and so is every later one, so repeated squaring
+    checks A, A^2, A^4, ... until the power reaches that bound.
     """
-    a = _as_transition(transition)
-    m = a.shape[0]
-    power = a.astype(bool)
-    for _ in range((m - 1) ** 2 + 1):
-        if power.all():
-            return True
-        power = (power @ a.astype(bool))
-    return bool(power.all())
+    power = _as_transition(transition).astype(bool)
+    reach = 1
+    while not power.all():
+        if reach >= (power.shape[0] - 1) ** 2 + 1:
+            return False
+        power, reach = power @ power, 2 * reach
+    return True
 
 
 def _transfer_sums(weights: np.ndarray, matrix: np.ndarray):

@@ -159,6 +159,32 @@ class TestDimensionCommand:
                           "--eps", "0.0005", "--depth", "6"])
         assert time.perf_counter() - start < 10.0
 
+    @pytest.mark.parametrize("scales, slope", [("3^-2..3^-8", 1.6309297535714569), ("2^-2..2^-12", 1.6425175269976637)])
+    def test_stable_samples_resolve_the_finest_scale(self, capsys, scales, slope):
+        # 1,024 samples on the untracked axis resolved no box below 2^-10: these read 1.2194 and 1.4592
+        doc = run_json(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--scales", scales])
+        assert doc["result"]["dimension"]["slope"] == pytest.approx(slope, abs=1e-12)
+        assert slope == pytest.approx(1.0 + math.log(2) / math.log(3), abs=0.012)
+
+    @pytest.mark.parametrize("model, argv, resolution", [
+        ("horseshoe:3,0.25", [], 8192),
+        ("horseshoe:3,0.25", ["--grid", "4096"], 4096),
+        ("catmap", [], 2048),
+    ], ids=["tracked", "given-grid", "unstepped"])
+    def test_a_stable_resolution_rises_to_two_samples_per_finest_box_on_tracked_axes(self, capsys, model, argv,
+                                                                                        resolution):
+        # at depth 2 the horseshoe takes 2^11 samples; the finest scale 2^-12 asks for 2^13
+        doc = run_json(capsys, ["dimension", "--model", model, "--set", "stable", "--depth", "2",
+                                "--scales", "2^-2..2^-12", *argv])
+        assert doc["result"]["sample"]["resolution"] == resolution
+
+    @pytest.mark.parametrize("scales", ["0,0.1,0.01,0.001", "nan,0.1,0.01,0.001"])
+    def test_a_stable_sample_refuses_a_bad_scale_before_sampling(self, capsys, scales):
+        # at --depth 100 no sample survives: that refusal came first, after the whole sample was drawn
+        code, out, err = run(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable",
+                                      "--scales", scales, "--depth", "100"])
+        assert (code, out, err) == (2, "", "hypdim: invalid configuration: scale must lie in (0, 1]\n")
+
     def test_cat_map_fills_the_torus(self, capsys):
         doc = run_json(capsys, ["dimension", "--model", "catmap", "--set", "invariant"])
         assert doc["result"]["dimension"]["slope"] == pytest.approx(2.0, abs=0.05)
@@ -417,6 +443,21 @@ class TestExitCodes:
         assert out == ""
         assert "134217728" in err and "too large" in err
 
+    def test_a_malformed_window_is_refused_before_the_volume_curve(self, capsys, monkeypatch):
+        # the refusal came after the whole curve: 12.0 s on the L torus at --grid 1024
+        monkeypatch.setattr(cli, "volume_curve", lambda *args, **kwargs: pytest.fail("the curve was computed"))
+        code, out, err = run(capsys, ["pressure", "--model", "horseshoe:3,0.25", "--method", "volume",
+                                      "--window", "1:x"])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: invalid literal for int() with base 10: 'x'\n"
+
+    def test_box_scales_too_fine_for_64_bit_keys_exit_2(self, capsys):
+        # the keys wrapped: counts [1, 1, 1, 1], slope 0.0 and exit 0
+        code, out, err = run(capsys, ["dimension", "--model", "cantor:3,02", "--set", "repeller", "--depth", "5",
+                                      "--scales", "1e-300,1e-301,1e-302,1e-303"])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: scale 1e-303 is too fine for 64-bit cell keys at width 1\n"
+
     def test_a_volume_kmax_past_the_step_limit_exits_2(self, capsys):
         # death steps are int16: 40000 was an OverflowError with a traceback
         code, out, err = run(capsys, ["pressure", "--model", "horseshoe:3,0.25", "--method", "volume",
@@ -575,6 +616,22 @@ class TestModelFiles:
         assert (code, out) == (2, "")
         shown = "[[inf]]" if field == "linear" else "[-inf]" if value.startswith("-") else "[inf]"
         assert err == f"hypdim: invalid configuration: branch 0 has a non-finite {field}: {shown}\n"
+
+    @pytest.mark.filterwarnings("error")  # no overflow warning either: one line on stderr
+    @pytest.mark.parametrize("slope, argv, message", [
+        (1e300, ["bound"], "a_k/k is inf at k = 2, out of the float range"),
+        (1e300, ["bound", "--check-srb"], "a_k/k is inf at k = 2, out of the float range"),
+        (1e300, ["report"], "a_k/k is inf at k = 2, out of the float range"),
+        (1e-300, ["pressure", "--method", "partition"], "partition sum Z_2 = inf leaves the positive float range"),
+    ], ids=["bound", "bound-check-srb", "report", "partition"])
+    def test_a_slope_product_past_the_float_range_is_refused(self, capsys, tmp_path, slope, argv, message):
+        # inf reached the document, which refused it with a traceback (exit 1)
+        doc = _repeller_doc([3.0, 2.5], [[1, 1], [1, 1]])
+        doc["branches"][0]["linear"] = [[slope]]
+        path = tmp_path / "slopes.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        assert (code, out, err) == (2, "", f"hypdim: invalid configuration: {message}\n")
 
     @pytest.mark.parametrize(
         "argv",

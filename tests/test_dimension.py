@@ -13,6 +13,7 @@ from hypdim.dimension import (
     BoundReport,
     bound_report,
     box_count,
+    box_counts,
     box_dimension,
     classify,
     contraction_rho_schedule,
@@ -204,6 +205,16 @@ class TestBoxDimension:
         est = box_dimension(scales, counts)
         assert est.slope == pytest.approx(math.log(2) / math.log(3), abs=1e-9)
         assert len(est.fit_scales) == len(scales) - 2
+
+    @pytest.mark.parametrize("width, fine, coarse", [(1, 1e-19, 1e-18), (2, 1e-10, 1e-9)])
+    def test_scales_too_fine_for_64_bit_cell_keys_are_refused(self, width, fine, coarse):
+        # past the int64 range the keys wrapped: four scales from 1e-300 on all counted 1 box
+        pts = np.array([[0.25] * width, [0.75] * width])
+        assert box_counts(pts, [coarse]) == [2]
+        with pytest.raises(DegenerateScalesError, match=f"too fine for 64-bit cell keys at width {width}"):
+            box_counts(pts, [coarse, fine])
+        with pytest.raises(DegenerateScalesError):
+            box_counts(ProductCloud((pts, np.array([[0.5]])), (tuple(range(width)), (width,))), [fine])
 
     def test_span_requirement(self):
         with pytest.raises(DegenerateScalesError):

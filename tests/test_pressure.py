@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypdim import pressure
 from hypdim.cli import main, sample_for_set
 from hypdim.dimension import invariant_set_sample
-from hypdim.errors import DegenerateCurveError, GridTooCoarseError, IncompatibleLabelError
+from hypdim.errors import ConfigError, DegenerateCurveError, GridTooCoarseError, IncompatibleLabelError
 from hypdim.models import (
     Factorization,
     ModelSystem,
@@ -36,7 +36,6 @@ from hypdim.pressure import (
     _death_steps,
     _is_product,
     _sample_axis,
-    _tracks_forever,
     bowen_ball_contains,
     cover_distance,
     cover_rects,
@@ -420,20 +419,21 @@ def swapped_square(geometry: str, zero_offsets: bool = False) -> ModelSystem:
     return ModelSystem.from_json_dict(doc)
 
 
-@pytest.mark.parametrize("model, axes, tracked, forever, full_space", [
-    (build_cat_map(), [], None, True, True),
-    (cantor_square("torus", 2, list(itertools.product((0, 1), repeat=2))), [0, 1], [0, 1], False, False),
-    (swapped_square("cube"), [0, 1], None, False, False),
-    (swapped_square("torus"), [0, 1], None, False, False),
-    (cantor_square("torus", 3, [(0, 0), (0, 2), (2, 0)]), None, None, False, False),
+@pytest.mark.parametrize("model, axes, tracked, full_space", [
+    (build_cat_map(), [], [], True),
+    (cantor_square("torus", 2, list(itertools.product((0, 1), repeat=2))), [0, 1], [0, 1], False),
+    (swapped_square("cube"), [0, 1], None, False),
+    (swapped_square("torus"), [0, 1], None, False),
+    (cantor_square("torus", 3, [(0, 0), (0, 2), (2, 0)]), None, None, False),
     (dataclasses.replace(build_linear_horseshoe(3.0, 0.25), linear=[[[3.0, 0.1], [0.0, 0.25]]] * 2),
-     [0], None, False, False),
-    (coupled_stack(), [0], None, False, False),
+     [0], None, False),
+    (coupled_stack(), [0], None, False),
 ], ids=["catmap", "doubling-torus", "swapped-cube", "swapped-torus", "L-torus", "sheared", "coupled-stack"])
-def test_the_depth_two_cover_of_a_coupled_or_zero_cover_model(model, axes, tracked, forever, full_space):
-    # pinned answers of the coupled and zero-cover class: only the cat map falls back to the full-space grid
+def test_the_depth_two_cover_of_a_coupled_or_zero_cover_model(model, axes, tracked, full_space):
+    # pinned answers of the coupled and zero-cover class: only the cat map falls back to the full-space grid,
+    # and only its tracking regime is `[]`, no point ever failing
     dist = _CoverDistance(model, cylinders(model, 2)[1])
-    assert (dist.axes, dist.tracked, bool(_tracks_forever(model, dist, 0.2))) == (axes, tracked, forever)
+    assert (dist.axes, dist.tracked) == (axes, tracked)
     args = argparse.Namespace(grid=None, scales=None, depth=3, eps=None, seed=0)
     assert ("resolution" in sample_for_set(model, "invariant", args)[2]) is full_space
 
@@ -663,6 +663,14 @@ class TestStableSetSampling:
         assert len(cloud) == len(survivors)
 
 
+@pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
+def test_a_stable_sample_refuses_an_epsilon_not_above_zero(epsilon):
+    # no point of the cat map can fail at any epsilon: the sampler, not its tracking regime, refuses it
+    for m in (build_cat_map(), build_linear_horseshoe(3.0, 0.25)):
+        with pytest.raises(ConfigError, match="is not above 0"):
+            sample_local_stable_set(m, epsilon, 4, samples=64)
+
+
 def test_default_epsilon_uses_half_gap():
     m = build_linear_horseshoe(3.0, 0.25)
     assert default_epsilon(m) == pytest.approx((1.0 - 2.0 / 3.0) / 2.0)
@@ -670,10 +678,11 @@ def test_default_epsilon_uses_half_gap():
 
 
 def test_a_full_grid_stays_at_two_to_the_eleven_per_axis():
-    m = build_cat_map()
-    cover = cover_distance(m, default_epsilon(m))
-    assert cover.tracked is None
-    assert stable_resolution(m, 12, cover) == 1 << 11
+    # unstepped (the cat map's regime is `[]`: no point fails) or stepped (the L torus's cover is no product)
+    for m, tracked in ((build_cat_map(), []), (cantor_square("torus", 3, [(0, 0), (0, 2), (2, 0)]), None)):
+        cover = cover_distance(m, default_epsilon(m))
+        assert cover.tracked == tracked
+        assert stable_resolution(m, 12, cover) == 1 << 11
 
 
 @pytest.mark.parametrize("depth,resolution", [(1, 1 << 11), (6, 1 << 12), (7, 1 << 14), (9, 1 << 16),

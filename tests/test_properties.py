@@ -724,8 +724,14 @@ def zero_cover_torus_models(draw, spanning=True):
 
 
 def _stepped(function, *args, **kwargs):
-    """`function` with the zero-cover shortcut off, so that every point is stepped."""
-    with mock.patch.object(pressure, "_tracks_forever", lambda *a: False):
+    """`function` with a cover's tracking regime `[]` read as None, so that every point is stepped."""
+    init = pressure._CoverDistance.__init__
+
+    def stepping(self, *init_args):
+        init(self, *init_args)
+        self.tracked = None if self.tracked == [] else self.tracked
+
+    with mock.patch.object(pressure._CoverDistance, "__init__", stepping):
         return function(*args, **kwargs)
 
 
@@ -738,7 +744,7 @@ def _stepped(function, *args, **kwargs):
 )
 def test_a_zero_cover_on_the_torus_with_a_spanning_branch_kills_no_point(model, epsilon, k_max, seed):
     dist = cover_distance(model, epsilon)
-    assert dist.axes == [] and pressure._tracks_forever(model, dist, epsilon)
+    assert dist.axes == dist.tracked == []
     rng = np.random.default_rng(seed)
     edges = np.array([0.0, 1.0, 1e-10, 1.0 - 1e-11, np.nextafter(1.0, 0.0), -5e-324])
     corners = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
@@ -756,7 +762,7 @@ def test_a_zero_cover_on_the_torus_with_a_spanning_branch_kills_no_point(model, 
 @given(model=zero_cover_torus_models(spanning=False), epsilon=_floats(0.2, 1.0), k_max=st.integers(2, 6))
 def test_a_zero_cover_without_a_spanning_branch_still_steps(model, epsilon, k_max):
     dist = cover_distance(model, epsilon)
-    assert dist.axes == [] and not pressure._tracks_forever(model, dist, epsilon)
+    assert dist.axes == [] and dist.tracked is None
     # the torus point (1 - 1e-11, 1/2) lies in no branch domain: it dies at the first step
     death = _death_steps(model, np.array([[1.0 - 1e-11, 0.5], [0.5, 0.5]]), epsilon, k_max, dist)
     assert death[0] == 1 and death[1] == k_max

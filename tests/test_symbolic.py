@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -63,6 +64,23 @@ class TestPrimitivity:
 
     def test_cat_coding_is_primitive(self):
         assert is_primitive(build_cat_map().transition)
+
+    def test_a_long_cycle_is_refused_by_repeated_squaring(self):
+        # one product per power up to (m - 1)^2 + 1 took 19.4 s at 120 symbols
+        start = time.perf_counter()
+        assert not is_primitive(np.roll(np.eye(200, dtype=int), 1, axis=1))
+        assert time.perf_counter() - start < 1.0
+
+    def test_repeated_squaring_reads_every_power_up_to_the_wielandt_bound(self):
+        rng = np.random.default_rng(23)
+        for _ in range(500):
+            m = int(rng.integers(1, 7))
+            a = (rng.random((m, m)) < rng.random()).astype(int)
+            power, positive = a, False
+            for _ in range((m - 1) ** 2 + 1):
+                positive |= bool((power > 0).all())
+                power = np.minimum(power @ a, 1)
+            assert is_primitive(a) == positive
 
 
 class TestAdmissibleWords:
