@@ -3,8 +3,6 @@
 __version__ = "0.1.0"
 
 from .models import (
-    AffineBranch,
-    AmbientSpace,
     ModelSystem,
     Potential,
     build_cantor_repeller,

@@ -53,39 +53,6 @@ def _ro(values, dtype=float):
     return arr
 
 
-@dataclass(frozen=True)
-class AmbientSpace:
-    """Where the model lives: a unit cube in R^n or the n-torus."""
-
-    dim: int
-    geometry: str = "cube"
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ParameterOutOfRangeError("ambient dimension must be >= 1")
-        if self.geometry not in GEOMETRIES:
-            raise ParameterOutOfRangeError(f"geometry must be one of {GEOMETRIES}")
-
-    @property
-    def is_torus(self) -> bool:
-        return self.geometry == "torus"
-
-
-@dataclass(frozen=True)
-class AffineBranch:
-    """One affine branch x -> linear @ x + offset on a closed rectangle: a row of `ModelSystem`'s arrays."""
-
-    symbol: int
-    lo: np.ndarray
-    hi: np.ndarray
-    linear: np.ndarray
-    offset: np.ndarray
-
-    def apply(self, points: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(points)
-        return pts @ self.linear.T + self.offset
-
-
 def _stacked(rows) -> np.ndarray:
     """One field of every branch as one float array, the symbol first; rows of unequal shape are refused."""
     rows = [np.asarray(row, dtype=float) for row in rows]
@@ -159,11 +126,11 @@ def torus_delta(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.minimum(d, 1.0 - d)
 
 
-def point_distance(space: AmbientSpace, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Sup-norm distance between point arrays, torus-wrapped if needed."""
+def point_distance(torus: bool, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sup-norm distance between point arrays, wrapped on the torus."""
     a = np.atleast_2d(a)
     b = np.atleast_2d(b)
-    d = torus_delta(a, b) if space.is_torus else np.abs(a - b)
+    d = torus_delta(a, b) if torus else np.abs(a - b)
     return d.max(axis=1)
 
 
@@ -171,51 +138,49 @@ def point_distance(space: AmbientSpace, a: np.ndarray, b: np.ndarray) -> np.ndar
 class ModelSystem:
     """A piecewise-affine map together with its symbolic coding.
 
+    The map lives on the unit cube in R^n or on the n-torus (`geometry`).
     Branch s maps x -> linear[s] @ x + offset[s] on the closed rectangle
     [lo[s], hi[s]]: `lo`, `hi` and `offset` are (m, n) and `linear` is
-    (m, n, n), read-only, the symbol first.  `branches` views the same
-    data as `AffineBranch` rows.  `transition[i, j] = 1` iff symbol j
+    (m, n, n), read-only, the symbol first; n is their width, and d_s is
+    n - `unstable_dim`.  `transition[i, j] = 1` iff symbol j
     may follow symbol i.  `lambda_u` and `lambda_s` hold the per-branch
     unstable/stable Jacobian magnitudes |det Df| restricted to the
     expanding/contracting directions; for the built-in constructors
     these are exact.
     """
 
-    space: AmbientSpace
+    geometry: str
     lo: np.ndarray
     hi: np.ndarray
     linear: np.ndarray
     offset: np.ndarray
     kind: str
     unstable_dim: int
-    stable_dim: int
     transition: np.ndarray
     lambda_u: np.ndarray
     lambda_s: np.ndarray | None = None
     strict: bool = True
 
     def __post_init__(self):
+        if self.geometry not in GEOMETRIES:
+            raise ParameterOutOfRangeError(f"geometry must be one of {GEOMETRIES}")
         for name in ("lo", "hi", "linear", "offset"):
             object.__setattr__(self, name, _ro(getattr(self, name)))
         object.__setattr__(self, "transition", _ro(self.transition, dtype=np.int8))
         object.__setattr__(self, "lambda_u", _ro(self.lambda_u))
         if self.lambda_s is not None:
             object.__setattr__(self, "lambda_s", _ro(self.lambda_s))
-        n = self.space.dim
-        rows = self.lo.shape[:1] + (n,)
-        if not self.lo.shape == self.hi.shape == self.offset.shape == rows or self.linear.shape != rows + (n,):
+        rows = self.lo.shape
+        if self.lo.ndim != 2 or not rows == self.hi.shape == self.offset.shape or self.linear.shape != rows + rows[1:]:
             raise ParameterOutOfRangeError("branch arrays have inconsistent shapes")
         if (self.hi < self.lo).any():
             raise ParameterOutOfRangeError("branch domain rectangle is empty")
-        m = len(self.lo)
+        m, n = rows
         if self.kind not in KINDS:
             raise ParameterOutOfRangeError(f"kind must be one of {KINDS}")
-        if self.kind == "expanding":
-            if self.unstable_dim != n or self.stable_dim != 0:
-                raise ParameterOutOfRangeError("expanding models have d_u = n, d_s = 0")
-        else:
-            if self.unstable_dim + self.stable_dim != n:
-                raise ParameterOutOfRangeError("diffeo models need d_u + d_s = n")
+        if not 1 <= self.unstable_dim <= n or self.kind == "expanding" and self.unstable_dim != n:
+            raise ParameterOutOfRangeError("expanding models have d_u = n, d_s = 0" if self.kind == "expanding"
+                                           else f"diffeo models need 1 <= d_u <= n = {n}, not {self.unstable_dim}")
         if self.transition.shape != (m, m):
             raise ParameterOutOfRangeError("transition matrix size must equal branch count")
         if (self.transition.sum(axis=0) == 0).any() or (self.transition.sum(axis=1) == 0).any():
@@ -236,19 +201,18 @@ class ModelSystem:
 
     @property
     def n(self) -> int:
-        return self.space.dim
+        return self.lo.shape[1]
+
+    @property
+    def is_torus(self) -> bool:
+        return self.geometry == "torus"
 
     @property
     def nsym(self) -> int:
         return len(self.lo)
 
-    @cached_property
-    def branches(self) -> tuple:
-        """Branch s as `AffineBranch(s, lo[s], hi[s], linear[s], offset[s])`, rows of the read-only arrays."""
-        return tuple(map(AffineBranch, range(self.nsym), self.lo, self.hi, self.linear, self.offset))
-
     def wrap(self, points: np.ndarray) -> np.ndarray:
-        return points % 1.0 if self.space.is_torus else points
+        return points % 1.0 if self.is_torus else points
 
     def branch_of(self, points: np.ndarray) -> np.ndarray:
         """Branch index per point, -1 where no branch applies.
@@ -274,7 +238,7 @@ class ModelSystem:
     @cached_property
     def factorization(self) -> Factorization:
         """The model's `Factorization`, built once, on first use, from the four branch arrays."""
-        return Factorization(self.lo, self.hi, self.linear, self.offset, self.space.is_torus)
+        return Factorization(self.lo, self.hi, self.linear, self.offset, self.is_torus)
 
     @property
     def uniform_linear(self) -> np.ndarray | None:
@@ -319,7 +283,7 @@ class ModelSystem:
 
     def to_json_dict(self) -> dict:
         return {
-            "space": {"dim": self.space.dim, "geometry": self.space.geometry},
+            "space": {"dim": self.n, "geometry": self.geometry},
             "kind": self.kind,
             "branches": [
                 {"symbol": symbol, "domain": {"lo": lo, "hi": hi}, "linear": linear, "offset": offset}
@@ -349,7 +313,11 @@ class ModelSystem:
     @classmethod
     def _from_dict(cls, data: dict):
         """(model, singular values of each branch's linear part, descending)."""
-        space = AmbientSpace(int(_field(_field(data, "space"), "dim")), _field(data["space"], "geometry"))
+        dim, geometry = int(_field(_field(data, "space"), "dim")), _field(data["space"], "geometry")
+        if dim < 1:
+            raise ParameterOutOfRangeError("ambient dimension must be >= 1")
+        if geometry not in GEOMETRIES:
+            raise ParameterOutOfRangeError(f"geometry must be one of {GEOMETRIES}")
         kind = _field(data, "kind")
         rows = sorted(enumerate(_field(data, "branches")), key=lambda row: int(_field(row[1], "symbol", row[0])))
         if not rows:
@@ -368,14 +336,14 @@ class ModelSystem:
             )
             raise ParameterOutOfRangeError(f"branch {s} has a non-finite {name}: {arrays[name][s].tolist()}")
         d_u = int(_field(data, "unstable_dim"))
-        d_s = 0 if kind == "expanding" else space.dim - d_u
         sv = np.linalg.svd(arrays["linear"], compute_uv=False)
+        if arrays["lo"].shape[1:] != (dim,):  # the file states n twice: as dim and as the branches' width
+            raise ParameterOutOfRangeError("branch arrays have inconsistent shapes")
         return cls(
-            space=space,
+            geometry=geometry,
             **arrays,
             kind=kind,
             unstable_dim=d_u,
-            stable_dim=d_s,
             transition=np.asarray(_field(data, "transition")),
             lambda_u=sv[:, :d_u].prod(axis=1),
             lambda_s=sv[:, d_u:].prod(axis=1) if kind == "diffeo" else None,
@@ -457,14 +425,13 @@ def build_linear_horseshoe(lambda_u: float, lambda_s: float) -> ModelSystem:
         raise ParameterOutOfRangeError("horseshoe needs lambda_s in (0, 1/2)")
     w = 1.0 / lambda_u
     return ModelSystem(
-        space=AmbientSpace(2, "cube"),
+        geometry="cube",
         lo=[[0.0, 0.0], [1.0 - w, 0.0]],
         hi=[[w, 1.0], [1.0, 1.0]],
         linear=[[[lambda_u, 0.0], [0.0, lambda_s]]] * 2,
         offset=[[0.0, 0.0], [-(lambda_u - 1.0), 1.0 - lambda_s]],
         kind="diffeo",
         unstable_dim=1,
-        stable_dim=1,
         transition=np.ones((2, 2)),
         lambda_u=np.array([lambda_u, lambda_u]),
         lambda_s=np.array([lambda_s, lambda_s]),
@@ -494,14 +461,13 @@ def build_cantor_repeller(slope: int, kept_branches) -> ModelSystem:
     digit = np.array(kept, dtype=float)[:, None]
     m = len(kept)
     return ModelSystem(
-        space=AmbientSpace(1, "torus"),
+        geometry="torus",
         lo=digit / slope,
         hi=(digit + 1) / slope,
         linear=np.full((m, 1, 1), float(slope)),
         offset=-digit,
         kind="expanding",
         unstable_dim=1,
-        stable_dim=0,
         transition=np.ones((m, m)),
         lambda_u=np.full(m, float(slope)),
     )
@@ -515,14 +481,13 @@ def build_golden_mean() -> ModelSystem:
     the subshift with transition matrix [[1, 1], [1, 0]].
     """
     return ModelSystem(
-        space=AmbientSpace(1, "cube"),
+        geometry="cube",
         lo=[[0.0], [0.5]],
         hi=[[0.5], [0.75]],
         linear=[[[2.0]], [[2.0]]],
         offset=[[0.0], [-1.0]],
         kind="expanding",
         unstable_dim=1,
-        stable_dim=0,
         transition=np.array([[1, 1], [1, 0]]),
         lambda_u=np.array([2.0, 2.0]),
     )
@@ -552,14 +517,13 @@ def build_cat_map() -> ModelSystem:
     m = len(_CAT_TAILS)
     transition = np.equal.outer(_CAT_HEADS, _CAT_TAILS)
     return ModelSystem(
-        space=AmbientSpace(2, "torus"),
+        geometry="torus",
         lo=np.zeros((m, 2)),
         hi=np.ones((m, 2)),
         linear=[[[2.0, 1.0], [1.0, 1.0]]] * m,
         offset=np.zeros((m, 2)),
         kind="diffeo",
         unstable_dim=1,
-        stable_dim=1,
         transition=transition,
         lambda_u=np.full(m, lam_u),
         lambda_s=np.full(m, lam_s),

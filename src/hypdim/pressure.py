@@ -62,7 +62,7 @@ def bowen_ball_contains(model: ModelSystem, spec: BowenBallSpec, y) -> bool:
     cx = np.atleast_2d(spec.center)
     cy = np.atleast_2d(np.asarray(y, dtype=float))
     for step in range(spec.k):
-        if point_distance(model.space, cx, cy)[0] >= spec.epsilon:
+        if point_distance(model.is_torus, cx, cy)[0] >= spec.epsilon:
             return False
         if step == spec.k - 1:
             break
@@ -170,7 +170,7 @@ class _CoverDistance:
     """
 
     def __init__(self, model: ModelSystem, rects: np.ndarray):
-        self.torus = model.space.is_torus
+        self.torus = model.is_torus
         self.rects = rects
         # the copies of the cover on the torus: each axis takes its own shift
         self.shifts = (-1.0, 0.0, 1.0) if self.torus else (0.0,)
@@ -421,7 +421,7 @@ def volume_curve(
     # and largest death over the cell and its 2n neighbours, read per factor
     alive, low, high = [], [], []
     for death in deaths:
-        padded = np.pad(death, 1, mode="wrap" if model.space.is_torus else "edge")
+        padded = np.pad(death, 1, mode="wrap" if model.is_torus else "edge")
         inner = (slice(1, -1),) * death.ndim
         lo = hi = death
         for ax in range(death.ndim):

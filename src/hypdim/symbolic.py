@@ -504,14 +504,13 @@ def power_model(model: ModelSystem, m: int) -> ModelSystem:
         offset = (model.linear[symbols] @ offset[:, :, None])[:, :, 0] + model.offset[symbols]
         linear = model.linear[symbols] @ linear
     return ModelSystem(
-        space=model.space,
+        geometry=model.geometry,
         lo=rects[:, 0],
         hi=rects[:, 1],
         linear=linear,
         offset=offset,
         kind=model.kind,
         unstable_dim=model.unstable_dim,
-        stable_dim=model.stable_dim,
         transition=model.transition[np.ix_(words[:, -1], words[:, 0])],
         lambda_u=np.prod(model.lambda_u[words], axis=1),
         lambda_s=None if model.lambda_s is None else np.prod(model.lambda_s[words], axis=1),

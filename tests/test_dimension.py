@@ -30,7 +30,6 @@ from hypdim.errors import (
     ParameterOutOfRangeError,
 )
 from hypdim.models import (
-    AmbientSpace,
     ModelSystem,
     build_cantor_repeller,
     build_cat_map,
@@ -94,14 +93,13 @@ class TestExpansionRate:
 
 def noncommuting_model():
     return ModelSystem(
-        space=AmbientSpace(2, "cube"),
+        geometry="cube",
         lo=np.zeros((2, 2)),
         hi=np.ones((2, 2)),
         linear=[[[2.0, 1.0], [0.0, 0.4]], [[2.0, 0.0], [1.0, 0.4]]],
         offset=np.zeros((2, 2)),
         kind="diffeo",
         unstable_dim=1,
-        stable_dim=1,
         transition=np.ones((2, 2)),
         lambda_u=np.array([2.0, 2.0]),
         lambda_s=np.array([0.4, 0.4]),
@@ -432,8 +430,7 @@ def word_loop_invariant_sample(model, depth):
     for wi, word in enumerate(words):
         lo, hi = np.zeros(len(stable)), np.ones(len(stable))
         for s in word:
-            b = model.branches[int(s)]
-            scale, off = np.diag(b.linear)[stable], b.offset[stable]
+            scale, off = np.diag(model.linear[s])[stable], model.offset[s, stable]
             lo, hi = np.minimum(scale * lo, scale * hi) + off, np.maximum(scale * lo, scale * hi) + off
         centers[wi] = 0.5 * (lo + hi)
     out = np.empty((len(words) ** 2, model.n))

@@ -12,7 +12,6 @@ from hypdim.errors import (
     ParameterOutOfRangeError,
 )
 from hypdim.models import (
-    AmbientSpace,
     ModelSystem,
     Potential,
     build_cantor_repeller,
@@ -55,13 +54,25 @@ _ONE_D_BRANCH = {"domain": {"lo": [0.5], "hi": [1.0]}, "linear": [[2.0]], "offse
 
 
 REFUSALS = {
-    "ambient dimension": (lambda: AmbientSpace(0), ParameterOutOfRangeError, "ambient dimension must be >= 1"),
-    "geometry": (lambda: AmbientSpace(2, "sphere"), ParameterOutOfRangeError,
+    "ambient dimension": (lambda: ModelSystem.from_json_dict({**horseshoe_document({}, {}), "space": {"dim": 0, "geometry": "cube"}}),
+                          ParameterOutOfRangeError, "ambient dimension must be >= 1"),
+    "branches of no width": (
+        lambda: horseshoe_with(lo=np.zeros((2, 0)), hi=np.zeros((2, 0)), linear=np.zeros((2, 0, 0)),
+                               offset=np.zeros((2, 0))),
+        ParameterOutOfRangeError, "diffeo models need 1 <= d_u <= n = 0, not 1"),
+    "geometry": (lambda: horseshoe_with(geometry="sphere"), ParameterOutOfRangeError,
                  "geometry must be one of ('cube', 'torus')"),
+    "geometry in a file": (
+        lambda: ModelSystem.from_json_dict({**horseshoe_document({}, {}), "space": {"dim": 2, "geometry": "sphere"}}),
+        ParameterOutOfRangeError, "geometry must be one of ('cube', 'torus')"),
     "branch shapes": (lambda: horseshoe_with(hi=[[1.0], [1.0]]), ParameterOutOfRangeError,
                       "branch arrays have inconsistent shapes"),
     "branches below the space's dimension": (
-        lambda: horseshoe_with(lo=[[0.0], [0.5]], hi=[[0.5], [1.0]], linear=[[[2.0]]] * 2, offset=[[0.0], [-1.0]]),
+        lambda: ModelSystem.from_json_dict(horseshoe_document({**_ONE_D_BRANCH, "domain": {"lo": [0.0], "hi": [0.5]}},
+                                                              _ONE_D_BRANCH)),
+        ParameterOutOfRangeError, "branch arrays have inconsistent shapes"),
+    "a file's dim beside its branches' width": (
+        lambda: ModelSystem.from_json_dict({**horseshoe_document({}, {}), "space": {"dim": 3, "geometry": "cube"}}),
         ParameterOutOfRangeError, "branch arrays have inconsistent shapes"),
     "ragged branches in a file": (lambda: ModelSystem.from_json_dict(horseshoe_document({}, _ONE_D_BRANCH)),
                                   ParameterOutOfRangeError, "branch arrays have inconsistent shapes"),
@@ -71,8 +82,10 @@ REFUSALS = {
              "kind must be one of ('diffeo', 'expanding')"),
     "expanding dims": (lambda: horseshoe_with(kind="expanding"), ParameterOutOfRangeError,
                        "expanding models have d_u = n, d_s = 0"),
-    "diffeo dims": (lambda: horseshoe_with(unstable_dim=2), ParameterOutOfRangeError,
-                    "diffeo models need d_u + d_s = n"),
+    "diffeo dims": (lambda: horseshoe_with(unstable_dim=3), ParameterOutOfRangeError,
+                    "diffeo models need 1 <= d_u <= n = 2, not 3"),
+    "diffeo d_u of 0": (lambda: horseshoe_with(unstable_dim=0), ParameterOutOfRangeError,
+                        "diffeo models need 1 <= d_u <= n = 2, not 0"),
     "transition size": (lambda: horseshoe_with(transition=np.ones((3, 3))), ParameterOutOfRangeError,
                         "transition matrix size must equal branch count"),
     "transition zeros": (lambda: horseshoe_with(transition=[[1, 1], [0, 0]]), ParameterOutOfRangeError,
@@ -193,7 +206,7 @@ class TestConstructors:
     def test_doubling_degree_three(self):
         m = build_doubling_map(3)
         assert m.nsym == 3
-        assert all(b.linear[0, 0] == 3.0 for b in m.branches)
+        assert (m.linear[:, 0, 0] == 3.0).all()
 
     def test_doubling_full_shift(self):
         assert np.all(build_doubling_map(2).transition == 1)
@@ -201,11 +214,11 @@ class TestConstructors:
     def test_cantor_middle_third(self):
         m = build_cantor_repeller(3, (0, 2))
         assert m.nsym == 2
-        assert m.branches[1].lo[0] == pytest.approx(2.0 / 3.0)
+        assert m.lo[1, 0] == pytest.approx(2.0 / 3.0)
 
     def test_cantor_full_circle(self):
         m = build_cantor_repeller(2, (0, 1))
-        domains = sorted((b.lo[0], b.hi[0]) for b in m.branches)
+        domains = sorted(zip(m.lo[:, 0], m.hi[:, 0]))
         assert domains == [(0.0, 0.5), (0.5, 1.0)]
 
     def test_cantor_rejects_bad_digits(self):
@@ -233,42 +246,40 @@ class TestStructuralInvariants:
         for m in all_builtins():
             if m.kind != "diffeo":
                 continue
-            for b in m.branches:
-                det = abs(np.linalg.det(b.linear))
-                assert det == pytest.approx(
-                    m.lambda_u[b.symbol] * m.lambda_s[b.symbol], rel=1e-12
-                )
+            for s, linear in enumerate(m.linear):
+                det = abs(np.linalg.det(linear))
+                assert det == pytest.approx(m.lambda_u[s] * m.lambda_s[s], rel=1e-12)
 
     def test_branch_inverse_is_identity(self):
         m = build_linear_horseshoe(3.0, 0.25)
         rng = np.random.default_rng(7)
-        for b in m.branches:
-            pts = b.lo + rng.random((32, 2)) * (b.hi - b.lo)
-            back = (b.apply(pts) - b.offset) @ np.linalg.inv(b.linear).T
+        for lo, hi, linear, offset in zip(m.lo, m.hi, m.linear, m.offset):
+            pts = lo + rng.random((32, 2)) * (hi - lo)
+            back = (np.atleast_2d(pts) @ linear.T + offset - offset) @ np.linalg.inv(linear).T
             assert np.abs(back - pts).max() < 1e-12
 
     def test_one_step_expansion_on_unstable_vectors(self):
         # adapted metric: ||Df v|| >= lambda_min ||v|| for one step, c = 1
         hs = build_linear_horseshoe(3.0, 0.25)
         v = np.array([1.0, 0.0])
-        for b in hs.branches:
-            assert np.linalg.norm(b.linear @ v) >= hs.lambda_u.min()
+        for linear in hs.linear:
+            assert np.linalg.norm(linear @ v) >= hs.lambda_u.min()
         cat = build_cat_map()
-        w = np.linalg.eigh(np.asarray(cat.branches[0].linear))[1][:, -1]
-        assert np.linalg.norm(cat.branches[0].linear @ w) >= cat.lambda_u.min() - 1e-12
+        w = np.linalg.eigh(np.asarray(cat.linear[0]))[1][:, -1]
+        assert np.linalg.norm(cat.linear[0] @ w) >= cat.lambda_u.min() - 1e-12
         for m in (build_doubling_map(2), build_cantor_repeller(3, (0, 2)), build_golden_mean()):
-            for b in m.branches:
-                assert abs(b.linear[0, 0]) >= m.lambda_u.min()
+            for linear in m.linear:
+                assert abs(linear[0, 0]) >= m.lambda_u.min()
 
     def test_images_stay_in_working_region(self):
         for m in all_builtins():
-            if m.space.is_torus:
+            if m.is_torus:
                 continue
-            for b in m.branches:
+            for lo, hi, linear, offset in zip(m.lo, m.hi, m.linear, m.offset):
                 corners = np.array(
-                    [[b.lo[0], b.lo[-1]], [b.hi[0], b.hi[-1]]]
-                ) if m.n == 2 else np.array([[b.lo[0]], [b.hi[0]]])
-                img = b.apply(corners)
+                    [[lo[0], lo[-1]], [hi[0], hi[-1]]]
+                ) if m.n == 2 else np.array([[lo[0]], [hi[0]]])
+                img = np.atleast_2d(corners) @ linear.T + offset
                 assert img.min() >= -1e-12 and img.max() <= 1 + 1e-12
 
 
@@ -277,7 +288,7 @@ class TestJsonSchema:
         for m in all_builtins():
             again = ModelSystem.from_json(m.to_json())
             assert again.kind == m.kind
-            assert again.space.geometry == m.space.geometry
+            assert again.geometry == m.geometry
             assert again.lambda_u == pytest.approx(m.lambda_u, rel=1e-12)
             if m.lambda_s is not None:
                 assert again.lambda_s == pytest.approx(m.lambda_s, rel=1e-12)

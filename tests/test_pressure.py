@@ -221,7 +221,7 @@ def full_grid_reference(m, eps, k_max, grid):
         mask = death >= k
         boundary = np.zeros_like(mask)
         for ax in range(m.n):
-            if m.space.is_torus:
+            if m.is_torus:
                 boundary |= (mask != np.roll(mask, 1, axis=ax)) | (mask != np.roll(mask, -1, axis=ax))
             else:
                 diff = np.diff(mask, axis=ax) != 0

@@ -21,7 +21,7 @@ solve their own Perron problems as the oracle for the bound report,
 the k-d tree as the oracle for the Minkowski curve of product clouds,
 the Perron loop with its bracket on numpy arrays as the oracle for the
 scalar bracket, integer word counts as the oracle for the word-cap
-check by bound, the per-branch `AffineBranch.apply` loop as the
+check by bound, the per-branch affine loop as the
 oracle for `ModelSystem.step`, and the rectangle-by-rectangle `_brute`
 as the oracle for the axis-by-axis distance to product covers.
 """
@@ -100,31 +100,31 @@ PROPERTY_SETTINGS = settings(
 def recursive_cylinders(model: ModelSystem, k: int):
     """Word-by-word cylinder recursion: one branch inverse per word."""
 
-    def pullback(branch, lo, hi):
-        inv = np.linalg.inv(branch.linear)
-        shifted_lo = lo - branch.offset
-        shifted_hi = hi - branch.offset
+    def pullback(s, lo, hi):
+        inv = np.linalg.inv(model.linear[s])
+        shifted_lo = lo - model.offset[s]
+        shifted_hi = hi - model.offset[s]
         low = np.where(inv > 0, inv * shifted_lo, inv * shifted_hi).sum(axis=1)
         high = np.where(inv > 0, inv * shifted_hi, inv * shifted_lo).sum(axis=1)
-        return np.maximum(low, branch.lo), np.minimum(high, branch.hi)
+        return np.maximum(low, model.lo[s]), np.minimum(high, model.hi[s])
 
     def level(depth):
         if depth == 1:
             return (
-                [(b.symbol,) for b in model.branches],
-                [(b.lo.copy(), b.hi.copy()) for b in model.branches],
+                [(s,) for s in range(model.nsym)],
+                [(lo.copy(), hi.copy()) for lo, hi in zip(model.lo, model.hi)],
             )
         sub_words, sub_rects = level(depth - 1)
         words, rects = [], []
-        for b in model.branches:
-            allowed = model.transition[b.symbol]
+        for s in range(model.nsym):
+            allowed = model.transition[s]
             for w, (lo, hi) in zip(sub_words, sub_rects):
                 if not allowed[w[0]]:
                     continue
-                plo, phi = pullback(b, lo, hi)
+                plo, phi = pullback(s, lo, hi)
                 if np.any(plo > phi + 1e-15):
                     continue
-                words.append((b.symbol,) + w)
+                words.append((s,) + w)
                 rects.append((plo, np.maximum(phi, plo)))
         return words, rects
 
@@ -295,9 +295,8 @@ def test_json_round_trip_is_exact(model):
     assert (again.lambda_s is None) == (model.lambda_s is None)
     if model.lambda_s is not None:
         assert np.array_equal(again.lambda_s, model.lambda_s)
-    for b, c in zip(model.branches, again.branches):
-        for field in ("lo", "hi", "linear", "offset"):
-            assert np.array_equal(getattr(b, field), getattr(c, field))
+    for field in ("lo", "hi", "linear", "offset"):
+        assert np.array_equal(getattr(model, field), getattr(again, field))
 
 
 # -- one-axis tracking kernel ---------------------------------------------------
@@ -347,7 +346,7 @@ def factored_models(draw):
 
 def _assert_kernel_matches_stepping(model, dist, epsilon, k_max, seed):
     """The one-axis kernel's deaths equal those of stepping whole points."""
-    ends = [v for b in model.branches for v in (b.lo[dist.axes[0]], b.hi[dist.axes[0]])]
+    ends = [v for lo, hi in zip(model.lo, model.hi) for v in (lo[dist.axes[0]], hi[dist.axes[0]])]
     along = np.concatenate([_sample_axis(512, seed), ends])
     rng = np.random.default_rng(seed)
     pts = np.empty((len(along), model.n))
@@ -407,12 +406,12 @@ def per_branch_leaves_whole(model: ModelSystem, whole: np.ndarray) -> bool:
     """The per-branch `np.ix_` loop that `ModelSystem.leaves_whole` replaced."""
     if not whole.any():
         return False
-    for b in model.branches:
-        block = b.linear[np.ix_(whole, whole)]
-        image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + b.offset[whole]
-        spans = np.all(b.lo[whole] <= 0.0) and np.all(b.hi[whole] >= 1.0)
-        coupled = np.any(b.linear[np.ix_(whole, ~whole)]) or np.any(b.linear[np.ix_(~whole, whole)])
-        inside = model.space.is_torus or (image.min() >= 0.0 and image.max() <= 1.0)
+    for lo, hi, linear, offset in zip(model.lo, model.hi, model.linear, model.offset):
+        block = linear[np.ix_(whole, whole)]
+        image = np.stack([np.minimum(block, 0.0), np.maximum(block, 0.0)]).sum(axis=2) + offset[whole]
+        spans = np.all(lo[whole] <= 0.0) and np.all(hi[whole] >= 1.0)
+        coupled = np.any(linear[np.ix_(whole, ~whole)]) or np.any(linear[np.ix_(~whole, whole)])
+        inside = model.is_torus or (image.min() >= 0.0 and image.max() <= 1.0)
         if not spans or coupled or not inside:
             return False
     return True
@@ -461,14 +460,15 @@ def split_models(draw, dims=st.integers(1, 3)):
 def enumerated_in_order(model: ModelSystem, axes) -> bool:
     """The `itertools.product` of each axis's distinct branch rows, in order of first appearance, against the
     branches' rows along `axes`, in symbol order."""
-    words = [tuple((b.lo[a], b.hi[a], b.linear[a, a], b.offset[a]) for a in axes) for b in model.branches]
+    words = [tuple((lo[a], hi[a], linear[a, a], offset[a]) for a in axes)
+             for lo, hi, linear, offset in zip(model.lo, model.hi, model.linear, model.offset)]
     firsts = [list(dict.fromkeys(word[i] for word in words)) for i in range(len(axes))]
     return words == list(itertools.product(*firsts))
 
 
 def reachable_block(model: ModelSystem) -> list:
     """Per axis, the lowest axis reachable from it over nonzero off-diagonal entries of any linear part."""
-    linked = [[i != j and any(b.linear[i, j] != 0 or b.linear[j, i] != 0 for b in model.branches)
+    linked = [[i != j and any(linear[i, j] != 0 or linear[j, i] != 0 for linear in model.linear)
                for j in range(model.n)] for i in range(model.n)]
     lowest = []
     for start in range(model.n):
@@ -494,7 +494,7 @@ def _assert_factorization_matches_the_loops(model: ModelSystem):
             assert len(axes) < 2 or factorization.in_order(axes) is ordered
             alone = all(block.count(a) == 1 and block[a] == a for a in axes)
             assert factorization.separates(axes) is (alone and (len(axes) < 2 or ordered))
-    spans = np.all([(b.lo <= 0.0) & (b.hi >= 1.0) for b in model.branches], axis=0)
+    spans = np.all([(lo <= 0.0) & (hi >= 1.0) for lo, hi in zip(model.lo, model.hi)], axis=0)
     assert np.array_equal(factorization.whole, spans & per_branch_leaves_whole(model, spans))
 
 
@@ -514,34 +514,33 @@ def test_the_factorization_of_a_built_in_equals_the_loops(model):
 # -- the model's stacked branch arrays ----------------------------------------------
 
 
-def free_mask_branch_of(pts: np.ndarray, branches, axes) -> np.ndarray:
+def free_mask_branch_of(pts: np.ndarray, model: ModelSystem, axes) -> np.ndarray:
     """The free-mask loop that `first_branch` replaced: each branch, in symbol order, takes the
     (N, len(axes)) points that no lower symbol took and that lie in its domain on `axes`."""
     idx = np.full(pts.shape[0], -1, dtype=np.int64)
-    for b in branches:
+    for s, (lo, hi) in enumerate(zip(model.lo, model.hi)):
         free = idx < 0
         if not free.any():
             break
-        hit = np.all((pts[free] >= b.lo[axes]) & (pts[free] <= b.hi[axes]), axis=1)
-        idx[np.flatnonzero(free)[hit]] = b.symbol
+        hit = np.all((pts[free] >= lo[axes]) & (pts[free] <= hi[axes]), axis=1)
+        idx[np.flatnonzero(free)[hit]] = s
     return idx
 
 
 def pair_loop_branch_separation(model: ModelSystem) -> float:
     """The double loop over branch pairs that `ModelSystem.branch_separation` replaced."""
-    if any(np.any(b.linear != np.diag(np.diag(b.linear))) for b in model.branches):
+    if any(np.any(linear != np.diag(np.diag(linear))) for linear in model.linear):
         return 0.0
     best = math.inf
     for i in range(model.nsym):
         for j in range(i + 1, model.nsym):
-            a, b = model.branches[i], model.branches[j]
-            da, db = np.diag(a.linear), np.diag(b.linear)
+            da, db = np.diag(model.linear[i]), np.diag(model.linear[j])
             contracting = (np.abs(1.0 / da) <= 1.0) & (np.abs(1.0 / db) <= 1.0)
             if not contracting.any():
                 best = 0.0
                 continue
             coef = 1.0 / da - 1.0 / db
-            const = b.offset / db - a.offset / da
+            const = model.offset[j] / db - model.offset[i] / da
             at_zero, at_one = np.abs(const), np.abs(coef + const)
             lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(at_zero, at_one))
             best = min(best, float(lower[contracting].max()))
@@ -561,14 +560,14 @@ def _domain_points(model: ModelSystem, seed: int) -> np.ndarray:
 def test_first_branch_equals_the_free_mask_loop(model, seed):
     pts = _domain_points(model, seed)
     all_axes = np.arange(model.n)
-    expected = free_mask_branch_of(model.wrap(pts), model.branches, all_axes)
+    expected = free_mask_branch_of(model.wrap(pts), model, all_axes)
     assert np.array_equal(model.branch_of(pts), expected)
-    assert np.array_equal(first_branch(pts, model.lo, model.hi), free_mask_branch_of(pts, model.branches, all_axes))
+    assert np.array_equal(first_branch(pts, model.lo, model.hi), free_mask_branch_of(pts, model, all_axes))
     for axis in range(model.n):
         x = pts[:, axis]
         got = first_branch(x, model.lo[:, axis], model.hi[:, axis])
         assert got.dtype == np.int64
-        assert np.array_equal(got, free_mask_branch_of(x[:, None], model.branches, [axis]))
+        assert np.array_equal(got, free_mask_branch_of(x[:, None], model, [axis]))
 
 
 def _no_contracting_pair():
@@ -626,29 +625,25 @@ def _with_builtins(**arguments):
 @given(model=split_models() | diagonal_models() | factored_models() | markov_models())
 @_with_builtins()
 def test_stacked_branch_arrays_are_the_branch_fields_read_only(model):
-    assert len(model.branches) == model.nsym
-    for s, branch in enumerate(model.branches):
-        assert branch.symbol == s
-        for name in ("lo", "hi", "linear", "offset"):
-            field, row = getattr(branch, name), getattr(model, name)[s]
-            assert field.dtype == row.dtype and field.shape == row.shape
-            assert field.tobytes() == row.tobytes()
-            with pytest.raises(ValueError, match="read-only"):
-                field[0] = 0.0
-    for name in ("lo", "hi", "linear", "offset"):
+    for name, shape in (("lo", (model.n,)), ("hi", (model.n,)), ("linear", (model.n, model.n)),
+                        ("offset", (model.n,))):
+        field = getattr(model, name)
+        assert field.dtype == np.float64 and field.shape == (model.nsym, *shape)
         with pytest.raises(ValueError, match="read-only"):
-            getattr(model, name)[0] = 0.0
+            field[0] = 0.0
+        with pytest.raises(ValueError, match="read-only"):
+            field[-1][0] = 0.0
 
 
 def branch_loop_step(model: ModelSystem, points: np.ndarray):
-    """The per-branch `AffineBranch.apply` loop that `ModelSystem.step` replaced."""
+    """The per-branch affine loop that `ModelSystem.step` replaced."""
     pts = model.wrap(np.atleast_2d(np.asarray(points, dtype=float)))
     idx = model.branch_of(pts)
     out = pts.copy()
-    for b in model.branches:
-        sel = idx == b.symbol
+    for s, (linear, offset) in enumerate(zip(model.linear, model.offset)):
+        sel = idx == s
         if sel.any():
-            out[sel] = model.wrap(b.apply(pts[sel]))
+            out[sel] = model.wrap(np.atleast_2d(pts[sel]) @ linear.T + offset)
     return out, idx
 
 
@@ -985,11 +980,8 @@ def test_a_pullback_stopped_at_its_limit_keeps_the_cloud_of_the_whole_pullback(m
 def per_word_cylinders(model: ModelSystem, k: int):
     """The per-word pullback loop: every word redoes the pullbacks of its whole tail."""
     words = admissible_words(model, k)
-    branches = model.branches
-    inverses = np.linalg.inv(np.stack([b.linear for b in branches]))
-    offsets = np.stack([b.offset for b in branches])
-    dom_lo = np.stack([b.lo for b in branches])
-    dom_hi = np.stack([b.hi for b in branches])
+    inverses = np.linalg.inv(model.linear)
+    offsets, dom_lo, dom_hi = model.offset, model.lo, model.hi
     whole = model.factorization.whole
     lo, hi = dom_lo[words[:, -1]], dom_hi[words[:, -1]]
     keep = np.ones(len(words), dtype=bool)
@@ -1279,7 +1271,7 @@ def test_multi_scale_box_counts_equal_the_unique_count_at_every_scale(line, othe
 
 def enumerated_rate(model: ModelSystem, k_max: int) -> np.ndarray:
     """per_k from the largest singular value of every admissible word's product."""
-    linears = np.stack([b.linear for b in model.branches])
+    linears = model.linear
     prods = linears.copy()
     last = np.arange(model.nsym, dtype=np.int64)
     per_k = []
@@ -1368,7 +1360,7 @@ def test_cylinder_levels_link_every_word_to_its_tail(model, k):
 
 def _invertible(model) -> bool:
     try:
-        np.linalg.inv(np.stack([b.linear for b in model.branches]))
+        np.linalg.inv(model.linear)
     except np.linalg.LinAlgError:
         return False
     return True
@@ -1631,8 +1623,8 @@ def test_bound_report_equals_the_separate_calls(model):
 @PROPERTY_SETTINGS
 @given(model=markov_models() | touching_models())
 def test_min_branch_gap_is_the_smallest_gap_of_a_pair(model):
-    gaps = [np.maximum(np.maximum(a.lo - b.hi, b.lo - a.hi), 0.0).max()
-            for i, a in enumerate(model.branches) for b in model.branches[i + 1 :]]
+    gaps = [np.maximum(np.maximum(model.lo[i] - model.hi[j], model.lo[j] - model.hi[i]), 0.0).max()
+            for i, j in itertools.combinations(range(model.nsym), 2)]
     assert model.min_branch_gap == (float(min(gaps)) if gaps else 0.0)
 
 

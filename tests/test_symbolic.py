@@ -374,7 +374,7 @@ class TestPowerModel:
     def test_doubling_power_is_higher_degree(self):
         g = power_model(build_doubling_map(2), 3)
         assert g.nsym == 8
-        assert all(b.linear[0, 0] == pytest.approx(8.0) for b in g.branches)
+        assert all(linear[0, 0] == pytest.approx(8.0) for linear in g.linear)
 
     @pytest.mark.parametrize("power", [2, 3])
     def test_power_tracks_composed_orbit(self, power):
