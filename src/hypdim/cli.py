@@ -53,6 +53,7 @@ from .models import (
     potential,
 )
 from .pressure import (
+    GRID_CAP,
     ProductCloud,
     cover_distance,
     default_epsilon,
@@ -190,25 +191,29 @@ def _refusing(parse):
     return read
 
 
+_TARGET_DIM_ONLY = "--target-dim reads only a bare --model horseshoe"
+
+
 @_refusing
 def parse_model(args) -> ModelSystem:
+    """The model of --model or --model-file; --target-dim synthesizes the horseshoe of a bare --model horseshoe."""
+    spec = args.model or ""
+    name, _, params = spec.partition(":")
+    name = name.lower()
+    if args.target_dim is not None:
+        if args.model_file or name != "horseshoe" or params:
+            raise ConfigError(_TARGET_DIM_ONLY)
+        return horseshoe_for_target_dimension(args.target_dim)
     if args.model_file:
         with open(args.model_file) as handle:
             return ModelSystem.from_json(handle.read())
-    spec = args.model
     if not spec:
         raise ConfigError("need --model or --model-file")
-    name, _, params = spec.partition(":")
-    name = name.lower()
     if name == "horseshoe":
-        if params:
-            parts = [float(p) for p in params.split(",")]
-            lam_u = parts[0]
-            lam_s = parts[1] if len(parts) > 1 else 0.25
-            return build_linear_horseshoe(lam_u, lam_s)
-        if args.target_dim:
-            return horseshoe_for_target_dimension(args.target_dim)
-        raise ConfigError("horseshoe needs parameters, e.g. horseshoe:3,0.25, or --target-dim")
+        if not params:
+            raise ConfigError("horseshoe needs parameters, e.g. horseshoe:3,0.25, or --target-dim")
+        parts = [float(p) for p in params.split(",")]
+        return build_linear_horseshoe(parts[0], parts[1] if len(parts) > 1 else 0.25)
     if name == "doubling":
         return build_doubling_map(int(params) if params else 2)
     if name == "cantor":
@@ -230,7 +235,7 @@ _SCALE_RANGE = re.compile(r"^(\d+)\^(-?\d+)\.\.(?:(\d+)\^)?(-?\d+)$")
 
 @_refusing
 def parse_scales(text: str | None, finest: int = 9):
-    """Scale grammar: ``3^-2..3^-9`` or a comma list of floats."""
+    """Scale grammar: ``3^-2..3^-9`` or a comma list of floats, each in (0, 1]."""
     if not text:
         return [2.0**-e for e in range(2, finest + 1)]
     match = _SCALE_RANGE.match(text.strip())
@@ -239,8 +244,8 @@ def parse_scales(text: str | None, finest: int = 9):
         if int(match.group(3) or base) != base:
             raise ConfigError("scale range must keep one base")
         step = 1 if last >= first else -1
-        return [float(base) ** e for e in range(first, last + step, step)]
-    return [float(p) for p in text.split(",")]
+        return check_scales([float(base) ** e for e in range(first, last + step, step)])
+    return check_scales([float(p) for p in text.split(",")])
 
 
 @_refusing
@@ -288,7 +293,7 @@ def cmd_pressure(args) -> int:
         estimate = spectral_estimate(model, pot)
     elif args.method == "partition":
         estimate = pressure_from_partition_sums(model, pot, args.kmax or 12)
-    elif args.method == "volume":
+    else:
         eps = args.eps if args.eps is not None else default_epsilon(model)
         kmax = args.kmax or 10
         window = parse_window(args.window) or (1, kmax)  # read before the curve is computed
@@ -297,8 +302,6 @@ def cmd_pressure(args) -> int:
         if estimate.value == -math.inf:
             msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {kmax} steps"
             raise GridTooCoarseError(msg + "; raise --grid")
-    else:
-        raise ConfigError(f"unknown method {args.method!r}")
     result = {"pressure": estimate.to_json_dict()}
     verdict = None
     if args.classify:
@@ -326,7 +329,8 @@ def _default_depth(model: ModelSystem, scales) -> int:
 
 
 def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 10):
-    """(points, scales, meta) of `set_name`; `stable_depth` is the stable sample's depth without --depth."""
+    """(points, scales, meta) of `set_name`, one of invariant, repeller and stable; `stable_depth` is the stable
+    sample's depth without --depth."""
     if set_name in ("invariant", "repeller"):
         # one walk: depth 2 decides the fallback, then goes on to the sample's depth
         walk = CylinderWalk(model)
@@ -351,10 +355,13 @@ def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 
         depth = args.depth or _default_depth(model, scales)
         points = invariant_set_sample(model, depth, resolution=args.grid or 512, walk=walk)
         meta = {"set": set_name, "depth": depth}
-    elif set_name == "stable":
-        scales = check_scales(parse_scales(args.scales, finest=9))
+    else:  # stable
+        scales = parse_scales(args.scales, finest=9)
         # samples per axis that resolve the finest scale: a power of two, at least 2 / scale and 1024
-        need = 1 << max(10, math.ceil(1.0 - math.log2(min(scales))))
+        bits = max(10, math.ceil(1.0 - math.log2(min(scales))))
+        if 1 << bits > GRID_CAP:
+            raise GridTooCoarseError(f"scale {min(scales)} needs 2^{bits} stable samples per axis, above {GRID_CAP}")
+        need = 1 << bits
         eps = args.eps if args.eps is not None else default_epsilon(model)
         depth = args.depth or stable_depth
         cover = cover_distance(model, eps)  # the cloud and its resolution per axis read off one cover
@@ -366,8 +373,6 @@ def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 
             msg = f"no stable sample tracks {depth} steps at {res} samples per axis"
             raise GridTooCoarseError(msg + "; lower --depth or raise --grid")
         meta = {"set": set_name, "depth": depth, "eps": eps, "resolution": res}
-    else:
-        raise ConfigError(f"unknown point set {set_name!r}")
     return points, scales, meta
 
 
@@ -439,17 +444,17 @@ def _report_row(model: ModelSystem, args, label: str) -> dict:
 
 def cmd_report(args) -> int:
     rows = []
+    target = args.target_dim
     if args.sweep:
+        if target is not None:
+            raise ConfigError(_TARGET_DIM_ONLY)
         for lam_u in _parse_sweep(args.sweep):
             rows.append(_report_row(build_linear_horseshoe(lam_u, 0.25), args, f"horseshoe:{lam_u},0.25"))
-    elif args.target_dim:
-        model = horseshoe_for_target_dimension(args.target_dim)
-        row = _report_row(model, args, f"target-dim:{args.target_dim}")
-        row["target_dimension"] = args.target_dim
-        row["synthesized_lambda_u"] = float(np.max(model.lambda_u))
-        rows.append(row)
     else:
-        rows.append(_report_row(parse_model(args), args, args.model or args.model_file))
+        model = parse_model(args)
+        rows.append(_report_row(model, args, args.model or args.model_file if target is None else f"target-dim:{target}"))
+        if target is not None:
+            rows[0] |= {"target_dimension": target, "synthesized_lambda_u": float(np.max(model.lambda_u))}
 
     result = {"rows": rows}
     out_dir = args.out_dir or "."

@@ -268,13 +268,14 @@ class ModelSystem:
             return 0.0
         a, b = np.triu_indices(self.nsym, 1)  # every pair of branches a < b
         diag = np.diagonal(self.linear, axis1=1, axis2=2)
-        inverse, shift = 1.0 / diag, self.offset / diag
-        contracting = (np.abs(inverse[a]) <= 1.0) & (np.abs(inverse[b]) <= 1.0)
-        if not contracting.any(axis=1).all():
-            return 0.0  # some pair has no contracting axis
-        # g(q) = inv_a(q) - inv_b(q), affine per axis over q in [0, 1]
-        coef, const = inverse[a] - inverse[b], shift[b] - shift[a]
-        lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(np.abs(const), np.abs(coef + const)))
+        with np.errstate(over="ignore"):  # an overflow to +-inf keeps its sign, so the tests below still hold
+            inverse, shift = 1.0 / diag, self.offset / diag
+            contracting = (np.abs(inverse[a]) <= 1.0) & (np.abs(inverse[b]) <= 1.0)
+            if not contracting.any(axis=1).all():
+                return 0.0  # some pair has no contracting axis
+            # g(q) = inv_a(q) - inv_b(q), affine per axis over q in [0, 1]
+            coef, const = inverse[a] - inverse[b], shift[b] - shift[a]
+            lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(np.abs(const), np.abs(coef + const)))
         # per pair the largest bound over its contracting axes; the least of them, skipping NaN
         best = np.fmin.reduce(np.max(lower, axis=1, where=contracting, initial=-np.inf), initial=np.inf)
         return float(best) if best < math.inf else 0.0

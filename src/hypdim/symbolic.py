@@ -328,10 +328,11 @@ def perron_root(matrix, tol: float = SPECTRAL_TOL, max_iter: int = SPECTRAL_MAX_
     back the bracket can shrink no further, and the iteration stops
     there too.  The bracket is worked out on Python floats (numpy's bits); an iterate
     holding NaN or +inf can only run out of steps, so it stops at once with that error.
+    A vector whose norm passes the float range is scaled by its peak before it is normed.
     """
     m = np.asarray(matrix, dtype=float)
     v, values, last, before = np.ones(m.shape[0]), [1.0] * m.shape[0], None, None
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
             w = m @ v
             products = w.tolist()
@@ -340,6 +341,7 @@ def perron_root(matrix, tol: float = SPECTRAL_TOL, max_iter: int = SPECTRAL_MAX_
             ratios = [x / y if y > 0 else math.inf for x, y in zip(products, values)]
             lo, hi = min(ratios), max(ratios)
             if math.isfinite(hi) and (hi - lo <= tol * hi or values == before):
+                w = w if np.linalg.norm(w) < math.inf else w / max(products)
                 return 0.5 * (lo + hi), w / np.linalg.norm(w)
             peak = max(products)
             if peak <= 0:

@@ -185,6 +185,23 @@ class TestDimensionCommand:
                                       "--scales", scales, "--depth", "100"])
         assert (code, out, err) == (2, "", "hypdim: invalid configuration: scale must lie in (0, 1]\n")
 
+    @pytest.mark.parametrize("scales", ["0,0.1,0.01,0.001", "nan,0.1,0.01,0.001"])
+    def test_a_repeller_sample_refuses_a_bad_scale(self, capsys, scales):
+        # the default depth took the log of scale 0 (ZeroDivisionError) or the int of a NaN depth: exit 1
+        code, out, err = run(capsys, ["dimension", "--model", "cantor:3,02", "--scales", scales])
+        assert (code, out, err) == (2, "", "hypdim: invalid configuration: scale must lie in (0, 1]\n")
+
+    @pytest.mark.parametrize("scales, message", [
+        ("1e-300,1e-301,1e-302,1e-303", "scale 1e-303 needs 2^1008 stable samples per axis, above 67108864"),
+        ("2^-2..2^-26", "scale 1.4901161193847656e-08 needs 2^27 stable samples per axis, above 67108864"),
+    ], ids=["1e-303", "2^-26"])
+    def test_a_stable_scale_finer_than_the_grid_cap_is_named(self, capsys, monkeypatch, scales, message):
+        # the grid cap refused the resolution itself: at 1e-303 a 300-digit number, written out twice
+        monkeypatch.setattr(cli, "cover_distance", None)  # refused before the cover is built
+        code, out, err = run(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable",
+                                      "--scales", scales])
+        assert (code, out, err) == (2, "", f"hypdim: invalid configuration: {message}\n")
+
     def test_cat_map_fills_the_torus(self, capsys):
         doc = run_json(capsys, ["dimension", "--model", "catmap", "--set", "invariant"])
         assert doc["result"]["dimension"]["slope"] == pytest.approx(2.0, abs=0.05)
@@ -258,6 +275,24 @@ class TestReportCommand:
         assert row["bound"] == pytest.approx(1.9, abs=1e-12)
         assert (tmp_path / "report.csv").exists()
         assert (tmp_path / "report.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--model", "cantor:3,02"],
+        ["bound", "--model", "cantor:3,02"],
+        ["dimension", "--model", "horseshoe:3,0.25"],
+        ["report", "--model-file", "model.json"],
+        ["report", "--model-file", "model.json", "--model", "horseshoe"],
+        ["report"],
+        ["report", "--sweep", "lambda_u=2.5:3.0:0.5"],
+    ], ids=["report-cantor", "bound-cantor", "horseshoe-parameters", "model-file", "model-file-and-horseshoe",
+            "no-model", "sweep"])
+    def test_target_dim_reads_only_a_bare_horseshoe(self, capsys, tmp_path, argv):
+        # a report measured a synthesized horseshoe under the other model's name; bound echoed the flag unread
+        out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "report" else []
+        code, out, err = run(capsys, [*argv, "--target-dim", "1.9", *out_dir])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: --target-dim reads only a bare --model horseshoe\n"
+        assert not list(tmp_path.iterdir())
 
     def test_sweep_rows(self, capsys, tmp_path):
         doc = run_json(
@@ -632,6 +667,18 @@ class TestModelFiles:
         path.write_text(json.dumps(doc))
         code, out, err = run(capsys, [*argv, "--model-file", str(path)])
         assert (code, out, err) == (2, "", f"hypdim: invalid configuration: {message}\n")
+
+    @pytest.mark.filterwarnings("error")  # numpy's overflow warning came before the refusal
+    @pytest.mark.parametrize("argv", [["bound"], ["bound", "--check-srb"]], ids=["bound", "check-srb"])
+    def test_a_perron_vector_past_the_float_range_is_refused_in_one_line(self, capsys, tmp_path, argv):
+        # e^phi_u = 1e200: the vector's norm overflowed to inf, so it read zeros and the Gibbs chain NaN
+        doc = _repeller_doc([4.0, 2.0], [[1, 1], [1, 1]])
+        for branch, (lo, hi) in zip(doc["branches"], [(0.0, 0.25), (0.5, 1.0)]):
+            branch.update(domain={"lo": [lo], "hi": [hi]}, linear=[[1e-200]], offset=[0.0])
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        assert (code, out, err) == (2, "", "hypdim: invalid configuration: expansion rate must be positive\n")
 
     @pytest.mark.parametrize(
         "argv",

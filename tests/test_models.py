@@ -283,6 +283,16 @@ class TestStructuralInvariants:
                 assert img.min() >= -1e-12 and img.max() <= 1 + 1e-12
 
 
+@pytest.mark.filterwarnings("error")
+def test_branch_separation_reads_a_tiny_slope_without_overflow():
+    # 1 / 1e-200 made the masked-out axis overflow in the sign test, with a RuntimeWarning on stderr
+    model = ModelSystem(geometry="cube", lo=[[0.0, 0.0], [0.5, 0.5]], hi=[[0.25, 0.25], [1.0, 0.75]],
+                        linear=[[[1e-200, 0.0], [0.0, 4.0]], [[3.0, 0.0], [0.0, 4.0]]],
+                        offset=[[0.5, 0.0], [-1.5, -2.0]], kind="expanding", unstable_dim=2,
+                        transition=np.ones((2, 2)), lambda_u=[4e-200, 12.0], strict=False)
+    assert model.branch_separation == 0.5
+
+
 class TestJsonSchema:
     def test_round_trip_preserves_rates(self):
         for m in all_builtins():

@@ -1474,7 +1474,8 @@ def test_perron_root_stops_where_rounding_holds_the_bracket():
 
 
 def vector_perron_root(matrix, tol=symbolic.SPECTRAL_TOL, max_iter=symbolic.SPECTRAL_MAX_ITER):
-    """The Perron loop with the bracket worked out on numpy arrays, as it was before the scalar one."""
+    """The Perron loop with the bracket worked out on numpy arrays, as it was before the scalar one; a vector
+    whose norm overflows is scaled by its peak first, as the scalar loop does."""
     m = np.asarray(matrix, dtype=float)
     v, last, before = np.ones(m.shape[0]), None, None
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -1484,6 +1485,8 @@ def vector_perron_root(matrix, tol=symbolic.SPECTRAL_TOL, max_iter=symbolic.SPEC
             lo, hi = float(ratios.min()), float(ratios.max())
             if math.isfinite(hi) and (hi - lo <= tol * hi or np.array_equal(v, before)):
                 root = 0.5 * (lo + hi)
+                if not np.linalg.norm(w) < math.inf:
+                    w = w / w.max()
                 return root, w / np.linalg.norm(w)
             peak = w.max()
             if peak <= 0:
@@ -1525,6 +1528,7 @@ TWO_CYCLE = np.array([[0.0, 0.0, 1 / 6.125], [0.0, 1 / 49, 1 / 6.125], [1 / 6.12
 @example(matrix=np.array([[0.0, 1.0], [1.0, 0.0]]), max_iter=50)
 @example(matrix=np.array([[1.0, math.inf], [1.0, 1.0]]), max_iter=symbolic.SPECTRAL_MAX_ITER)
 @example(matrix=np.array([[1.0, 1.0], [math.nan, 1.0]]), max_iter=7)
+@example(matrix=np.full((2, 2), 1e300), max_iter=symbolic.SPECTRAL_MAX_ITER)  # a norm past the float range
 def test_perron_root_equals_the_vector_loop(matrix, max_iter):
     # same root bits, same vector bytes, or the same error with the same text
     assert _perron_outcome(perron_root, matrix, max_iter) == _perron_outcome(vector_perron_root, matrix, max_iter)

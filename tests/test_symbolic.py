@@ -32,6 +32,7 @@ from hypdim.symbolic import (
     is_primitive,
     markov_measure_stats,
     partition_sums_through,
+    perron_root,
     power_model,
     pressure_spectral,
     separated_set,
@@ -232,6 +233,13 @@ class TestSpectralPressure:
             base = pressure_spectral(model, pot)
             shifted = pressure_spectral(model, pot.shifted(c))
             assert shifted == pytest.approx(base + c, abs=1e-12)
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_perron_vector_past_the_float_range_is_scaled_before_it_is_normed(self):
+        # the norm overflowed: numpy warned, and the vector came back as zeros
+        root, vector = perron_root(np.full((2, 2), 1e200))
+        assert root == 2e200
+        assert vector.tolist() == pytest.approx([math.sqrt(0.5)] * 2, rel=1e-15)
 
     def test_monotone_in_potential(self):
         m = build_golden_mean()
