@@ -1,16 +1,16 @@
 """Command-line front end.
 
-Subcommands: pressure, bound, dimension, report; each offers only the
-flags it reads (`_COMMANDS`).  One JSON document goes to stdout (or
---out), diagnostics to stderr, CSV side files on request.  Outputs are
-byte-identical for identical configuration and seed; files are written
-to a temp name and renamed, so failures leave no partials.
+Subcommands: pressure, bound, dimension, report; each offers only the flags
+it reads (`_COMMANDS`), and `read_args` reads them once.  One JSON document
+goes to stdout (or --out), diagnostics to stderr, CSV side files on request.
+Outputs are byte-identical for identical configuration and seed; files are
+written to a temp name and renamed, so failures leave no partials.
 
 Exit codes: 0 success, 1 a fault in the program (with its traceback), 2
-invalid configuration (an unoffered flag, a `pressure` flag its --method
-never reads, a non-positive count or epsilon, a malformed model file), 3
-enumeration cap exceeded, 4 inconclusive classification when a verdict
-was demanded.  A refused input always exits 2 or 3 (see `main`).
+invalid configuration (an unoffered flag, a flag that its --method, --set
+or --sweep never reads, a non-positive count or epsilon, a malformed model
+file), 3 enumeration cap exceeded, 4 inconclusive classification when a
+verdict was demanded.  A refused input always exits 2 or 3 (see `main`).
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ import os
 import re
 import sys
 import tempfile
+import types
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -73,7 +74,7 @@ EXIT_CONFIG = 2
 EXIT_CAP = 3
 EXIT_INCONCLUSIVE = 4
 
-# a sweep row takes about 3 ms on a 2-CPU machine, so the longest sweep runs about 12 s
+# the longest sweep, 4,096 rows of lambda_u from 2.2 to 4.0, took 8.9 s in one process on a 2-CPU machine
 SWEEP_ROW_CAP = 4096
 
 
@@ -173,33 +174,16 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-# -- argument parsing ----------------------------------------------------------
-
-
-def _refusing(parse):
-    """`parse`, with a number or a part of its text that does not read refused as a `ConfigError`, same message."""
-
-    @functools.wraps(parse)
-    def read(*args, **kwargs):
-        try:
-            return parse(*args, **kwargs)
-        except HypdimError:
-            raise
-        except (ArithmeticError, ValueError) as exc:  # float(), int(), unpacking, and a scale's power
-            raise ConfigError(str(exc)) from exc
-
-    return read
+# -- reading the command line -------------------------------------------------
 
 
 _TARGET_DIM_ONLY = "--target-dim reads only a bare --model horseshoe"
 
 
-@_refusing
 def parse_model(args) -> ModelSystem:
     """The model of --model or --model-file; --target-dim synthesizes the horseshoe of a bare --model horseshoe."""
     spec = args.model or ""
-    name, _, params = spec.partition(":")
-    name = name.lower()
+    name, _, params = spec.lower().partition(":")  # numbers read alike in either case
     if args.target_dim is not None:
         if args.model_file or name != "horseshoe" or params:
             raise ConfigError(_TARGET_DIM_ONLY)
@@ -212,8 +196,7 @@ def parse_model(args) -> ModelSystem:
     if name == "horseshoe":
         if not params:
             raise ConfigError("horseshoe needs parameters, e.g. horseshoe:3,0.25, or --target-dim")
-        parts = [float(p) for p in params.split(",")]
-        return build_linear_horseshoe(parts[0], parts[1] if len(parts) > 1 else 0.25)
+        return build_linear_horseshoe(*([float(p) for p in params.split(",")] + [0.25])[:2])
     if name == "doubling":
         return build_doubling_map(int(params) if params else 2)
     if name == "cantor":
@@ -221,8 +204,7 @@ def parse_model(args) -> ModelSystem:
             return build_cantor_repeller(3, (0, 2))
         slope_text, _, digits = params.partition(",")
         slope = int(slope_text)
-        kept = tuple(int(c) for c in digits) if digits else tuple(range(slope))
-        return build_cantor_repeller(slope, kept)
+        return build_cantor_repeller(slope, [int(c) for c in digits] if digits else range(slope))
     if name in ("catmap", "cat"):
         return build_cat_map()
     if name in ("goldenmean", "golden"):
@@ -230,168 +212,23 @@ def parse_model(args) -> ModelSystem:
     raise ConfigError(f"unknown model {spec!r}")
 
 
-_SCALE_RANGE = re.compile(r"^(\d+)\^(-?\d+)\.\.(?:(\d+)\^)?(-?\d+)$")
+_SCALE_RANGE = re.compile(r"^(\d+(?:\.\d+)?)\^(-?\d+)\.\.(?:(\d+(?:\.\d+)?)\^)?(-?\d+)$")
 
 
-@_refusing
-def parse_scales(text: str | None, finest: int = 9):
-    """Scale grammar: ``3^-2..3^-9`` or a comma list of floats, each in (0, 1]."""
-    if not text:
-        return [2.0**-e for e in range(2, finest + 1)]
+def parse_scales(text: str) -> list:
+    """Scale grammar: ``3^-2..3^-9``, with an integer or a decimal base (``2.2^-2..2.2^-12``), or a comma list
+    of floats; each scale in (0, 1]."""
     match = _SCALE_RANGE.match(text.strip())
     if match:
-        base, first, last = (int(match.group(i)) for i in (1, 2, 4))
-        if int(match.group(3) or base) != base:
+        base, other = (float(b) if "." in b else int(b) for b in (match.group(1), match.group(3) or match.group(1)))
+        if other != base:
             raise ConfigError("scale range must keep one base")
+        first, last = int(match.group(2)), int(match.group(4))
         step = 1 if last >= first else -1
         return check_scales([float(base) ** e for e in range(first, last + step, step)])
     return check_scales([float(p) for p in text.split(",")])
 
 
-@_refusing
-def parse_window(text: str | None):
-    if not text:
-        return None
-    lo, _, hi = text.partition(":")
-    return (int(lo), int(hi))
-
-
-def make_config(args, command: str) -> dict:
-    """The config echo of a run: `_ECHO` with the settings given, and the command."""
-    given = vars(args)
-    echo = {key: default if given.get(key) is None else given[key] for key, default in _ECHO.items()}
-    return {**echo, "command": command}
-
-
-# -- subcommands ---------------------------------------------------------------
-
-
-def _potential_for(model: ModelSystem, label: str | None) -> Potential:
-    if label in (None, ""):
-        label = "phi_u" if model.kind == "diffeo" else "phi"
-    if label == "zero":
-        return Potential.zero(model.nsym)
-    return potential(model, label)
-
-
-# the flags of `pressure` that only some --method reads, per method
-_METHOD_FLAGS = {
-    "spectral": {"--potential"},
-    "partition": {"--potential", "--kmax", "--csv"},
-    "volume": {"--kmax", "--eps", "--grid", "--threads", "--window", "--csv"},
-}
-
-
-def cmd_pressure(args) -> int:
-    others = set().union(*_METHOD_FLAGS.values()) - _METHOD_FLAGS[args.method]
-    unread = [f for f in _FLAGS if f in others and getattr(args, f[2:]) is not None]
-    if unread:
-        raise ConfigError(f"--method {args.method} does not read {', '.join(unread)}")
-    model = parse_model(args)
-    pot = _potential_for(model, args.potential)
-    if args.method == "spectral":
-        estimate = spectral_estimate(model, pot)
-    elif args.method == "partition":
-        estimate = pressure_from_partition_sums(model, pot, args.kmax or 12)
-    else:
-        eps = args.eps if args.eps is not None else default_epsilon(model)
-        kmax = args.kmax or 10
-        window = parse_window(args.window) or (1, kmax)  # read before the curve is computed
-        curve = volume_curve(model, eps, kmax, args.grid or 4096, threads=args.threads or 1)
-        estimate = pressure_from_volume_growth(curve, window)
-        if estimate.value == -math.inf:
-            msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {kmax} steps"
-            raise GridTooCoarseError(msg + "; raise --grid")
-    result = {"pressure": estimate.to_json_dict()}
-    verdict = None
-    if args.classify:
-        verdict = classify(estimate)
-        result["classification"] = verdict
-        result["classification_tolerance"] = classification_tolerance(estimate)
-    if args.csv and estimate.curve:
-        keys = list(estimate.curve.keys())
-        rows = zip(*[estimate.curve[k] for k in keys])
-        write_csv(args.csv, keys, rows)
-    emit_document(args, make_config(args, "pressure"), result)
-    return EXIT_INCONCLUSIVE if verdict == "inconclusive" else EXIT_OK
-
-
-def cmd_bound(args) -> int:
-    report = bound_report(parse_model(args), k_max=args.kmax or 8, check_equivalences=args.check_srb)
-    emit_document(args, make_config(args, "bound"), report.to_json_dict())
-    return EXIT_OK
-
-
-def _default_depth(model: ModelSystem, scales) -> int:
-    finest = min(scales)
-    rate = math.log(float(np.min(model.lambda_u)))
-    return max(4, min(14, int(math.ceil(math.log(1.0 / finest) / rate)) + 1))
-
-
-def sample_for_set(model: ModelSystem, set_name: str, args, stable_depth: int = 10):
-    """(points, scales, meta) of `set_name`, one of invariant, repeller and stable; `stable_depth` is the stable
-    sample's depth without --depth."""
-    if set_name in ("invariant", "repeller"):
-        # one walk: depth 2 decides the fallback, then goes on to the sample's depth
-        walk = CylinderWalk(model)
-        # cylinders that never shrink mean the invariant set is everything
-        if spanned_axes(walk.rects(2)).all():
-            # grid sample of the full space; scales must stay above the
-            # grid yet span the two decades the dimension fit requires
-            res = args.grid or 1024
-            finest = max(4, int(math.log2(res)) - 1)
-            if args.scales:
-                scales = parse_scales(args.scales)
-            else:
-                scales = [2.0**-e for e in range(max(0, finest - 7), finest + 1)]
-            depth = args.depth or 2
-            walk.rects(depth)  # the depth's word cap and mass are checked all the same
-            points = ProductCloud.grid([grid_axis(res)] * model.n)
-            meta = {"set": set_name, "depth": depth, "resolution": res}
-            return points, scales, meta
-        # symbolic samples are cheap and exact; a long dyadic window
-        # averages out the log-periodic wobble of Cantor counts
-        scales = parse_scales(args.scales, finest=13)
-        depth = args.depth or _default_depth(model, scales)
-        points = invariant_set_sample(model, depth, resolution=args.grid or 512, walk=walk)
-        meta = {"set": set_name, "depth": depth}
-    else:  # stable
-        scales = parse_scales(args.scales, finest=9)
-        # samples per axis that resolve the finest scale: a power of two, at least 2 / scale and 1024
-        bits = max(10, math.ceil(1.0 - math.log2(min(scales))))
-        if 1 << bits > GRID_CAP:
-            raise GridTooCoarseError(f"scale {min(scales)} needs 2^{bits} stable samples per axis, above {GRID_CAP}")
-        need = 1 << bits
-        eps = args.eps if args.eps is not None else default_epsilon(model)
-        depth = args.depth or stable_depth
-        cover = cover_distance(model, eps)  # the cloud and its resolution per axis read off one cover
-        # only tracked axes take more: the full grid, stepped or not, would take `need` on every axis
-        res = args.grid or max(stable_resolution(model, depth, cover), need if cover.tracked else 0)
-        points = sample_local_stable_set(model, eps, depth, samples=res, cross_resolution=need, seed=args.seed,
-                                         cover=cover)
-        if len(points) == 0:
-            msg = f"no stable sample tracks {depth} steps at {res} samples per axis"
-            raise GridTooCoarseError(msg + "; lower --depth or raise --grid")
-        meta = {"set": set_name, "depth": depth, "eps": eps, "resolution": res}
-    return points, scales, meta
-
-
-def cmd_dimension(args) -> int:
-    model = parse_model(args)
-    points, scales, meta = sample_for_set(model, args.set_name, args)
-    estimate = measure_box_dimension(points, scales)
-    result = {"dimension": estimate.to_json_dict(), "sample": meta}
-    if args.csv:
-        rows = [
-            (float(s), int(c), math.log(1.0 / s), math.log(c))
-            for s, c in zip(estimate.scales, estimate.counts)
-        ]
-        write_csv(args.csv, ["scale", "count", "log_inv_scale", "log_count"], rows)
-    emit_document(args, make_config(args, "dimension"), result)
-    return EXIT_OK
-
-
-@_refusing
 def _parse_sweep(text: str):
     """The values start, start + step, ... up to stop of `lambda_u=start:stop:step`.
 
@@ -424,10 +261,175 @@ def _parse_sweep(text: str):
     return values
 
 
-def _report_row(model: ModelSystem, args, label: str) -> dict:
-    report = bound_report(model, k_max=args.kmax or 8, check_equivalences=True)
+def make_config(args, command: str) -> dict:
+    """The config echo of a run: `_ECHO` with the settings given, and the command."""
+    given = vars(args)
+    echo = {key: default if given.get(key) is None else given[key] for key, default in _ECHO.items()}
+    return {**echo, "command": command}
+
+
+# the flags a path never reads, in help order; a path is a pressure --method, a dimension --set or a --sweep
+_UNREAD = {
+    "--method spectral": "--threads --csv --eps --kmax --grid --window",
+    "--method partition": "--threads --eps --grid --window",
+    "--method volume": "--potential",
+    "--set invariant": "--seed --eps",
+    "--set repeller": "--seed --eps",
+    "--sweep": "--model --model-file --target-dim",
+}
+# the default of each setting a path leaves unset (the paths above, the other commands and the three ways a
+# set is sampled); None where the model decides (a cylinder sample's depth, a stable sample's grid).  Scales
+# (n, e) are n dyadic scales down to 2^-e; a whole-space sample's end at twice its spacing or 2^-4, the finer.
+_DEFAULTS = {  # k_max, grid, depth, scales
+    "--method partition": (12, None, None, None),
+    "--method volume": (10, 4096, None, None),
+    "bound": (8, None, None, None),  # and the bound of a report row
+    "cylinders": (None, 512, None, (12, 13)),  # an invariant set or a repeller, by its cylinders
+    "whole space": (None, 1024, 2, (8, None)),  # ... or as the space, when its depth-2 cylinders span every axis
+    "stable": (None, None, 10, (8, 9)),
+    "report stable": (None, None, 8, (8, 9)),
+}
+
+
+def _settings(args, path: str, scales=None) -> types.SimpleNamespace:
+    """k_max, grid, depth and scales on `path`: each one given (`scales`, parsed), else its default there."""
+    *defaults, span = _DEFAULTS.get(path, (None,) * 4)
+    kmax, grid, depth = (d if g is None else g for g, d in zip((args.kmax, args.grid, args.depth), defaults))
+    if scales is None and span:
+        finest = span[1] or max(4, int(math.log2(grid)) - 1)
+        scales = [2.0**-e for e in range(max(0, finest + 1 - span[0]), finest + 1)]
+    return types.SimpleNamespace(kmax=kmax, grid=grid, depth=depth, scales=scales)
+
+
+def read_args(args) -> types.SimpleNamespace:
+    """What the command of `args` runs on, read once, before any model is built or any file is written.
+
+    A flag that the path taken never reads (`_UNREAD`) is refused, and so is, as a `ConfigError`, a value
+    that does not read.  A setting left unset takes its default on the path (`_settings`).  The model is
+    built last, unless a sweep builds one per row."""
+    path = (f"--method {args.method}" if args.method else f"--set {args.set_name}" if args.set_name
+            else "--sweep" if args.sweep else args.command)
+    unread = [flag for flag in _UNREAD.get(path, "").split() if getattr(args, flag[2:].replace("-", "_")) is not None]
+    if "--target-dim" in unread:
+        raise ConfigError(_TARGET_DIM_ONLY)
+    if unread:
+        raise ConfigError(f"{path} does not read {', '.join(unread)}")
+    run = types.SimpleNamespace(**vars(args), config=make_config(args, args.command))
+    run.seed, run.threads = run.config["seed"], run.config["threads"]
+    run.label = args.model or args.model_file if args.target_dim is None else f"target-dim:{args.target_dim}"
+    run.out_dir = args.out_dir or "."
+    try:
+        at = _settings(args, "bound" if args.command == "report" else path)
+        run.kmax, run.grid = at.kmax, at.grid
+        run.window = tuple(int(end) for end in args.window.partition(":")[::2]) if args.window else (1, run.kmax)
+        run.sweep = _parse_sweep(args.sweep) if args.sweep else None
+        if args.command in ("dimension", "report"):  # the commands that sample a set
+            scales = parse_scales(args.scales) if args.scales else None
+            run.sample = {"cylinders": _settings(args, "cylinders", scales),
+                          "whole space": _settings(args, "whole space", scales),
+                          "stable": _settings(args, "report stable" if args.command == "report" else "stable", scales)}
+        run.model = None if run.sweep else parse_model(args)
+    except HypdimError:
+        raise
+    except (ArithmeticError, ValueError) as exc:  # float(), int(), unpacking, a scale's power, a model's build
+        raise ConfigError(str(exc)) from exc
+    return run
+
+
+# -- subcommands ---------------------------------------------------------------
+
+
+def cmd_pressure(run) -> int:
+    model = run.model
+    label = run.potential or ("phi_u" if model.kind == "diffeo" else "phi")
+    pot = Potential.zero(model.nsym) if label == "zero" else potential(model, label)
+    if run.method == "spectral":
+        estimate = spectral_estimate(model, pot)
+    elif run.method == "partition":
+        estimate = pressure_from_partition_sums(model, pot, run.kmax)
+    else:
+        eps = run.eps if run.eps is not None else default_epsilon(model)
+        curve = volume_curve(model, eps, run.kmax, run.grid, threads=run.threads)
+        estimate = pressure_from_volume_growth(curve, run.window)
+        if estimate.value == -math.inf:
+            msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {run.kmax} steps"
+            raise GridTooCoarseError(msg + "; raise --grid")
+    result = {"pressure": estimate.to_json_dict()}
+    verdict = None
+    if run.classify:
+        verdict = classify(estimate)
+        result["classification"] = verdict
+        result["classification_tolerance"] = classification_tolerance(estimate)
+    if run.csv and estimate.curve:
+        keys = list(estimate.curve.keys())
+        rows = zip(*[estimate.curve[k] for k in keys])
+        write_csv(run.csv, keys, rows)
+    emit_document(run, run.config, result)
+    return EXIT_INCONCLUSIVE if verdict == "inconclusive" else EXIT_OK
+
+
+def cmd_bound(run) -> int:
+    report = bound_report(run.model, k_max=run.kmax, check_equivalences=run.check_srb)
+    emit_document(run, run.config, report.to_json_dict())
+    return EXIT_OK
+
+
+def _default_depth(model: ModelSystem, scales) -> int:
+    finest = min(scales)
+    rate = math.log(float(np.min(model.lambda_u)))
+    return max(4, min(14, int(math.ceil(math.log(1.0 / finest) / rate)) + 1))
+
+
+def sample_for_set(model: ModelSystem, set_name: str, run):
+    """(points, scales, meta) of `set_name`, one of invariant, repeller and stable, at the settings of `run`."""
+    if set_name in ("invariant", "repeller"):
+        # one walk: depth 2 decides the fallback, then goes on to the sample's depth
+        walk = CylinderWalk(model)
+        # cylinders that never shrink mean the invariant set is everything: sample the grid of the full space
+        if spanned_axes(walk.rects(2)).all():
+            s = run.sample["whole space"]
+            walk.rects(s.depth)  # the depth's word cap and mass are checked all the same
+            points = ProductCloud.grid([grid_axis(s.grid)] * model.n)
+            return points, s.scales, {"set": set_name, "depth": s.depth, "resolution": s.grid}
+        # symbolic samples are cheap and exact; a long dyadic window
+        # averages out the log-periodic wobble of Cantor counts
+        s = run.sample["cylinders"]
+        depth = s.depth or _default_depth(model, s.scales)
+        points = invariant_set_sample(model, depth, resolution=s.grid, walk=walk)
+        return points, s.scales, {"set": set_name, "depth": depth}
+    s = run.sample["stable"]
+    # samples per axis that resolve the finest scale: a power of two, at least 2 / scale and 1024
+    bits = max(10, math.ceil(1.0 - math.log2(min(s.scales))))
+    if 1 << bits > GRID_CAP:
+        raise GridTooCoarseError(f"scale {min(s.scales)} needs 2^{bits} stable samples per axis, above {GRID_CAP}")
+    need = 1 << bits
+    eps = run.eps if run.eps is not None else default_epsilon(model)
+    cover = cover_distance(model, eps)  # the cloud and its resolution per axis read off one cover
+    # only tracked axes take more: the full grid, stepped or not, would take `need` on every axis
+    res = s.grid or max(stable_resolution(model, s.depth, cover), need if cover.tracked else 0)
+    points = sample_local_stable_set(model, eps, s.depth, samples=res, cross_resolution=need, seed=run.seed,
+                                     cover=cover)
+    if len(points) == 0:
+        msg = f"no stable sample tracks {s.depth} steps at {res} samples per axis"
+        raise GridTooCoarseError(msg + "; lower --depth or raise --grid")
+    return points, s.scales, {"set": set_name, "depth": s.depth, "eps": eps, "resolution": res}
+
+
+def cmd_dimension(run) -> int:
+    points, scales, meta = sample_for_set(run.model, run.set_name, run)
+    estimate = measure_box_dimension(points, scales)
+    result = {"dimension": estimate.to_json_dict(), "sample": meta}
+    if run.csv:
+        rows = [(float(s), int(c), math.log(1.0 / s), math.log(c)) for s, c in zip(estimate.scales, estimate.counts)]
+        write_csv(run.csv, ["scale", "count", "log_inv_scale", "log_count"], rows)
+    emit_document(run, run.config, result)
+    return EXIT_OK
+
+
+def _report_row(model: ModelSystem, run, label: str) -> dict:
+    report = bound_report(model, k_max=run.kmax, check_equivalences=True)
     set_name = "stable" if model.kind == "diffeo" else "repeller"
-    points, scales, _ = sample_for_set(model, set_name, args, stable_depth=8)
+    points, scales, _ = sample_for_set(model, set_name, run)
     estimate = measure_box_dimension(points, scales)
     return {
         "label": label,
@@ -442,22 +444,14 @@ def _report_row(model: ModelSystem, args, label: str) -> dict:
     }
 
 
-def cmd_report(args) -> int:
-    rows = []
-    target = args.target_dim
-    if args.sweep:
-        if target is not None:
-            raise ConfigError(_TARGET_DIM_ONLY)
-        for lam_u in _parse_sweep(args.sweep):
-            rows.append(_report_row(build_linear_horseshoe(lam_u, 0.25), args, f"horseshoe:{lam_u},0.25"))
+def cmd_report(run) -> int:
+    if run.sweep:
+        rows = [_report_row(build_linear_horseshoe(lam, 0.25), run, f"horseshoe:{lam},0.25") for lam in run.sweep]
     else:
-        model = parse_model(args)
-        rows.append(_report_row(model, args, args.model or args.model_file if target is None else f"target-dim:{target}"))
-        if target is not None:
-            rows[0] |= {"target_dimension": target, "synthesized_lambda_u": float(np.max(model.lambda_u))}
-
-    result = {"rows": rows}
-    out_dir = args.out_dir or "."
+        rows = [_report_row(run.model, run, run.label)]
+        if run.target_dim is not None:
+            rows[0] |= {"target_dimension": run.target_dim, "synthesized_lambda_u": float(np.max(run.model.lambda_u))}
+    out_dir = run.out_dir
     os.makedirs(out_dir, exist_ok=True)
     header = ["label", "lambda_u_max", "pressure", "s", "bound", "classification", "measured_dimension"]
     table_rows = [[r[h] for h in header] for r in rows]
@@ -465,10 +459,10 @@ def cmd_report(args) -> int:
     widths = [max(len(h), *(len(_csv_cell(row[i])) for row in table_rows)) for i, h in enumerate(header)]
     lines = ["  ".join(_csv_cell(v).ljust(w) for v, w in zip(row, widths)) for row in [header, *table_rows]]
     atomic_write(os.path.join(out_dir, "report.txt"), "\n".join(lines) + "\n")
-    if args.plot_data:
+    if run.plot_data:
         for name, key in (("bound_vs_lambda.csv", "bound"), ("dimension_vs_lambda.csv", "measured_dimension")):
             write_csv(os.path.join(out_dir, name), ["lambda_u_max", key], [(r["lambda_u_max"], r[key]) for r in rows])
-    emit_document(args, make_config(args, "report"), result)
+    emit_document(run, run.config, {"rows": rows})
     return EXIT_OK
 
 
@@ -493,7 +487,7 @@ def _positive(kind):
 _FLAGS = {
     "--model": dict(help="built-in model, e.g. horseshoe:3,0.25"),
     "--model-file": dict(help="JSON model file"),
-    "--seed": dict(type=int, default=_ECHO["seed"], help="seed of the stable-set sampler"),
+    "--seed": dict(type=int, help="seed of the stable-set sampler (default 0)"),
     "--threads": dict(type=_positive(int), help="grid worker threads"),
     "--out": dict(help="write the JSON document here instead of stdout"),
     "--csv": dict(help="write the raw curve as CSV here"),
@@ -539,7 +533,9 @@ def build_parser() -> argparse.ArgumentParser:
         for flag, spec in _FLAGS.items():
             if flag in reads:
                 p.add_argument(flag, **spec)
-        p.set_defaults(func=func)
+        # a flag the subcommand does not offer reads None, so the arguments of every command hold every flag
+        unoffered = [spec.get("dest", flag[2:].replace("-", "_")) for flag, spec in _FLAGS.items() if flag not in reads]
+        p.set_defaults(func=func, **dict.fromkeys(unoffered))
     return parser
 
 
@@ -549,7 +545,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
     try:
-        return args.func(args)
+        return args.func(read_args(args))
     except CapExceededError as exc:
         print(f"hypdim: cap exceeded: {exc}", file=sys.stderr)
         return EXIT_CAP

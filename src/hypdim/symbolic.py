@@ -307,8 +307,8 @@ def partition_sums_through(model: ModelSystem, pot: Potential, k_max: int) -> np
 
     Z_k sums exp(S_k phi) over one representative per admissible word;
     for locally constant potentials the value does not depend on the
-    representatives, so Z_k = e^phi (A diag e^phi)^(k-1) 1 exactly.  The
-    word cap still bounds k_max, which keeps every Z_k finite.
+    representatives, so Z_k = e^phi (A diag e^phi)^(k-1) 1 exactly.  The word cap bounds k_max but
+    keeps no Z_k finite: `pressure_from_partition_sums` refuses the Z_2 = inf of slopes 1e-300 and 3.
     """
     check_word_cap(model, k_max)
     return np.fromiter(_transfer_sums(*_weighted(model, pot)), float, k_max)

@@ -226,8 +226,8 @@ class TestDimensionCommand:
                 yield level
 
         monkeypatch.setattr(symbolic, "cylinder_levels", counted)
-        args = cli.build_parser().parse_args(["dimension", *argv])
-        _, _, meta = cli.sample_for_set(cli.parse_model(args), args.set_name, args)
+        run = cli.read_args(cli.build_parser().parse_args(["dimension", *argv]))
+        _, _, meta = cli.sample_for_set(run.model, run.set_name, run)
         # depth 2 decides the fallback on the way to the sample's depth
         assert len(built) == max(2, meta["depth"])
 
@@ -762,6 +762,11 @@ _MASSLESS = ModelSystem.from_json_dict({
 })
 
 
+def _read(*argv):
+    """The values a command line runs on, as `main` reads them."""
+    return cli.read_args(cli.build_parser().parse_args(argv))
+
+
 def _walk_past(depth):
     walk = CylinderWalk(_HS)
     walk.rects(depth + 1)
@@ -828,9 +833,10 @@ class TestErrorBoundary:
             (lambda: CylinderWalk(_MASSLESS).rects(2), ParameterOutOfRangeError),
             (lambda: volume_curve(_HS, 0.1, 40000, 64), ConfigError),
             (lambda: pressure_from_volume_growth(volume_curve(_HS, 0.1, 6, 256), (1, 100)), DegenerateCurveError),
-            (lambda: cli.parse_scales("0^-2..0^-9"), ConfigError),
-            (lambda: cli.parse_window("1:x"), ConfigError),
-            (lambda: _parse_sweep("lambda_u=1:2"), ConfigError),
+            (lambda: _read("dimension", "--model", "cantor:3,02", "--scales", "0^-2..0^-9"), ConfigError),
+            (lambda: _read("pressure", "--model", "horseshoe:3,0.25", "--method", "volume", "--window", "1:x"),
+             ConfigError),
+            (lambda: _read("report", "--sweep", "lambda_u=1:2"), ConfigError),
         ],
         ids=["partition-kmax", "scale-range", "positive-pressure", "massless", "step-cap", "window-top-half",
              "scale-power", "window-int", "sweep-unpacking"],
@@ -875,10 +881,11 @@ class TestDeterminism:
         assert one_doc["result"] == four_doc["result"]
 
     def test_provenance_fields_present(self, capsys):
-        doc = run_json(capsys, ["dimension", "--model", "doubling:2", "--seed", "42"])
+        # the stable set reads --seed; the invariant set, which this ran on before, reads none
+        doc = run_json(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--seed", "42"])
         assert doc["version"]
         assert doc["config"]["seed"] == 42
-        assert doc["config"]["model"] == "doubling:2"
+        assert doc["config"]["model"] == "horseshoe:3,0.25"
         assert doc["caps"]["word_cap"] == 1 << 24
         assert "classification_exact" in doc["tolerances"]
 
@@ -1079,11 +1086,44 @@ class TestFlags:
         assert f"--method {method} does not read {flag}" in err
         assert not csv_path.exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["report", "--sweep", "lambda_u=3:3:1", "--model", "cantor:3,02"], "--sweep does not read --model"),
+            (["report", "--sweep", "lambda_u=3:3:1", "--model-file", "FILE"], "--sweep does not read --model-file"),
+            (["dimension", "--model", "cantor:3,02", "--set", "repeller", "--eps", "0.1"],
+             "--set repeller does not read --eps"),
+            (["dimension", "--model", "cantor:3,02", "--set", "repeller", "--seed", "5"],
+             "--set repeller does not read --seed"),
+        ],
+        ids=["sweep-model", "sweep-model-file", "repeller-eps", "repeller-seed"],
+    )
+    def test_a_flag_the_path_never_reads_exits_2(self, capsys, tmp_path, argv, message):
+        # each exited 0 and echoed the flag that no code read
+        model_file = tmp_path / "model.json"
+        model_file.write_text(build_linear_horseshoe(3.0, 0.25).to_json())
+        extra = ["--out-dir", str(tmp_path / "out")] if argv[0] == "report" else ["--csv", str(tmp_path / "x.csv")]
+        code, out, err = run(capsys, [str(model_file) if a == "FILE" else a for a in argv] + extra)
+        assert (code, out, err) == (2, "", f"hypdim: invalid configuration: {message}\n")
+        assert list(tmp_path.iterdir()) == [model_file]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["dimension", "--model", "cantor:3,02", "--set", "repeller", "--grid", "64"],
+         ["report", "--model", "cantor:3,02", "--eps", "0.1", "--seed", "5"]],
+        ids=["repeller-grid", "expanding-report-eps-seed"],
+    )
+    def test_a_flag_whose_use_depends_on_the_model_is_accepted(self, capsys, tmp_path, argv):
+        # a repeller whose cylinders span the space samples the --grid; a diffeo's report row reads --eps and --seed
+        extra = ["--out-dir", str(tmp_path)] if argv[0] == "report" else []
+        assert run_json(capsys, argv + extra)["config"]["command"] == argv[0]
+
     def test_each_method_accepts_the_flags_it_reads(self, capsys, tmp_path):
-        for method, flags in cli._METHOD_FLAGS.items():
+        for method in ("spectral", "partition", "volume"):
             values = {"--potential": "phi_u", "--kmax": "6", "--eps": "0.1",
                       "--grid": "64", "--threads": "2", "--window": "1:6",
                       "--csv": str(tmp_path / f"{method}.csv")}
+            flags = set(values) - set(cli._UNREAD[f"--method {method}"].split())
             argv = [*BASE["pressure"], "--method", method]
             for flag in sorted(flags):
                 argv += [flag, values[flag]]
@@ -1098,8 +1138,8 @@ class TestFlags:
             (["pressure", "--model", "horseshoe:3,0.25", "--method", "partition", "--kmax", "12"],
              {"method": "partition", "kmax": 12}),
             (["bound", "--model", "horseshoe:3,0.25", "--kmax", "6"], {"kmax": 6}),
-            (["dimension", "--model", "cantor:3,02", "--scales", "3^-2..3^-9", "--seed", "5"],
-             {"scales": "3^-2..3^-9", "seed": 5, "set_name": "invariant"}),
+            (["dimension", "--model", "horseshoe:3,0.25", "--set", "stable", "--scales", "3^-2..3^-9", "--seed", "5"],
+             {"scales": "3^-2..3^-9", "seed": 5, "set_name": "stable"}),
             (["report", "--model", "horseshoe:3,0.25", "--depth", "4"], {"depth": 4}),
         ],
     )
@@ -1153,9 +1193,23 @@ class TestScaleGrammar:
         assert parse_scales("3^-2..3^-4") == [3.0**-2, 3.0**-3, 3.0**-4]
         assert parse_scales("2^-1..2^-3") == [0.5, 0.25, 0.125]
 
+    def test_decimal_base_range(self):
+        # "could not convert string to float" until a base could hold a decimal point
+        assert parse_scales("2.2^-2..2.2^-12") == [2.2**-e for e in range(2, 13)]
+        assert parse_scales("2.5^-3..2.5^-1") == [2.5**-3, 2.5**-2, 2.5**-1]
+        assert parse_scales("2.0^-1..2^-3") == parse_scales("2^-1..2^-3")  # one base, written two ways
+        for text in ("2.2^-2..2.5^-4", "2.2^-2..2^-4"):
+            with pytest.raises(ConfigError, match="scale range must keep one base"):
+                parse_scales(text)
+
+    def test_a_decimal_base_reaches_the_stable_sample(self, capsys):
+        doc = run_json(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable",
+                                "--scales", "2.2^-2..2.2^-12"])
+        assert doc["result"]["dimension"]["scales"] == [2.2**-e for e in range(2, 13)]
+
     def test_comma_list(self):
         assert parse_scales("0.5,0.25") == [0.5, 0.25]
 
     def test_default_is_dyadic(self):
-        scales = parse_scales(None)
+        scales = _read("dimension", "--model", "horseshoe:3,0.25", "--set", "stable").sample["stable"].scales
         assert scales[0] == 0.25 and scales[-1] == 2.0**-9

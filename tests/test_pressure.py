@@ -1,6 +1,5 @@
 """Bowen balls, tracking volumes and the pressure estimators."""
 
-import argparse
 import dataclasses
 import itertools
 import json
@@ -13,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypdim import pressure
-from hypdim.cli import main, sample_for_set
+from hypdim.cli import build_parser, main, read_args, sample_for_set
 from hypdim.dimension import invariant_set_sample
 from hypdim.errors import ConfigError, DegenerateCurveError, GridTooCoarseError, IncompatibleLabelError
 from hypdim.models import (
@@ -434,8 +433,8 @@ def test_the_depth_two_cover_of_a_coupled_or_zero_cover_model(model, axes, track
     # and only its tracking regime is `[]`, no point ever failing
     dist = _CoverDistance(model, cylinders(model, 2)[1])
     assert (dist.axes, dist.tracked) == (axes, tracked)
-    args = argparse.Namespace(grid=None, scales=None, depth=3, eps=None, seed=0)
-    assert ("resolution" in sample_for_set(model, "invariant", args)[2]) is full_space
+    run = read_args(build_parser().parse_args(["dimension", "--model", "catmap", "--depth", "3"]))
+    assert ("resolution" in sample_for_set(model, "invariant", run)[2]) is full_space
 
 
 def test_a_coupled_spanning_axis_keeps_every_axis_out_of_whole():
