@@ -129,6 +129,8 @@ def atomic_write(path: str, text: str) -> None:
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        os.umask(umask := os.umask(0))  # mkstemp's 0600 becomes the mode that open() would give
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -205,9 +207,9 @@ def parse_model(args) -> ModelSystem:
         slope_text, _, digits = params.partition(",")
         slope = int(slope_text)
         return build_cantor_repeller(slope, [int(c) for c in digits] if digits else range(slope))
-    if name in ("catmap", "cat"):
+    if name == "catmap":
         return build_cat_map()
-    if name in ("goldenmean", "golden"):
+    if name == "goldenmean":
         return build_golden_mean()
     raise ConfigError(f"unknown model {spec!r}")
 

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .models import ModelSystem, build_linear_horseshoe, potential
 from .pressure import (
-    GRID_CAP, PressureEstimate, ProductCloud, grid_axis, ols_line, spanned_axes, spectral_estimate,
+    GRID_CAP, PressureEstimate, ProductCloud, _refuse_many_steps, grid_axis, ols_line, spanned_axes, spectral_estimate,
 )
 from .symbolic import CylinderWalk, check_word_cap, equilibrium_state
 
@@ -70,7 +70,7 @@ def _word_norms(model: ModelSystem, k_max: int):
     product is symmetric in sign, so |fl(a b)| = fl(|a| |b|), and
     monotone, so the max commutes with fl(|slope_j| * .); and the
     largest singular value of a 1x1 matrix is |x| exactly.  In more
-    dimensions the singular values of every word's product are listed.
+    dimensions every word's product is listed, under the word cap.
     """
     precedes = model.transition != 0
     if model.n == 1:
@@ -80,6 +80,7 @@ def _word_norms(model: ModelSystem, k_max: int):
             best = slopes * np.where(precedes, best[:, None], 0.0).max(axis=0)
             yield best
     else:
+        check_word_cap(model, k_max)
         prods, last = model.linear, np.arange(model.nsym)
         yield np.linalg.svd(prods, compute_uv=False)[:, 0]
         for _ in range(k_max - 1):
@@ -94,21 +95,20 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
     a_k is the log of the largest singular value over all admissible
     k-step branch products (`_word_norms`).  When every branch shares
     one normal linear part (all built-ins), products are powers and
-    a_k = k * a_1 exactly, so no words are formed.  Otherwise the word
-    cap of k_max is checked first, so a k_max past the cap fails in any
-    dimension, although in one the max-times recursion costs only
-    k_max * nsym^2; in more dimensions every word's product is formed.
-    A product of slopes past the float range is refused, naming its k.
+    a_k = k * a_1 exactly, so no words are formed.  Otherwise, in one dimension the max-times
+    recursion costs k_max * nsym^2 and lists no word; in more every word's product is formed, under
+    the word cap.  A k_max above `STEP_CAP` is refused first, and a product of slopes past the float
+    range is refused, naming its k.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")
+    _refuse_many_steps("k_max", k_max)
     shared = model.uniform_linear
     exact = shared is not None and _is_normal(shared)
     with np.errstate(over="ignore", divide="ignore"):  # refused below
         if exact:
             per_k = np.full(k_max, float(np.log(np.linalg.norm(shared, ord=2))))
         else:
-            check_word_cap(model, k_max)
             per_k = np.array([float(np.log(norms.max())) / k for k, norms in enumerate(_word_norms(model, k_max), 1)])
     bad = np.flatnonzero(~np.isfinite(per_k))
     if bad.size:  # a product of k slopes left the float range

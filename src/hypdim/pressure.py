@@ -29,7 +29,7 @@ from .symbolic import cylinder_rects, partition_sums_through, pressure_spectral
 _FULL_TOL = 1e-9
 # no grid of more cells than this is built or stepped
 GRID_CAP = 1 << 26
-# death steps are int16: no more tracking steps than this are asked for
+# no k_max and no stable depth goes past this many steps; death steps are int16
 STEP_CAP = int(np.iinfo(np.int16).max)
 
 
@@ -318,9 +318,9 @@ def _axis_step(model: ModelSystem, axis: int):
 
 
 def _refuse_many_steps(what: str, steps: int) -> None:
-    """Refuse more than `STEP_CAP` tracking steps, the most a death step can count."""
+    """Refuse more than `STEP_CAP` steps before anything is allocated for them."""
     if steps > STEP_CAP:
-        raise ConfigError(f"{what} {steps} exceeds the limit of {STEP_CAP} tracking steps")
+        raise ConfigError(f"{what} {steps} exceeds the limit of {STEP_CAP} steps")
 
 
 def _death_steps(model, pts, epsilon, k_max, dist, i=0):
@@ -550,16 +550,13 @@ def pressure_from_partition_sums(model: ModelSystem, pot: Potential, k_max: int)
     last three ratios removes the dominant transient and reproduces the
     spectral value to ~1e-10 already at k_max = 12 on two-symbol shifts.
     The published residual is the RMS deviation of log Z_k from the
-    extrapolated line over the top half of the range.  A Z_k that is not
-    finite and positive is refused.
+    extrapolated line over the top half of the range.  A k_max above
+    `STEP_CAP` and a Z_k outside the normal positive floats are refused.
     """
     if k_max < 6:
         raise DegenerateCurveError("need k_max >= 6")
-    with np.errstate(over="ignore"):  # refused below
-        z = partition_sums_through(model, pot, k_max)
-    bad = np.flatnonzero(~(np.isfinite(z) & (z > 0)))
-    if bad.size:
-        raise DegenerateCurveError(f"partition sum Z_{bad[0] + 1} = {z[bad[0]]} leaves the positive float range")
+    _refuse_many_steps("k_max", k_max)
+    z = partition_sums_through(model, pot, k_max)
     ks = np.arange(1, k_max + 1)
     logs = np.log(z)
     ratios = np.diff(logs)

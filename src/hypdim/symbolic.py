@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import (
     CapExceededError,
+    DegenerateCurveError,
     DeltaTooLargeError,
     IncompatibleStochasticsError,
     NotMixingError,
@@ -87,7 +88,7 @@ def count_admissible_words(transition, k: int) -> float:
 
 
 def check_word_cap(transition, k: int) -> None:
-    """Refuse word length k when the admissible k-words exceed `WORD_CAP`.
+    """Refuse word length k when the admissible k-words exceed `WORD_CAP`; only code that lists words checks it.
 
     They are counted only when the bound m * r^(k - 1) does, r the largest row sum of the
     0/1 transition (the exponent stops at 25, which takes any r >= 2 past the cap)."""
@@ -303,15 +304,19 @@ def separated_set(model: ModelSystem, k: int, delta: float | None = None) -> Sep
 
 
 def partition_sums_through(model: ModelSystem, pot: Potential, k_max: int) -> np.ndarray:
-    """Z_k for k = 1..k_max in one sweep.
+    """Z_k for k = 1..k_max in one sweep that lists no word, so no word cap applies.
 
-    Z_k sums exp(S_k phi) over one representative per admissible word;
-    for locally constant potentials the value does not depend on the
-    representatives, so Z_k = e^phi (A diag e^phi)^(k-1) 1 exactly.  The word cap bounds k_max but
-    keeps no Z_k finite: `pressure_from_partition_sums` refuses the Z_2 = inf of slopes 1e-300 and 3.
+    Z_k sums exp(S_k phi) over one representative per admissible word; for locally constant potentials
+    the value does not depend on the representatives, so Z_k = e^phi (A diag e^phi)^(k-1) 1 exactly.
+    The sweep stops at the first Z_k outside the normal positive floats (inf, NaN, 0 or subnormal) and refuses it.
     """
-    check_word_cap(model, k_max)
-    return np.fromiter(_transfer_sums(*_weighted(model, pot)), float, k_max)
+    z, tiny, huge = [], np.finfo(float).tiny, np.finfo(float).max
+    with np.errstate(over="ignore"):  # refused below
+        for k, zk in enumerate(itertools.islice(_transfer_sums(*_weighted(model, pot)), k_max), 1):
+            if not tiny <= zk <= huge:
+                raise DegenerateCurveError(f"partition sum Z_{k} = {zk} leaves the positive float range")
+            z.append(zk)
+    return np.array(z)
 
 
 # -- spectral pressure oracle ----------------------------------------------

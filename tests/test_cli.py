@@ -5,6 +5,8 @@ import csv
 import json
 import math
 import os
+import re
+import stat
 import subprocess
 import sys
 import time
@@ -117,6 +119,20 @@ class TestPressureCommand:
         )
         assert code == 4
         assert json.loads(out)["result"]["classification"] == "inconclusive"
+
+    def test_partition_sums_past_the_word_cap(self, capsys):
+        # 2^30 and 6.32e7 words: the word cap refused both (exit 3), though the sums list no word
+        doc = run_json(capsys, ["pressure", "--model", "cantor:3,02", "--method", "partition", "--kmax", "30"])
+        assert doc["result"]["pressure"]["value"] == pytest.approx(math.log(2 / 3), abs=1e-12)
+        run_json(capsys, ["pressure", "--model", "catmap", "--method", "partition", "--kmax", "18"])
+
+    def test_a_subnormal_partition_sum_is_refused(self, capsys):
+        # (2/3)^k leaves the normal floats at k = 1748; the sums stuck at 2e-323 read P = 0.0 with exit 0
+        code, out, err = run(capsys, ["pressure", "--model", "cantor:3,02", "--method", "partition",
+                                      "--kmax", "2000"])
+        assert (code, out) == (2, "")
+        assert re.fullmatch(r"hypdim: invalid configuration: partition sum Z_1748 = 1\.557\d*e-308 "
+                            r"leaves the positive float range\n", err)
 
     def test_decisive_verdict_exits_zero(self, capsys):
         code, out, _ = run(
@@ -264,6 +280,30 @@ class TestDimensionCommand:
 
 
 class TestReportCommand:
+    def test_written_files_take_their_mode_from_the_umask(self, capsys, tmp_path):
+        # mkstemp's mode 0600 stayed on every file written
+        written = {}
+        for umask, mode in ((0o022, 0o644), (0o077, 0o600)):
+            where = tmp_path / oct(umask)
+            where.mkdir()
+            old = os.umask(umask)
+            try:
+                assert run(capsys, ["pressure", "--model", "cantor:3,02", "--method", "partition",
+                                    "--out", str(where / "p.json"), "--csv", str(where / "p.csv")]) == (0, "", "")
+                assert run(capsys, ["report", "--model", "cantor:3,02", "--out-dir", str(where / "r"), "--plot-data",
+                                    "--out", str(where / "r.json")]) == (0, "", "")
+            finally:
+                os.umask(old)
+            files = sorted((p for p in where.rglob("*") if p.is_file()), key=str)
+            assert [p.relative_to(where).as_posix() for p in files] == [
+                "p.csv", "p.json", "r.json", "r/bound_vs_lambda.csv", "r/dimension_vs_lambda.csv",
+                "r/report.csv", "r/report.txt"]
+            assert {stat.S_IMODE(p.stat().st_mode) for p in files} == {mode}
+            written[umask] = [p.read_bytes() for p in files]
+        assert written[0o022] == written[0o077]
+        _, stdout, _ = run(capsys, ["pressure", "--model", "cantor:3,02", "--method", "partition"])
+        assert written[0o022][1] == stdout.encode()
+
     def test_target_dim_synthesis(self, capsys, tmp_path):
         doc = run_json(
             capsys,
@@ -401,8 +441,9 @@ class TestExitCodes:
         assert list(tmp_path.iterdir()) == []
 
     def test_cap_exceeded(self, capsys):
+        # the depth-18 cylinders are listed: 6.32e7 words
         code, _, err = run(
-            capsys, ["pressure", "--model", "catmap", "--method", "partition", "--kmax", "18"]
+            capsys, ["dimension", "--model", "catmap", "--set", "invariant", "--depth", "18"]
         )
         assert code == 3
         assert "cap" in err.lower()
@@ -416,15 +457,16 @@ class TestExitCodes:
     )
     def test_word_cap_is_checked_before_any_level_is_built(self, capsys, tmp_path, argv, length):
         # 2^25 cylinders and 3^16 expansion-rate words both exceed 2^24; a
-        # level-by-level check would build 2^24-word levels before failing
+        # level-by-level check would build 2^24-word levels before failing.
+        # The rate lists words only in more than one dimension, so THREE is 2-D and diagonal, its slopes unequal
         three = tmp_path / "three.json"
         slopes, lo = [3.3, 4.0, 4.6], [0.0, 0.45, 1.0 - 1.0 / 4.6]
         three.write_text(json.dumps({
-            "space": {"dim": 1, "geometry": "cube"},
-            "kind": "expanding",
+            "space": {"dim": 2, "geometry": "cube"},
+            "kind": "diffeo",
             "branches": [
-                {"symbol": i, "domain": {"lo": [a], "hi": [a + 1.0 / s]},
-                 "linear": [[s]], "offset": [-s * a]}
+                {"symbol": i, "domain": {"lo": [a, 0.0], "hi": [a + 1.0 / s, 1.0]},
+                 "linear": [[s, 0.0], [0.0, 0.25]], "offset": [-s * a, 0.375 * i]}
                 for i, (a, s) in enumerate(zip(lo, slopes))
             ],
             "transition": [[1, 1, 1]] * 3,
@@ -493,12 +535,25 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err == "hypdim: invalid configuration: scale 1e-303 is too fine for 64-bit cell keys at width 1\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", "horseshoe:3,0.25"],
+        ["report", "--model", "horseshoe:3,0.25"],
+        ["pressure", "--model", "cantor:3,0", "--method", "partition"],
+    ], ids=["bound", "report", "partition"])
+    def test_every_kmax_past_the_step_limit_exits_2(self, capsys, tmp_path, argv):
+        # numpy's "Unable to allocate 7.28 TiB" ended each in a traceback (exit 1)
+        out_dir = ["--out-dir", str(tmp_path)] if argv[0] == "report" else []
+        code, out, err = run(capsys, [*argv, "--kmax", "1000000000000", *out_dir])
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: k_max 1000000000000 exceeds the limit of 32767 steps\n"
+        assert not list(tmp_path.iterdir())
+
     def test_a_volume_kmax_past_the_step_limit_exits_2(self, capsys):
         # death steps are int16: 40000 was an OverflowError with a traceback
         code, out, err = run(capsys, ["pressure", "--model", "horseshoe:3,0.25", "--method", "volume",
                                       "--kmax", "40000"])
         assert (code, out) == (2, "")
-        assert err == "hypdim: invalid configuration: k_max 40000 exceeds the limit of 32767 tracking steps\n"
+        assert err == "hypdim: invalid configuration: k_max 40000 exceeds the limit of 32767 steps\n"
 
     @pytest.mark.parametrize("command", [["dimension", "--set", "stable"], ["report"]])
     def test_a_stable_depth_whose_resolution_overflows_exits_2(self, capsys, command):
@@ -514,7 +569,7 @@ class TestExitCodes:
         code, out, err = run(capsys, ["dimension", "--model", "horseshoe:3,0.25", "--set", "stable",
                                       "--depth", "40000"])
         assert (code, out) == (2, "")
-        assert err == "hypdim: invalid configuration: depth 40000 exceeds the limit of 32767 tracking steps\n"
+        assert err == "hypdim: invalid configuration: depth 40000 exceeds the limit of 32767 steps\n"
 
     def test_non_finite_numbers_never_reach_the_document(self, capsys):
         args = argparse.Namespace(seed=0, threads=1)
@@ -683,15 +738,35 @@ class TestModelFiles:
     @pytest.mark.parametrize(
         "argv",
         [["dimension", "--set", "repeller", "--depth", "14"],
-         ["pressure", "--method", "partition", "--kmax", "14"]],
+         ["report", "--depth", "14"]],
     )
     def test_a_cap_refusal_shows_a_count_past_1e18(self, capsys, tmp_path, argv):
         # 257^14 = 5.48e33 words: finite, though the refusal read inf while the count saturated at 1e18
         path = tmp_path / "full257.json"
         path.write_text(json.dumps(_repeller_doc([300.0] * 257, [[1] * 257] * 257)))
-        code, out, err = run(capsys, [*argv, "--model-file", str(path)])
+        out_dir = ["--out-dir", str(tmp_path / "out")] if argv[0] == "report" else []
+        code, out, err = run(capsys, [*argv, "--model-file", str(path), *out_dir])
         assert (code, out) == (3, "")
         assert err == "hypdim: cap exceeded: 5.48e+33 admissible words of length 14 exceed the cap 16777216\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_partition_sums_stop_at_the_first_subnormal_sum(self, capsys, tmp_path):
+        # Z_k falls by about 0.82 a step; the sums ran 18 s in subnormal arithmetic to read P = 0.0
+        path = tmp_path / "full257.json"
+        path.write_text(json.dumps(_repeller_doc([300.0 + 0.1 * i for i in range(257)], [[1] * 257] * 257)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["pressure", "--model-file", str(path), "--method", "partition",
+                                      "--kmax", "32767"])
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        shown = re.fullmatch(r"hypdim: invalid configuration: partition sum Z_\d+ = (\S+) "
+                             r"leaves the positive float range\n", err)
+        assert 0.0 < float(shown[1]) < np.finfo(float).tiny
+
+    @pytest.mark.parametrize("alias", ["cat", "golden"])
+    def test_the_short_model_names_are_gone(self, capsys, alias):
+        code, out, err = run(capsys, ["bound", "--model", alias])
+        assert (code, out, err) == (2, "", f"hypdim: invalid configuration: unknown model '{alias}'\n")
 
     @pytest.mark.parametrize(
         "argv",

@@ -25,6 +25,8 @@ from hypdim.dimension import (
     minkowski_content_curve,
 )
 from hypdim.errors import (
+    CapExceededError,
+    ConfigError,
     DegenerateScalesError,
     NonPositiveRateError,
     ParameterOutOfRangeError,
@@ -39,6 +41,7 @@ from hypdim.models import (
     potential,
 )
 from hypdim.pressure import (
+    STEP_CAP,
     PressureEstimate,
     ProductCloud,
     sample_local_stable_set,
@@ -89,6 +92,23 @@ class TestExpansionRate:
         rate = expansion_rate(forced, k_max=5)
         assert not rate.exact
         assert rate.value == pytest.approx(math.log(3), abs=1e-9)
+
+    def test_every_kmax_stops_at_the_step_limit_and_only_listed_words_at_the_cap(self):
+        # a k_max of 10^12 asked numpy for 7.28 TiB; the 1-D max-times recursion lists no word,
+        # while in two dimensions the 2^25 words of length 25 would each form a product
+        horseshoe = build_linear_horseshoe(3.0, 0.25)
+        uneven = dataclasses.replace(build_cantor_repeller(3, (0, 2)), linear=[[[3.0]], [[4.0]]], strict=False)
+        forced = dataclasses.replace(horseshoe, linear=[[[3.0, 0.0], [0.0, 0.25]], [[4.0, 0.0], [0.0, 0.25]]],
+                                     strict=False)
+        for model in (horseshoe, uneven, forced):
+            for k_max in (STEP_CAP + 1, 10**12):
+                with pytest.raises(ConfigError, match=f"^k_max {k_max} exceeds the limit of {STEP_CAP} steps$"):
+                    expansion_rate(model, k_max)
+        rate = expansion_rate(uneven, 500)  # 4^512 passes the float range
+        assert (rate.exact, rate.value) == (False, pytest.approx(math.log(4.0), rel=1e-15))
+        assert expansion_rate(horseshoe, STEP_CAP).value == pytest.approx(math.log(3.0), rel=1e-15)
+        with pytest.raises(CapExceededError, match="admissible words of length 25 exceed the cap"):
+            expansion_rate(forced, 25)
 
 
 def noncommuting_model():

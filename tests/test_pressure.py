@@ -118,7 +118,7 @@ class TestVolumeCurves:
         assert len(curve.volumes) == STEP_CAP
         assert np.all(curve.volumes == 1.0)
         assert np.all(curve.bands == 0.0)
-        with pytest.raises(ValueError, match=f"^k_max {STEP_CAP + 1} exceeds the limit of {STEP_CAP} tracking steps$"):
+        with pytest.raises(ValueError, match=f"^k_max {STEP_CAP + 1} exceeds the limit of {STEP_CAP} steps$"):
             volume_curve(build_cat_map(), 0.05, STEP_CAP + 1, 128)
 
     def test_nesting_in_k_and_epsilon(self):
@@ -572,6 +572,14 @@ class TestPartitionSumFit:
         pot = potential(m, "phi_u")
         est = pressure_from_partition_sums(m, pot, 12)
         assert abs(est.value - pressure_spectral(m, pot)) < 1e-9
+
+    def test_kmax_stops_at_the_step_limit(self):
+        # Z_k = 1 at every k: the sums run STEP_CAP steps; 10^12 asked numpy for 7.28 TiB
+        m = build_doubling_map(2)
+        assert pressure_from_partition_sums(m, potential(m, "phi"), STEP_CAP).value == 0.0
+        for k_max in (STEP_CAP + 1, 10**12):
+            with pytest.raises(ConfigError, match=f"^k_max {k_max} exceeds the limit of {STEP_CAP} steps$"):
+                pressure_from_partition_sums(m, potential(m, "phi"), k_max)
 
     def test_requires_kmax_six(self):
         m = build_doubling_map(2)

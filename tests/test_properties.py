@@ -274,6 +274,37 @@ def test_partition_sums_equal_word_enumeration(data, model, k_max):
 
 
 @PROPERTY_SETTINGS
+@given(data=st.data(), model=markov_models())
+def test_partition_sums_reach_the_spectral_pressure(data, model):
+    # the sums list no word, so k is not held under the word cap; P = 0 keeps every Z_k a normal float
+    raw = data.draw(potentials(model.nsym))
+    pot = raw.shifted(-pressure_spectral(model, raw))
+    moduli = np.sort(np.abs(np.linalg.eigvals(model.transition * np.exp(pot.values)[None, :])))
+    ratio = moduli[-2] / moduli[-1]
+    k_max = max(6, math.ceil(math.log(1e-13) / math.log(ratio))) if ratio > 1e-13 else 6
+    assume(k_max <= pressure.STEP_CAP)  # a draw with |lambda_2 / lambda_1| above 0.99909 needs more steps
+    assert pressure.pressure_from_partition_sums(model, pot, k_max).value == pytest.approx(0.0, abs=1e-9)
+
+
+def test_the_oscillating_repeller_reaches_the_spectral_pressure():
+    # its subdominant eigenvalues are complex; --kmax 16 read -2.0082, and k = 27 was past the word cap
+    slopes = [33.243, 5.175, 3.988]
+    gap = (1.0 - sum(1.0 / s for s in slopes)) / 2
+    los = [sum(1.0 / t for t in slopes[:i]) + i * gap for i in range(3)]
+    model = ModelSystem.from_json_dict({
+        "space": {"dim": 1, "geometry": "cube"},
+        "kind": "expanding",
+        "branches": [{"symbol": i, "domain": {"lo": [lo], "hi": [lo + 1.0 / s]}, "linear": [[s]],
+                      "offset": [-s * lo]} for i, (lo, s) in enumerate(zip(los, slopes))],
+        "transition": [[1, 1, 1], [1, 0, 0], [0, 1, 0]],
+        "unstable_dim": 1,
+    })
+    pot = potential(model, "phi")
+    estimate = pressure.pressure_from_partition_sums(model, pot, 100)
+    assert estimate.value == pytest.approx(pressure_spectral(model, pot), abs=1e-10)
+
+
+@PROPERTY_SETTINGS
 @given(data=st.data(), model=markov_models(), power=st.integers(2, 3))
 def test_power_model_pressure_scales(data, model, power):
     pot = data.draw(potentials(model.nsym))
@@ -532,18 +563,20 @@ def pair_loop_branch_separation(model: ModelSystem) -> float:
     if any(np.any(linear != np.diag(np.diag(linear))) for linear in model.linear):
         return 0.0
     best = math.inf
-    for i in range(model.nsym):
-        for j in range(i + 1, model.nsym):
-            da, db = np.diag(model.linear[i]), np.diag(model.linear[j])
-            contracting = (np.abs(1.0 / da) <= 1.0) & (np.abs(1.0 / db) <= 1.0)
-            if not contracting.any():
-                best = 0.0
-                continue
-            coef = 1.0 / da - 1.0 / db
-            const = model.offset[j] / db - model.offset[i] / da
-            at_zero, at_one = np.abs(const), np.abs(coef + const)
-            lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(at_zero, at_one))
-            best = min(best, float(lower[contracting].max()))
+    # a tiny slope's inverse overflows only on axes that do not contract, which the max leaves out
+    with np.errstate(over="ignore", divide="ignore"):
+        for i in range(model.nsym):
+            for j in range(i + 1, model.nsym):
+                da, db = np.diag(model.linear[i]), np.diag(model.linear[j])
+                contracting = (np.abs(1.0 / da) <= 1.0) & (np.abs(1.0 / db) <= 1.0)
+                if not contracting.any():
+                    best = 0.0
+                    continue
+                coef = 1.0 / da - 1.0 / db
+                const = model.offset[j] / db - model.offset[i] / da
+                at_zero, at_one = np.abs(const), np.abs(coef + const)
+                lower = np.where(const * (coef + const) < 0, 0.0, np.minimum(at_zero, at_one))
+                best = min(best, float(lower[contracting].max()))
     return 0.0 if not math.isfinite(best) else best
 
 
@@ -585,10 +618,26 @@ def _no_contracting_pair():
     })
 
 
+def _tiny_stable_slope():
+    """A 2-D horseshoe whose stable slope 4e-200 makes the oracle's products pass the float range."""
+    return ModelSystem.from_json_dict({
+        "space": {"dim": 2, "geometry": "cube"},
+        "kind": "diffeo",
+        "branches": [
+            {"symbol": s, "domain": {"lo": [2 * s / 3, 0.0], "hi": [(2 * s + 1) / 3, 1.0]},
+             "linear": [[3.0, 0.0], [0.0, 4e-200]], "offset": [-2.0 * s, 0.25 + 0.5 * s]}
+            for s in range(2)
+        ],
+        "transition": [[1, 1], [1, 1]],
+        "unstable_dim": 1,
+    })
+
+
 @PROPERTY_SETTINGS
 @given(model=split_models() | diagonal_models() | factored_models() | markov_models())
 @example(model=build_cat_map())  # a linear part that is not diagonal
 @example(model=_no_contracting_pair())
+@example(model=_tiny_stable_slope())
 def test_branch_separation_equals_the_pair_loop(model):
     with np.errstate(divide="ignore", invalid="ignore"):
         assert model.branch_separation == pair_loop_branch_separation(model)
