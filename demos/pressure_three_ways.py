@@ -10,7 +10,7 @@ potential -log|det Df| = -log 3 comes out three independent ways:
   2. partition sums: growth rate of sums of exp(Birkhoff sums) over
      admissible words,
   3. volume growth: shrinkage rate of the k-step tracking neighborhood
-     of the repeller, measured on a grid.
+     of the repeller, measured exactly as a union of intervals.
 
 The exact answer is log 2 - log 3: two branches survive against a
 volume expansion of 3 per step.
@@ -44,8 +44,8 @@ print(f"volume growth      : {vol_est.value:+.6f}        (error {vol_est.value -
 
 print()
 print("tracking volumes vol(B(repeller, 0.05, k)):")
-for k, v, band in zip(curve.ks, curve.volumes, curve.bands):
-    print(f"  k={k:2d}: {v:.6f}  (+- {band:.6f} grid band)")
+for k, v in zip(curve.ks, curve.volumes):
+    print(f"  k={k:2d}: {v:.6f}")
 print()
 print("The volumes shrink like (2/3)^k: each step keeps 2 of 3 branches")
 print("while the surviving tracking intervals thin out by the slope.")

@@ -56,6 +56,7 @@ from .models import (
 from .pressure import (
     GRID_CAP,
     ProductCloud,
+    _refuse_many_steps,
     cover_distance,
     default_epsilon,
     grid_axis,
@@ -354,6 +355,8 @@ def cmd_pressure(run) -> int:
         curve = volume_curve(model, eps, run.kmax, run.grid, threads=run.threads)
         estimate = pressure_from_volume_growth(curve, run.window)
         if estimate.value == -math.inf:
+            if curve.grid_resolution is None:  # exact volumes: no grid to refine
+                raise ConfigError(f"the tracking volume vanished within {run.kmax} steps")
             msg = f"the tracking volume vanished on the {curve.grid_resolution} grid within {run.kmax} steps"
             raise GridTooCoarseError(msg + "; raise --grid")
     result = {"pressure": estimate.to_json_dict()}
@@ -385,6 +388,7 @@ def _default_depth(model: ModelSystem, scales) -> int:
 def sample_for_set(model: ModelSystem, set_name: str, run):
     """(points, scales, meta) of `set_name`, one of invariant, repeller and stable, at the settings of `run`."""
     if set_name in ("invariant", "repeller"):
+        _refuse_many_steps("depth", run.depth or 0)  # an asked depth, before the walk counts its words
         # one walk: depth 2 decides the fallback, then goes on to the sample's depth
         walk = CylinderWalk(model)
         # cylinders that never shrink mean the invariant set is everything: sample the grid of the full space

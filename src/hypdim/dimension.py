@@ -64,7 +64,8 @@ def _word_norms(model: ModelSystem, k_max: int):
     """For k = 1..k_max, values whose largest is max ||Df^k|| over admissible k-words.
 
     In one dimension these are best[j], the largest |product of slopes|
-    over the k-words ending in symbol j, from the max-times recursion
+    over the k-words ending in symbol j, up to the first k whose largest
+    is 0 or past the float range, from the max-times recursion
     best[j] <- |slope_j| * max over i with A[i, j] of best[i].  The
     products come out bit for bit as the enumeration's: rounding a
     product is symmetric in sign, so |fl(a b)| = fl(|a| |b|), and
@@ -77,6 +78,8 @@ def _word_norms(model: ModelSystem, k_max: int):
         slopes = best = np.abs(model.linear[:, 0, 0])
         yield best
         for _ in range(k_max - 1):
+            if not 0.0 < best.max() < np.inf:  # log a_k is not finite: the caller refuses it at this k
+                return
             best = slopes * np.where(precedes, best[:, None], 0.0).max(axis=0)
             yield best
     else:
@@ -98,7 +101,7 @@ def expansion_rate(model: ModelSystem, k_max: int = 8) -> ExpansionRate:
     a_k = k * a_1 exactly, so no words are formed.  Otherwise, in one dimension the max-times
     recursion costs k_max * nsym^2 and lists no word; in more every word's product is formed, under
     the word cap.  A k_max above `STEP_CAP` is refused first, and a product of slopes past the float
-    range is refused, naming its k.
+    range is refused at its k, before any later step is run.
     """
     if k_max < 1:
         raise ValueError("k_max must be >= 1")

@@ -9,14 +9,16 @@ overestimate it by at most a cylinder diameter.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import math
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
+    CapExceededError,
     ConfigError,
     DegenerateCurveError,
     GridTooCoarseError,
@@ -24,7 +26,7 @@ from .errors import (
     NoBranchError,
 )
 from .models import ModelSystem, Potential, first_branch, point_distance
-from .symbolic import cylinder_rects, partition_sums_through, pressure_spectral
+from .symbolic import WORD_CAP, cylinder_rects, partition_sums_through, pressure_spectral
 
 _FULL_TOL = 1e-9
 # no grid of more cells than this is built or stepped
@@ -219,7 +221,7 @@ class _CoverDistance:
 
 
 def cover_rects(model: ModelSystem, epsilon: float):
-    """Depth-m cylinder cover with shrinking extents below epsilon/4.
+    """Depth-m cylinder cover with shrinking extents below epsilon/4; an epsilon not above 0 is refused.
 
     Returns (depth, rects).  The search walks `cylinder_rects` down
     until the cover is fine enough, holding depth 1 and the level in
@@ -229,6 +231,8 @@ def cover_rects(model: ModelSystem, epsilon: float):
     the cover is the branch domains themselves and distances to it are
     exact because the invariant set fills the space.
     """
+    if not epsilon > 0:
+        raise ConfigError(f"epsilon {epsilon} is not above 0")
     for depth, rects in enumerate(cylinder_rects(model), 1):
         ext = (rects[:, 1] - rects[:, 0]).max(axis=0)
         if depth == 1:
@@ -245,13 +249,13 @@ def cover_rects(model: ModelSystem, epsilon: float):
 
 @dataclass(frozen=True)
 class VolumeCurve:
-    """Grid-estimated volumes of the k-step tracking neighborhoods."""
+    """Volumes of the k-step tracking neighborhoods: exact when `grid_resolution` is None, else grid estimates."""
 
     epsilon: float
     ks: np.ndarray
     volumes: np.ndarray
     bands: np.ndarray
-    grid_resolution: int
+    grid_resolution: int | None
     cover_depth: int
 
     def __post_init__(self):
@@ -353,17 +357,16 @@ def _death_steps(model, pts, epsilon, k_max, dist, i=0):
     return death
 
 
-def _grid_deaths(model, dist, epsilon, k_max, values, threads, i=None):
-    """`_death_steps`, in chunks, of the grid with `values` on every axis, or of their row along `dist.axes[i]`."""
-    pts = values if i is not None else np.asarray(ProductCloud.grid([values] * model.n))
-    total = len(pts)
-    death = np.empty(total, dtype=np.int16)
-    n_chunks = max(1, min(64, total // 4096))
-    bounds = np.linspace(0, total, n_chunks + 1).astype(int)
+def _grid_deaths(model, dist, epsilon, k_max, values, threads):
+    """`_death_steps`, in chunks, of the grid with `values` on every axis."""
+    pts = np.asarray(ProductCloud.grid([values] * model.n))
+    death = np.empty(len(pts), dtype=np.int16)
+    n_chunks = max(1, min(64, len(pts) // 4096))
+    bounds = np.linspace(0, len(pts), n_chunks + 1).astype(int)
 
     def work(ci):
         a, b = bounds[ci], bounds[ci + 1]
-        death[a:b] = _death_steps(model, pts[a:b], epsilon, k_max, dist, i)
+        death[a:b] = _death_steps(model, pts[a:b], epsilon, k_max, dist)
 
     if threads > 1:
         from concurrent.futures import ThreadPoolExecutor  # deferred: only threaded grids use it
@@ -373,7 +376,7 @@ def _grid_deaths(model, dist, epsilon, k_max, values, threads, i=None):
     else:
         for ci in range(n_chunks):
             work(ci)
-    return death.reshape((len(values),) * (model.n if i is None else 1))
+    return death.reshape((len(values),) * model.n)
 
 
 def volume_curve(
@@ -385,68 +388,50 @@ def volume_curve(
 ) -> VolumeCurve:
     """Volumes of B(invariant set, epsilon, k) for k = 1..k_max.
 
-    Midpoint rule: a grid cell belongs to the k-step neighborhood when
-    its center's first k orbit points stay within epsilon of the
-    cylinder cover (orbit escape fails membership).  The uncertainty
-    band per k is the total volume of cells sitting on the membership
-    boundary; halving the cell edge changes the estimate by at most the
-    band.  Cells are counted, as exact integers, as products of counts
-    per factor: a row of cells along each tracked axis, or the full
-    grid; axes that no factor holds multiply by the grid size, all of
-    them when `tracked` is `[]`.  More than `GRID_CAP` stepped cells, or
-    in all than a float holds, or a `k_max` above `STEP_CAP` are refused
-    first.
-
-    Results are independent of `threads`: the grid is chunked the same
-    way regardless, and only integer cell counts are aggregated.
+    A `k_max` above `STEP_CAP` is refused first, then an epsilon not above
+    0 by `cover_rects`.  With tracked axes (`_CoverDistance.tracked`) the
+    volume is exact, the product of the lengths of the axes'
+    `_tracking_levels` (other axes count 1), and `grid_resolution` reads
+    None; a level of more than `WORD_CAP` interval images is refused
+    before it is built.  Any other model takes the midpoint rule on the
+    full grid, chunked the same way for any `threads`: a cell belongs when
+    its center's first k orbit points stay within epsilon of the cover
+    (escape fails membership), and the band per k, the volume of the
+    cells on the membership boundary, bounds the change of halving the
+    cell edge.  A cell edge above epsilon/4 and more than `GRID_CAP` cells
+    are refused before any is stepped.
     """
-    n = model.n
-    cell = 1.0 / grid_resolution
-    if cell > 0.25 * epsilon:
-        raise GridTooCoarseError(
-            f"grid cell {cell} exceeds epsilon/4 = {0.25 * epsilon}"
-        )
     _refuse_many_steps("k_max", k_max)
-    if grid_resolution**n > sys.float_info.max:  # a count of cells might not convert to a float
-        raise GridTooCoarseError(f"grid too large at {grid_resolution} per axis in {n} dimensions: "
-                                 f"its {grid_resolution}^{n} cells pass the float range")
     depth, rects = cover_rects(model, epsilon)
     dist = _CoverDistance(model, rects)
-    _refuse_large_grid(dist, n, grid_resolution, "grid")
-    # the factors: one row per tracked axis, else the full grid
-    factors = [None] if dist.tracked is None else range(len(dist.tracked))
-    deaths = [_grid_deaths(model, dist, epsilon, k_max, grid_axis(grid_resolution), threads, i) for i in factors]
-
-    # a cell dies at the least death of its factors; so do lo and hi, the least
-    # and largest death over the cell and its 2n neighbours, read per factor
-    alive, low, high = [], [], []
-    for death in deaths:
-        padded = np.pad(death, 1, mode="wrap" if model.is_torus else "edge")
-        inner = (slice(1, -1),) * death.ndim
-        lo = hi = death
-        for ax in range(death.ndim):
-            for side in (slice(None, -2), slice(2, None)):
-                near = padded[inner[:ax] + (side,) + inner[ax + 1 :]]
-                lo, hi = np.minimum(lo, near), np.maximum(hi, near)
-        for tally, ends in ((alive, death), (low, lo), (high, hi)):  # per k, the exact count of ends >= k
-            tally.append((ends.size - np.cumsum(np.bincount(ends.ravel(), minlength=k_max + 1))[:k_max]).astype(object))
-    unheld = np.full(k_max, grid_resolution ** (n - sum(d.ndim for d in deaths)), dtype=object)
-    counts = math.prod(alive, start=unheld)
-    # hi >= k: all factors alive, or one not but with a live neighbour (a neighbour differs in one factor)
-    reach = sum(((h - a) * math.prod(alive[:f] + alive[f + 1 :], start=unheld)
-                 for f, (a, h) in enumerate(zip(alive, high))), start=counts)
-    cellvol = cell**n
-    volumes = (counts * cellvol).astype(float)
-    bands = ((reach - math.prod(low, start=unheld)) * cellvol).astype(float)  # cells with lo < k <= hi
-
-    return VolumeCurve(
-        epsilon=float(epsilon),
-        ks=np.arange(1, k_max + 1),
-        volumes=volumes,
-        bands=bands,
-        grid_resolution=grid_resolution,
-        cover_depth=depth,
-    )
+    if dist.tracked is not None:
+        volumes = np.ones(k_max)
+        for i, axis in enumerate(dist.tracked):
+            levels = itertools.islice(_tracking_levels(model, dist, epsilon, 0.0, i, WORD_CAP), k_max)
+            lengths = [float(np.sum(hi - lo)) for lo, hi in levels]
+            if len(lengths) < k_max:
+                raise CapExceededError(f"tracking level {len(lengths) + 1} along axis {axis} would form more "
+                                       f"than {WORD_CAP} interval images")
+            volumes *= lengths
+        return VolumeCurve(float(epsilon), np.arange(1, k_max + 1), volumes, np.zeros(k_max), None, depth)
+    cell = 1.0 / grid_resolution
+    if cell > 0.25 * epsilon:
+        raise GridTooCoarseError(f"grid cell {cell} exceeds epsilon/4 = {0.25 * epsilon}")
+    _refuse_large_grid(dist, model.n, grid_resolution, "grid")
+    death = _grid_deaths(model, dist, epsilon, k_max, grid_axis(grid_resolution), threads)
+    # lo and hi: the least and largest death over the cell and its 2n neighbours
+    padded = np.pad(death, 1, mode="wrap" if model.is_torus else "edge")
+    inner = (slice(1, -1),) * death.ndim
+    lo = hi = death
+    for ax, side in itertools.product(range(death.ndim), (slice(None, -2), slice(2, None))):
+        near = padded[inner[:ax] + (side,) + inner[ax + 1 :]]
+        lo, hi = np.minimum(lo, near), np.maximum(hi, near)
+    # per k, the cells whose death, lo or hi is at least k
+    alive, low, high = (ends.size - np.cumsum(np.bincount(ends.ravel(), minlength=k_max + 1))[:k_max]
+                        for ends in (death, lo, hi))
+    cellvol = cell**model.n
+    return VolumeCurve(float(epsilon), np.arange(1, k_max + 1), alive * cellvol, (high - low) * cellvol,
+                       grid_resolution, depth)
 
 
 # -- pressure estimates -------------------------------------------------------
@@ -623,43 +608,47 @@ def _pullback_tol(model: ModelSystem, axis: int, epsilon: float) -> float:
     return 2.0**-30 * max(1.0 + epsilon, float(reach.max()))
 
 
-def _tracking_superset(model, cover, epsilon, depth, tol, i=0, limit=math.inf):
-    """Sorted disjoint closed intervals holding every coordinate along `cover.axes[i]` that tracks `depth` steps.
+def _tracking_levels(model, cover, epsilon, tol, i=0, limit=math.inf):
+    """The levels T_1, T_2, ... along `cover.axes[i]`, each a sorted disjoint union of closed intervals.
 
-    Needs `cover.tracked`.  The last level is the epsilon-neighbourhood
-    of the axis's merged cover intervals; each earlier level is
-    that neighbourhood intersected with the union of the pullbacks of
-    the next level through every branch, cut to the branch domain.
-    Every neighbourhood, domain and pulled-back target is widened by
-    `tol`, so with `tol` above the rounding of one step (see
-    `_pullback_tol`) a coordinate that the float loop of `_death_steps`
-    keeps lies inside, by induction from the last level back.  On the
-    torus the levels live on [-tol, 1 + tol] and the targets repeat at
-    every integer shift an image can reach.  The pullback stops early,
-    leaving a larger superset, once a level would cost more than
-    `limit` interval images.
+    Needs `cover.tracked`.  T_k holds the coordinates that `_death_steps`
+    keeps for k steps: T_1 is the epsilon-neighbourhood N of the axis's
+    merged cover intervals, T_{k+1} the part of N in the pullbacks of T_k
+    through the branches, each cut to the piece of its domain that
+    `first_branch` gives it (on the torus, at every integer shift an
+    image can reach).  Levels are cut to the unit interval; on the cube an
+    image may leave it and still be a target.  All are widened by `tol`:
+    with 0 the levels are exact, above a step's rounding (`_pullback_tol`)
+    each holds what the float loop keeps.  They stop before a level would
+    cost more than `limit` interval images.
     """
     lo, hi, slope, offset = model.factorization.rows[cover.axes[i]]
+    # the pieces: between consecutive domain ends, the lowest symbol whose domain spans the gap owns it
+    ends = np.sort(np.concatenate([lo, hi]))  # np.unique would import numpy.ma, 1 MB of peak RSS
+    spans = (lo[:, None] <= ends[:-1]) & (ends[1:] <= hi[:, None]) & (ends[:-1] < ends[1:])
+    symbol, gap = np.nonzero(spans & (np.cumsum(spans, axis=0) == 1))
+    lo, hi, slope, offset, shift = ends[gap], ends[gap + 1], slope[symbol], offset[symbol], np.zeros(len(gap))
     merged_lo, merged_hi = cover.merged[i]
     near = _union(merged_lo - (epsilon + tol), merged_hi + (epsilon + tol))
-    symbol, shift = np.arange(model.nsym), np.zeros(model.nsym)
+    unit = np.array([-tol]), np.array([1.0 + tol])
+    if cover.torus:  # images wrap into the unit interval
+        near = _intersect(*near, *unit)
+    keep_lo, keep_hi = near
+    yield _intersect(*near, *unit)
     if cover.torus:
-        near = _intersect(*near, np.array([-tol]), np.array([1.0 + tol]))
         ends = np.stack([slope * (lo - tol), slope * (hi + tol)]) + offset
         first = np.floor(ends.min(axis=0)) - 1
         count = (np.ceil(ends.max(axis=0)) + 1 - first).astype(int)
         if count.sum() > limit:
-            return near
-        symbol, shift = np.repeat(symbol, count), _ranges(first, count)
-    # one row per branch and target shift: x * slope + offset lies in
+            return
+        piece, shift = np.repeat(np.arange(len(lo)), count), _ranges(first, count)
+        lo, hi, slope, offset = lo[piece], hi[piece], slope[piece], offset[piece]
+    # one row per piece and target shift: x * slope + offset lies in
     # [t_lo, t_hi] + shift iff x lies between (t_lo + shift - offset) / slope
     # and (t_hi + shift - offset) / slope
-    lo, hi = lo[symbol, None] - tol, hi[symbol, None] + tol
-    slope, base = slope[symbol, None], shift[:, None] - offset[symbol, None]
-    keep_lo, keep_hi = near
-    for _ in range(depth - 1):
-        if len(symbol) * len(keep_lo) > limit:
-            break
+    lo, hi = lo[:, None] - tol, hi[:, None] + tol
+    slope, base = slope[:, None], (shift - offset)[:, None]
+    while len(slope) * len(keep_lo) <= limit:
         a, b = (keep_lo - tol + base) / slope, (keep_hi + tol + base) / slope
         x_lo, x_hi = np.maximum(np.minimum(a, b), lo), np.minimum(np.maximum(a, b), hi)
         ok = x_lo <= x_hi
@@ -667,7 +656,12 @@ def _tracking_superset(model, cover, epsilon, depth, tol, i=0, limit=math.inf):
         if cover.torus:  # a state of 1 wraps to 0 before its branch is chosen
             x_lo, x_hi = np.append(x_lo, x_lo + 1.0), np.append(x_hi, x_hi + 1.0)
         keep_lo, keep_hi = _intersect(*near, *_union(x_lo, x_hi))
-    return keep_lo, keep_hi
+        yield _intersect(keep_lo, keep_hi, *unit)
+
+
+def _tracking_superset(model, cover, epsilon, depth, tol, i=0, limit=math.inf):
+    """T_depth of `_tracking_levels`, or the last level before `limit` stops them: a superset of T_depth."""
+    return collections.deque(itertools.islice(_tracking_levels(model, cover, epsilon, tol, i, limit), depth), 1)[0]
 
 
 def sample_local_stable_set(
@@ -688,14 +682,12 @@ def sample_local_stable_set(
     fail, and the whole grid of `samples` per axis is kept; otherwise
     the full n-dimensional grid is stepped and its survivors returned
     as an array.  `cover` is `cover_distance(model, epsilon)` when the
-    caller has it already.  An `epsilon` not above 0, more than
-    `GRID_CAP` stepped cells, or a `depth` above `STEP_CAP`, are refused
-    before any sample is drawn.
+    caller has it already.  An `epsilon` not above 0 (`cover_rects`),
+    more than `GRID_CAP` stepped cells, or a `depth` above `STEP_CAP`,
+    are refused before any sample is drawn.
     """
     if model.kind != "diffeo":
         raise IncompatibleLabelError("local stable sets need the diffeo kind")
-    if not epsilon > 0:
-        raise ConfigError(f"epsilon {epsilon} is not above 0")
     _refuse_many_steps("depth", depth)
     dist = cover if cover is not None else cover_distance(model, epsilon)
     n = model.n

@@ -108,8 +108,8 @@ def test_criterion_3_volume_growth_estimator():
     curve = volume_curve(model, 0.05, 10, 1 << 12)
     est = pressure_from_volume_growth(curve, (4, 10))
     target = math.log(2.0 / 3.0)
-    if abs(est.value - target) > 0.1:
-        failures.append(f"slope {est.value} outside {target} +- 0.1")
+    if abs(est.value - target) > 1e-9:
+        failures.append(f"slope {est.value} outside {target} +- 1e-9")
     if est.value > 0.0 + est.residual:
         failures.append(f"slope {est.value} above zero beyond residual {est.residual}")
     finish(3, "volume-growth estimator", time.perf_counter() - start, 60.0, failures)

@@ -70,6 +70,21 @@ def _repeller_doc(slopes, transition) -> dict:
     }
 
 
+def _swapped_square_doc(geometry: str = "cube") -> dict:
+    """x -> 3y - b, y -> 3x - a on the digit squares (a, b) of Cantor x Cantor: no axis steps alone."""
+    return {
+        "space": {"dim": 2, "geometry": geometry},
+        "kind": "expanding",
+        "branches": [
+            {"symbol": i, "domain": {"lo": [a / 3, b / 3], "hi": [(a + 1) / 3, (b + 1) / 3]},
+             "linear": [[0.0, 3.0], [3.0, 0.0]], "offset": [-float(b), -float(a)]}
+            for i, (a, b) in enumerate([(0, 0), (0, 2), (2, 0), (2, 2)])
+        ],
+        "transition": [[1] * 4] * 4,
+        "unstable_dim": 2,
+    }
+
+
 class TestBoundCommand:
     def test_horseshoe_value(self, capsys):
         doc = run_json(capsys, ["bound", "--model", "horseshoe:3,0.25"])
@@ -479,34 +494,64 @@ class TestExitCodes:
         assert out == ""
         assert f"length {length}" in err
 
-    def test_vanished_tracking_volume_is_config_error(self, capsys):
-        # the exact pressure is log(1/4); a 512 grid loses the whole neighborhood
+    def test_vanished_tracking_volume_is_config_error(self, tmp_path, capsys):
+        # the swapped square does not separate, so it takes the grid: 64 cells per axis lose the
+        # whole neighborhood by k = 10
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(_swapped_square_doc()))
         code, out, err = run(
             capsys,
-            ["pressure", "--model", "horseshoe:8,0.25", "--method", "volume",
-             "--kmax", "10", "--grid", "512"],
+            ["pressure", "--model-file", str(path), "--method", "volume", "--eps", "0.2",
+             "--kmax", "10", "--grid", "64"],
         )
         assert code == 2
         assert out == ""
-        assert "512" in err and "--grid" in err
+        assert err == ("hypdim: invalid configuration: the tracking volume vanished on the 64 grid within 10 steps; "
+                       "raise --grid\n")
+
+    @pytest.mark.parametrize("argv, exact", [
+        (["horseshoe:4,0.25", "--kmax", "8", "--grid", "2048"], math.log(1 / 2)),
+        (["horseshoe:8,0.25", "--kmax", "10", "--grid", "512"], math.log(1 / 4)),
+        (["catmap", "--grid", str(1 << 14)], 0.0),
+        (["cantor:3,02", "--grid", str(1 << 27)], math.log(2 / 3)),
+    ], ids=["horseshoe-4", "horseshoe-8", "catmap", "cantor"])
+    def test_a_separable_model_reads_exact_volumes(self, capsys, argv, exact):
+        # on the grid the first aliased to -0.2079, the second vanished (exit 2), and the last two
+        # were refused as grids too large; no grid is used now
+        doc = run_json(capsys, ["pressure", "--model", argv[0], "--method", "volume", *argv[1:]])
+        estimate = doc["result"]["pressure"]
+        assert estimate["value"] == pytest.approx(exact, abs=1e-9)
+        assert estimate["extras"]["grid_resolution"] is None
 
     def test_factored_volume_grid_is_capped_by_the_cells_it_steps(self, capsys):
-        # the horseshoe factors, so a 16384 grid steps 16384 cells, not 16384^2
+        # the horseshoe separates, so a 16384 grid steps no cell at all: its volumes are exact
         doc = run_json(
             capsys,
             ["pressure", "--model", "horseshoe:3,0.25", "--method", "volume",
              "--kmax", "8", "--grid", "16384"],
         )
-        assert doc["result"]["pressure"]["value"] == pytest.approx(math.log(2 / 3), abs=0.1)
+        assert doc["result"]["pressure"]["value"] == pytest.approx(math.log(2 / 3), abs=1e-9)
 
-    @pytest.mark.parametrize("model,grid", [("catmap", 1 << 14), ("cantor:3,02", 1 << 27)])
-    def test_volume_grid_cap(self, capsys, model, grid):
+    @pytest.mark.parametrize("geometry", ["cube", "torus"])
+    def test_volume_grid_cap(self, capsys, tmp_path, geometry):
+        # 16384^2 cells of a model that does not separate
+        path = tmp_path / "swapped.json"
+        path.write_text(json.dumps(_swapped_square_doc(geometry)))
         code, out, err = run(
-            capsys, ["pressure", "--model", model, "--method", "volume", "--grid", str(grid)]
+            capsys, ["pressure", "--model-file", str(path), "--method", "volume", "--grid", str(1 << 14)]
         )
         assert code == 2
         assert out == ""
         assert "grid too large" in err
+
+    def test_a_tracking_level_past_the_interval_cap_exits_3(self, capsys, tmp_path):
+        # 257 branches pull 66049 intervals back into 257^3 > 2^24 images at the fourth level
+        path = tmp_path / "full257.json"
+        path.write_text(json.dumps(_repeller_doc([300.0] * 257, [[1] * 257] * 257)))
+        code, out, err = run(capsys, ["pressure", "--model-file", str(path), "--method", "volume"])
+        assert (code, out) == (3, "")
+        assert err == ("hypdim: cap exceeded: tracking level 4 along axis 0 would form more than 16777216 "
+                       "interval images\n")
 
     def test_stable_grid_is_capped_before_sampling(self, capsys):
         # 2^27 cells on the expanding axis alone: refused before any array is drawn
@@ -762,6 +807,33 @@ class TestModelFiles:
         shown = re.fullmatch(r"hypdim: invalid configuration: partition sum Z_\d+ = (\S+) "
                              r"leaves the positive float range\n", err)
         assert 0.0 < float(shown[1]) < np.finfo(float).tiny
+
+    def test_the_expansion_rate_stops_at_the_first_product_past_the_float_range(self, capsys, tmp_path):
+        # all 32767 max-times steps ran first: 4.9 s for the whole process
+        path = tmp_path / "full257.json"
+        path.write_text(json.dumps(_repeller_doc([300.0 + 0.1 * i for i in range(257)], [[1] * 257] * 257)))
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["bound", "--model-file", str(path), "--kmax", "32767"])
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: a_k/k is inf at k = 123, out of the float range\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["dimension", "--model-file", "POLY", "--set", "repeller"],
+        ["report", "--model", "cantor:3,02"],
+    ], ids=["repeller", "report"])
+    def test_a_cylinder_depth_past_the_step_limit_exits_2(self, capsys, tmp_path, argv):
+        # the word cap counted every step first: 6.9 s at depth 16000 on the polynomial shift, and
+        # exit 3 on the Cantor set
+        path = tmp_path / "poly.json"
+        path.write_text(json.dumps(_repeller_doc([3.0, 4.0], [[1, 1], [0, 1]])))
+        out_dir = ["--out-dir", str(tmp_path / "out")] if argv[0] == "report" else []
+        start = time.perf_counter()
+        code, out, err = run(capsys, [str(path) if a == "POLY" else a for a in argv] + ["--depth", "40000", *out_dir])
+        assert time.perf_counter() - start < 2.0
+        assert (code, out) == (2, "")
+        assert err == "hypdim: invalid configuration: depth 40000 exceeds the limit of 32767 steps\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("alias", ["cat", "golden"])
     def test_the_short_model_names_are_gone(self, capsys, alias):

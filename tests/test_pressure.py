@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,22 +130,24 @@ class TestVolumeCurves:
         assert np.all(wider.volumes >= curve.volumes - 1e-15)
 
     def test_grid_guard(self):
-        m = build_cantor_repeller(3, (0, 2))
+        # only a model that does not separate takes the grid: a cell above epsilon/4 is refused
+        m = swapped_square("cube")
         with pytest.raises(GridTooCoarseError):
             volume_curve(m, 0.05, 4, 64)
+        assert volume_curve(build_cantor_repeller(3, (0, 2)), 0.05, 4, 64).grid_resolution is None
 
     def test_refinement_within_band(self):
-        m = build_cantor_repeller(3, (0, 2))
-        coarse = volume_curve(m, 0.06, 5, 1 << 10)
-        fine = volume_curve(m, 0.06, 5, 1 << 11)
-        finer = volume_curve(m, 0.06, 5, 1 << 12)
+        m = swapped_square("cube")
+        coarse = volume_curve(m, 0.2, 5, 1 << 7)
+        fine = volume_curve(m, 0.2, 5, 1 << 8)
+        finer = volume_curve(m, 0.2, 5, 1 << 9)
         assert np.all(np.abs(fine.volumes - coarse.volumes) <= coarse.bands + 1e-12)
         assert np.all(fine.bands <= coarse.bands + 1e-12)
         assert np.all(finer.bands <= fine.bands + 1e-12)
 
     def test_thread_count_does_not_change_results(self):
-        for m, eps, grid, threads in [(build_cantor_repeller(3, (0, 2)), 0.05, 2048, 4),
-                                      (cantor_square("torus"), 0.2, 128, 2)]:
+        for m, eps, grid, threads in [(swapped_square("cube"), 0.2, 256, 4),
+                                      (cantor_square("torus", 3, [(0, 0), (0, 2), (2, 0)]), 0.2, 128, 2)]:
             one = volume_curve(m, eps, 8, grid, threads=1)
             many = volume_curve(m, eps, 8, grid, threads=threads)
             assert np.array_equal(one.volumes, many.volumes)
@@ -152,24 +155,28 @@ class TestVolumeCurves:
 
     def test_counts_past_int64_stay_exact(self):
         # 65536 cells per axis on four axes are 2^64 cells: int64 counts wrapped round
-        # and the volumes stopped falling in k
+        # and the volumes stopped falling in k; the whole axes count 1, and no grid is used
         m = cantor_with_whole_axes(4)
         line = build_cantor_repeller(3, (0, 2))
         assert default_epsilon(m) == default_epsilon(line)
         curve = volume_curve(m, default_epsilon(m), 6, 65536)
         factor = volume_curve(line, default_epsilon(line), 6, 65536)
         assert curve.volumes.tolist() == factor.volumes.tolist()
-        assert curve.bands.tolist() == factor.bands.tolist()
-        assert factor.volumes[-1] < 0.2 and factor.bands.max() > 0
+        assert curve.bands.tolist() == factor.bands.tolist() == [0.0] * 6
+        assert curve.grid_resolution is factor.grid_resolution is None
+        assert np.log(factor.volumes[1:] / factor.volumes[:-1]) == pytest.approx([math.log(2 / 3)] * 5, abs=1e-9)
 
-    def test_a_grid_past_the_float_range_is_refused_before_stepping(self, tmp_path, capsys, monkeypatch):
-        # 65536^70 cells: converting their counts to volumes raised OverflowError, exit 1
+    def test_a_separable_model_in_70_dimensions_reads_exact_volumes(self, tmp_path, capsys, monkeypatch):
+        # 65536^70 cells: converting their counts to volumes raised OverflowError (exit 1), then the grid
+        # was refused (exit 2); the volumes are the Cantor factor's, and no grid is stepped
         path = tmp_path / "cantor70.json"
         path.write_text(cantor_with_whole_axes(70).to_json())
         monkeypatch.setattr(pressure, "_grid_deaths", lambda *args: pytest.fail("the grid was stepped"))
         argv = ["pressure", "--model-file", str(path), "--method", "volume", "--kmax", "6", "--grid", "65536"]
-        assert main(argv) == 2
-        assert "65536 per axis in 70 dimensions" in capsys.readouterr().err
+        assert main(argv) == 0
+        estimate = json.loads(capsys.readouterr().out)["result"]["pressure"]
+        assert estimate["value"] == pytest.approx(math.log(2 / 3), abs=1e-9)
+        assert estimate["extras"]["grid_resolution"] is None
 
     @pytest.mark.parametrize("lambda_u", [2.5, 4.0])
     @pytest.mark.parametrize("grid", [512, 1000])
@@ -178,7 +185,7 @@ class TestVolumeCurves:
         eps, k_max = default_epsilon(m), 8
         counts, boundaries = full_grid_reference(m, eps, k_max, grid)
         cellvol = (1.0 / grid) ** 2
-        curve = volume_curve(m, eps, k_max, grid)
+        curve = on_the_grid(volume_curve, m, eps, k_max, grid)
         assert curve.volumes.tolist() == [c * cellvol for c in counts]
         assert curve.bands.tolist() == [b * cellvol for b in boundaries]
         assert max(boundaries) > 0 and counts[-1] < counts[0]
@@ -198,10 +205,22 @@ class TestVolumeCurves:
         k_max = 6
         counts, boundaries = full_grid_reference(m, eps, k_max, grid)
         cellvol = (1.0 / grid) ** m.n
-        curve = volume_curve(m, eps, k_max, grid)
+        curve = on_the_grid(volume_curve, m, eps, k_max, grid)
         assert curve.volumes.tolist() == [c * cellvol for c in counts]
         assert curve.bands.tolist() == [b * cellvol for b in boundaries]
         assert max(boundaries) > 0 and counts[-1] < counts[0]
+
+
+def on_the_grid(function, *args, **kwargs):
+    """`function` with every cover's tracking regime read as None, so that the full grid is stepped."""
+    init = _CoverDistance.__init__
+
+    def stepping(self, *init_args):
+        init(self, *init_args)
+        self.tracked = None
+
+    with mock.patch.object(_CoverDistance, "__init__", stepping):
+        return function(*args, **kwargs)
 
 
 def full_grid_reference(m, eps, k_max, grid):
@@ -375,7 +394,7 @@ class TestRectsCover:
                 "--kmax", "6"]
         assert main(argv) == 0
         value = json.loads(capsys.readouterr().out)["result"]["pressure"]["value"]
-        assert value == pytest.approx(math.log(4.0 / 9.0), abs=1e-3)
+        assert value == pytest.approx(math.log(4.0 / 9.0), abs=1e-9)
 
 
 def digit_product(slopes, words, geometry: str) -> ModelSystem:
@@ -483,7 +502,7 @@ def test_a_separable_product_counts_the_cells_of_the_full_grid(product, eps, k_m
     assert dist.tracked == (list(range(m.n)) if lexicographic else None)
     counts, boundaries = full_grid_reference(m, eps, k_max, grid)
     cellvol = (1.0 / grid) ** m.n
-    curve = volume_curve(m, eps, k_max, grid)
+    curve = on_the_grid(volume_curve, m, eps, k_max, grid)
     assert curve.volumes.tolist() == [c * cellvol for c in counts]
     assert curve.bands.tolist() == [b * cellvol for b in boundaries]
 
@@ -672,7 +691,7 @@ class TestStableSetSampling:
 
 @pytest.mark.parametrize("epsilon", [0.0, -0.1, math.nan])
 def test_a_stable_sample_refuses_an_epsilon_not_above_zero(epsilon):
-    # no point of the cat map can fail at any epsilon: the sampler, not its tracking regime, refuses it
+    # no point of the cat map can fail at any epsilon: its cover refuses it, before a tracking regime is read
     for m in (build_cat_map(), build_linear_horseshoe(3.0, 0.25)):
         with pytest.raises(ConfigError, match="is not above 0"):
             sample_local_stable_set(m, epsilon, 4, samples=64)

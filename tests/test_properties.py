@@ -7,7 +7,7 @@ oracle for the level-wise `cylinders`, stepping whole points with
 `ModelSystem.step` as the oracle for the one-axis tracking kernel, the
 loop merge and the clipped lookup as the oracles for the vectorised
 interval lookup, stepping every sample as the oracle for the stable
-sampler's pullback prefilter, the per-word pullback loop and the
+sampler's pullback prefilter and the exact tracking levels, the per-word pullback loop and the
 per-depth cover search as the oracles for the cylinder levels (their
 rectangles and their first and parent rows), the `np.unique` count as
 the oracle for step-counted and multi-scale box counts, the per-branch
@@ -70,10 +70,12 @@ from hypdim.pressure import (
     _death_steps,
     _pullback_tol,
     _sample_axis,
+    _tracking_levels,
     _tracking_superset,
     cover_distance,
     cover_rects,
     default_epsilon,
+    grid_axis,
     sample_local_stable_set,
     stable_resolution,
     volume_curve,
@@ -794,8 +796,11 @@ def test_a_zero_cover_on_the_torus_with_a_spanning_branch_kills_no_point(model, 
     corners = np.stack(np.meshgrid(edges, edges), axis=-1).reshape(-1, 2)
     pts = np.concatenate([rng.random((64, 2)), corners])
     assert np.all(_death_steps(model, pts, epsilon, k_max, dist) == k_max)
-    curve = volume_curve(model, epsilon, k_max, 32)
-    assert curve.to_json_dict() == _stepped(volume_curve, model, epsilon, k_max, 32).to_json_dict()
+    # no point can fail: the exact volumes read 1, as the stepped grid counts every cell
+    curve, stepped = volume_curve(model, epsilon, k_max, 32), _stepped(volume_curve, model, epsilon, k_max, 32)
+    assert curve.volumes.tolist() == stepped.volumes.tolist() == [1.0] * k_max
+    assert curve.bands.tolist() == stepped.bands.tolist() == [0.0] * k_max
+    assert (curve.grid_resolution, stepped.grid_resolution) == (None, 32)
     cloud = sample_local_stable_set(model, epsilon, k_max, samples=32, seed=seed)
     stepped = _stepped(sample_local_stable_set, model, epsilon, k_max, samples=32, seed=seed)
     assert isinstance(cloud, ProductCloud)
@@ -971,6 +976,31 @@ def test_stable_sampler_keeps_exactly_the_death_loop_survivors_over_the_sweep(la
     assert dist.tracked == [0]
     samples = stable_resolution(model, 8, dist)
     _assert_sampler_keeps_the_death_loop_survivors(model, dist, epsilon, 8, samples, 7)
+
+
+@PROPERTY_SETTINGS
+@given(
+    model=st.one_of(diagonal_models().filter(lambda m: m.n == 1), factored_models()),
+    epsilon=_floats(0.03, 0.5),
+    k_max=st.integers(1, 8),
+)
+def test_each_exact_level_holds_the_row_midpoints_that_survive(model, epsilon, k_max):
+    # the levels behind the exact volumes: on the cube the first is cut to the unit interval, and each
+    # branch pulls back only through the part of its domain that first_branch gives it
+    dist = _one_axis_cover(model, epsilon)
+    grid = 4096
+    x = grid_axis(grid)
+    death = _death_steps(model, x, epsilon, k_max, dist)
+    tol = _pullback_tol(model, dist.axes[0], epsilon)
+    levels = itertools.islice(_tracking_levels(model, dist, epsilon, 0.0), k_max)
+    for k, (lo, hi) in enumerate(levels, 1):
+        j = np.searchsorted(hi, x)  # the first interval that does not end before x
+        inside = np.append(lo, np.inf)[j] <= x
+        ends = np.concatenate([[-np.inf], np.sort(np.concatenate([lo, hi])), [np.inf]])
+        e = np.searchsorted(ends, x)
+        clear = np.minimum(ends[e] - x, x - ends[e - 1]) > tol
+        assert np.array_equal(inside[clear], death[clear] >= k)
+        assert abs(np.sum(hi - lo) - np.sum(death >= k) / grid) <= len(lo) / grid
 
 
 def _assert_pullback_holds_the_survivors_at_its_rounding_edges(model, dist, epsilon, depth):
